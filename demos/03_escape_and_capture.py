@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from anisokepler import Params, classify_infinity
+from anisokepler import Params, infinity_equilibria
 from anisokepler.infinity import (
     SQRT2,
     InfinityState,
@@ -26,7 +26,7 @@ from anisokepler.mcgehee import delta
 p = Params(beta=3.0, mu=1.4, b=0.5, h=0.0)
 cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
 
-rep = classify_infinity(p)
+rep = infinity_equilibria(p)
 print("equilibrium circles at infinity (independent of beta):")
 print(f"  C+ at vbar = +sqrt2: eigenvalues {rep.c_plus.eigenvalues}  -> sink")
 print(f"  C- at vbar = -sqrt2: eigenvalues {rep.c_minus.eigenvalues}  -> source")

@@ -9,7 +9,7 @@ chaos indicator), integrate (shared numerics), cli (data-file front end).
 
 from .core import CartesianState, DomainError, Params, SymmetryId
 from .core import apply_symmetry, cartesian_field, grad_potential, hamiltonian, potential
-from .integrate import Event, IntegratorConfig, Trajectory, eigen3, integrate
+from .integrate import Event, IntegratorConfig, Trajectory, integrate
 from .mcgehee import (
     EquilibriumReport,
     McGeheeState,
@@ -25,7 +25,7 @@ from .mcgehee import (
     to_mcgehee,
 )
 from .torus import ManifoldBranch, SplittingVerdict, TorusState, splitting_sign, trace_manifold
-from .infinity import InfinityState, classify_infinity, i0_flow_closed_form, infinity_field
+from .infinity import InfinityState, i0_flow_closed_form, infinity_equilibria, infinity_field
 from .beta2 import (
     HeteroclinicClass,
     HeteroclinicTarget,

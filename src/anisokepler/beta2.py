@@ -7,6 +7,9 @@ regularized variables G becomes g = (u^2 - 2b/Delta)/2.  On the zero-energy
 level the infinity set degenerates to two circles of fixed points, and every
 orbit asymptotic to them is also asymptotic to the collision manifold; the
 limiting radial velocity classifies the collision-side target.
+
+The regularized and inverted-chart fields are those of `mcgehee` and
+`infinity`; this module holds only what is particular to beta = 2.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from .core import Params
 from .infinity import SQRT2, InfinityState
-from .mcgehee import McGeheeState, delta
+from .mcgehee import McGeheeState, delta, energy_residual, mcgehee_rhs
 
 __all__ = [
     "PolarState",
@@ -29,17 +32,11 @@ __all__ = [
     "polar_rhs",
     "integral_G",
     "poisson_bracket_H2_G",
-    "beta2_mcgehee_field",
     "beta2_mcgehee_rhs",
     "beta2_energy_residual",
     "beta2_g",
     "zero_velocity_radius",
-    "beta2_infinity_field",
-    "beta2_infinity_rhs",
-    "beta2_infinity_energy_residual",
     "beta2_infinity_g",
-    "beta2_infinity_manifold",
-    "Beta2InfinityManifold",
     "rho_of_vbar",
     "classify_heteroclinic",
 ]
@@ -117,35 +114,17 @@ def poisson_bracket_H2_G(s: PolarState, p: Params) -> float:
 
 
 def beta2_mcgehee_rhs(p: Params):
-    """Regularized flow at beta = 2: r' = rv, v' = 2 h r^2 + r, theta' = u,
-    u' = eps b sin(2 theta)/Delta^2; analytic at r = 0 and the restriction to
-    the collision manifold has v constant."""
+    """Regularized flow at beta = 2, the McGehee field with the beta = 2 gate:
+    r' = rv, v' = 2 h r^2 + r, theta' = u, u' = eps b sin(2 theta)/Delta^2;
+    analytic at r = 0 and the restriction to the collision manifold has v constant."""
     p.require_beta_equal(2.0)
-    mu, b, h = p.mu, p.b, p.h
-    eps = mu - 1.0
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        r, v, theta, u = y
-        D = delta(theta, mu)
-        return np.array([
-            r * v,
-            2.0 * h * r * r + r,
-            u,
-            eps * b * math.sin(2.0 * theta) / (D * D),
-        ])
-
-    return rhs
-
-
-def beta2_mcgehee_field(m: McGeheeState, p: Params) -> np.ndarray:
-    return beta2_mcgehee_rhs(p)(0.0, m.as_array())
+    return mcgehee_rhs(p)
 
 
 def beta2_energy_residual(m: McGeheeState, p: Params) -> float:
     """u^2 + v^2 - 2r - 2b/Delta - 2 h r^2; zero on the energy level."""
-    D = delta(m.theta, p.mu)
-    return (m.u * m.u + m.v * m.v - 2.0 * m.r - 2.0 * p.b / D
-            - 2.0 * p.h * m.r * m.r)
+    p.require_beta_equal(2.0)
+    return energy_residual(m, p)
 
 
 def beta2_g(m: McGeheeState, p: Params) -> float:
@@ -167,38 +146,6 @@ def zero_velocity_radius(theta: float, p: Params) -> float:
     return (-1.0 - math.sqrt(1.0 - 4.0 * p.h * p.b / D)) / (2.0 * p.h)
 
 
-def beta2_infinity_rhs(p: Params):
-    """Inverted-coordinates flow at beta = 2, h = 0; conserves the energy
-    relation ubar^2 + vbar^2 - 2 - 2 b rho/Delta and the integral
-    (ubar^2 - 2 b rho/Delta)/(2 rho)."""
-    p.require_beta_equal(2.0)
-    if p.h != 0.0:
-        raise ValueError("infinity-manifold analysis is restricted to h = 0")
-    mu, b = p.mu, p.b
-    eps = mu - 1.0
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        rho, vb, theta, ub = y
-        D = delta(theta, mu)
-        return np.array([
-            -rho * vb,
-            -0.5 * vb * vb + 1.0,
-            ub,
-            -0.5 * vb * ub + eps * b * rho * math.sin(2.0 * theta) / (D * D),
-        ])
-
-    return rhs
-
-
-def beta2_infinity_field(s: InfinityState, p: Params) -> np.ndarray:
-    return beta2_infinity_rhs(p)(0.0, s.as_array())
-
-
-def beta2_infinity_energy_residual(s: InfinityState, p: Params) -> float:
-    D = delta(s.theta, p.mu)
-    return s.ubar * s.ubar + s.vbar * s.vbar - 2.0 - 2.0 * p.b * s.rho / D
-
-
 def beta2_infinity_g(s: InfinityState, p: Params) -> float:
     """g recovered from inverted variables: (ubar^2 - 2 b rho/Delta)/(2 rho)."""
     p.require_beta_equal(2.0)
@@ -206,26 +153,6 @@ def beta2_infinity_g(s: InfinityState, p: Params) -> float:
         raise ValueError("g is recovered from rho > 0 states only")
     D = delta(s.theta, p.mu)
     return (s.ubar * s.ubar - 2.0 * p.b * s.rho / D) / (2.0 * s.rho)
-
-
-@dataclass(frozen=True)
-class Beta2InfinityManifold:
-    """At beta = 2 the zero-energy infinity set is two disjoint circles of fixed
-    points {rho = 0, ubar = 0, vbar = +-sqrt2}: a strict subset of the invariant
-    torus found for beta > 2, cut out by the additional integral (g = 0)."""
-
-    vbar_values: tuple[float, float] = (SQRT2, -SQRT2)
-
-    def circle_point(self, sign: int, theta: float) -> InfinityState:
-        return InfinityState(0.0, sign * SQRT2, theta, 0.0)
-
-    def contains(self, s: InfinityState, tol: float = 1e-9) -> bool:
-        return (abs(s.rho) <= tol and s.ubar * s.ubar <= tol
-                and abs(s.ubar * s.ubar + s.vbar * s.vbar - 2.0) <= tol)
-
-
-def beta2_infinity_manifold() -> Beta2InfinityManifold:
-    return Beta2InfinityManifold()
 
 
 def rho_of_vbar(rho0: float, vbar0: float, vbar) -> np.ndarray:

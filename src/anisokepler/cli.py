@@ -38,7 +38,7 @@ from .mcgehee import (
 from .torus import (
     TorusState,
     splitting_gap,
-    splitting_sign,
+    splitting_verdict,
     torus_rhs,
     trace_manifold,
     zeta1,
@@ -102,6 +102,13 @@ def _parse_grid(text: str) -> np.ndarray:
         raise ValidationError("grid requires step > 0 and stop >= start")
     n = int(math.floor((stop - start) / step + 1e-9)) + 1
     return start + step * np.arange(n)
+
+
+def _count_from(opts: dict, key: str, default: int) -> int:
+    n = int(opts.get(key, default))
+    if n < 1:
+        raise ValidationError(f"--{key.replace('_', '-')} must be at least 1, got {n}")
+    return n
 
 
 def _params_from(opts: dict, h_default: float = 0.0) -> Params:
@@ -199,8 +206,6 @@ def _run_simulate(cfg: ScenarioConfig):
 
 def _run_equilibria(cfg: ScenarioConfig):
     p = _params_from(cfg.options)
-    if not p.beta > 2:
-        raise ValidationError("equilibria require beta > 2")
     cols = ["label", "theta", "v", "eig1_re", "eig1_im", "eig2_re", "eig2_im",
             "eig3_re", "eig3_im", "stability", "spiraling"]
     rows = []
@@ -219,9 +224,7 @@ def _run_equilibria(cfg: ScenarioConfig):
 def _run_collision_flow(cfg: ScenarioConfig):
     opts = cfg.options
     p = _params_from(opts)
-    if not p.beta > 2:
-        raise ValidationError("the collision torus requires beta > 2")
-    n = int(opts.get("grid", 24))
+    n = _count_from(opts, "grid", 24)
     rhs = torus_rhs(p)
     rows = []
     for th in np.linspace(-math.pi, math.pi, n, endpoint=False):
@@ -246,7 +249,7 @@ def _run_infinity_flow(cfg: ScenarioConfig):
         raise ValidationError("the infinity manifold is defined on h = 0")
     if not p.beta > 2:
         raise ValidationError("this command covers beta > 2 (see beta2-verify)")
-    n_orbits = int(opts.get("orbits", 5))
+    n_orbits = _count_from(opts, "orbits", 5)
     s_final = float(opts.get("s_final", 25.0))
     icfg = _integrator_from(opts)
     rng = np.random.default_rng(cfg.seed)
@@ -296,7 +299,7 @@ def _run_splitting(cfg: ScenarioConfig):
     for eps in eps_list:
         p = Params(float(beta), 1.0 + eps, b)
         gap, psi_u, psi_s = splitting_gap(beta, p, icfg)
-        verdict = splitting_sign(beta, p, icfg)
+        verdict = splitting_verdict(gap, icfg)
         rows.append((beta, eps, psi_u, psi_s, gap,
                      gap / eps if eps else 0.0, 2 * z1 * eps, verdict.value))
     meta = {"command": cfg.command, "beta": beta, "b": b,
@@ -311,8 +314,8 @@ def _run_beta2_verify(cfg: ScenarioConfig):
     mu = float(opts.get("mu", 1.5))
     b = float(opts.get("b", 0.5))
     h = float(opts.get("h", -0.25))
-    n_states = int(opts.get("n_states", 1000))
-    n_orbits = int(opts.get("n_orbits", 20))
+    n_states = _count_from(opts, "n_states", 1000)
+    n_orbits = _count_from(opts, "n_orbits", 20)
     tau = float(opts.get("tau", 10.0))
     icfg = _integrator_from({"rtol": opts.get("rtol", 1e-12),
                              "atol": opts.get("atol", 1e-14)})
@@ -377,8 +380,6 @@ def _run_melnikov(cfg: ScenarioConfig):
 def _run_basin(cfg: ScenarioConfig):
     opts = cfg.options
     p = _params_from(opts, h_default=-0.25)
-    if not p.beta > 2:
-        raise ValidationError("basin sampling requires beta > 2")
     n = int(opts.get("n", 10000))
     horizon = float(opts.get("horizon", 40.0))
     if "box" in opts:

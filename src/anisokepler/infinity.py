@@ -1,10 +1,11 @@
-"""Behavior at r = infinity on the zero-energy level, for beta > 2.
+"""Behavior at r = infinity on the zero-energy level, for beta >= 2.
 
 Inverted coordinates rho = 1/r, vbar = rho^((beta-1)/2) v, ubar = rho^((beta-1)/2) u
 with a further time rescaling dtau = rho^((beta-1)/2) ds make the field analytic
 at rho = 0.  The infinity manifold I0 = {rho = 0, ubar^2 + vbar^2 = 2} is an
 invariant torus carrying two circles of normally hyperbolic equilibria at
 vbar = +-sqrt(2): escapes accumulate on C+ (vbar = +sqrt(2)), captures leave C-.
+The equilibrium analysis is for beta > 2 (see `beta2` for beta = 2).
 
 Angle convention on I0: ubar = sqrt(2) sin(psi), vbar = sqrt(2) cos(psi), the
 same chart used on the collision torus.  Along any nonequilibrium I0 orbit the
@@ -33,7 +34,6 @@ __all__ = [
     "infinity_rhs",
     "infinity_energy_residual",
     "infinity_equilibria",
-    "classify_infinity",
     "i0_rhs",
     "i0_flow_closed_form",
     "limit_circle",
@@ -96,7 +96,7 @@ def infinity_energy_residual(s: InfinityState, p: Params) -> float:
 
 
 def infinity_rhs(p: Params):
-    p.require_beta_above(2.0)
+    p.require_beta_above(2.0, strict=False)
     _require_zero_energy(p)
     beta, mu, b = p.beta, p.mu, p.b
 
@@ -139,7 +139,8 @@ class InfinityReport:
 
 
 def infinity_equilibria(p: Params) -> InfinityReport:
-    """The two circles C+- at vbar = +-sqrt(2); independent of beta."""
+    """The two circles C+- at vbar = +-sqrt(2), independent of beta: C+ normally
+    hyperbolic attracting (eigenvalues {-sqrt2, -sqrt2/2, 0}), C- repelling."""
     p.require_beta_above(2.0)
     _require_zero_energy(p)
     return InfinityReport(
@@ -154,12 +155,6 @@ def infinity_jacobian(v0: float) -> np.ndarray:
     return np.array([[-v0, 0.0, 0.0],
                      [0.0, 0.0, 1.0],
                      [0.0, 0.0, -v0 / 2.0]])
-
-
-def classify_infinity(p: Params) -> InfinityReport:
-    """C+ is normally hyperbolic attracting (eigenvalues {-sqrt2, -sqrt2/2, 0});
-    C- is repelling."""
-    return infinity_equilibria(p)
 
 
 def i0_rhs(p: Params | None = None):

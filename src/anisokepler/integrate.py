@@ -27,7 +27,6 @@ __all__ = [
     "Event",
     "Trajectory",
     "integrate",
-    "eigen3",
 ]
 
 _EVENT_TIME_TOL = 1e-12
@@ -125,6 +124,8 @@ def integrate(
     """
     cfg = cfg or IntegratorConfig()
     t0, t1 = float(t_span[0]), float(t_span[1])
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"t_span must be finite, got ({t0}, {t1})")
     if t0 == t1:
         raise ValueError("degenerate t_span")
     y0 = np.asarray(s0, dtype=float)
@@ -196,80 +197,3 @@ def integrate(
 
     fired.sort(key=lambda te: te[0])
     return Trajectory(np.array(times), np.array(states), fired, drift)
-
-
-def _newton_polish(coeffs: tuple[float, float, float], lam: complex) -> complex:
-    # characteristic polynomial x^3 + a x^2 + b x + c
-    a, b, c = coeffs
-    for _ in range(2):
-        p = ((lam + a) * lam + b) * lam + c
-        dp = (3.0 * lam + 2.0 * a) * lam + b
-        if abs(dp) < 1e-30:
-            break
-        lam = lam - p / dp
-    return lam
-
-
-def eigen3(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a real 3x3 matrix from the characteristic cubic.
-
-    Cardano / trigonometric closed forms followed by a Newton polish; the result
-    is validated against |det(M - lambda I)| <= 1e-9 * scale.
-    """
-    M = np.asarray(m, dtype=float)
-    if M.shape != (3, 3) or not np.all(np.isfinite(M)):
-        raise ValueError("eigen3 expects a finite 3x3 real matrix")
-
-    tr = M[0, 0] + M[1, 1] + M[2, 2]
-    m2 = (M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-          + M[0, 0] * M[2, 2] - M[0, 2] * M[2, 0]
-          + M[1, 1] * M[2, 2] - M[1, 2] * M[2, 1])
-    det = float(np.linalg.det(M))
-    # x^3 + a x^2 + b x + c with lambda = x
-    a, b, c = -tr, m2, -det
-
-    # depressed cubic t^3 + p t + q, lambda = t + tr/3
-    s = tr / 3.0
-    p = m2 - 3.0 * s * s
-    q = -2.0 * s ** 3 + m2 * s - det
-
-    scale = max(1.0, float(np.linalg.norm(M, "fro")))
-    if abs(p) < 1e-14 * scale ** 2 and abs(q) < 1e-14 * scale ** 3:
-        roots = [complex(s), complex(s), complex(s)]
-    else:
-        disc = -4.0 * p ** 3 - 27.0 * q ** 2
-        if disc >= 0.0:
-            # three real roots (p < 0 here)
-            rad = math.sqrt(-p / 3.0)
-            arg = max(-1.0, min(1.0, 3.0 * q / (2.0 * p * rad)))
-            phi = math.acos(arg)
-            roots = [complex(2.0 * rad * math.cos((phi - 2.0 * math.pi * k) / 3.0) + s)
-                     for k in range(3)]
-        else:
-            # one real root, one conjugate pair
-            half_q = -q / 2.0
-            rad = math.sqrt(q * q / 4.0 + p ** 3 / 27.0)
-            u = np.cbrt(half_q + rad) if half_q >= 0.0 else np.cbrt(half_q - rad)
-            v = -p / (3.0 * u) if u != 0.0 else 0.0
-            x1 = u + v
-            re = -x1 / 2.0
-            im = (u - v) * math.sqrt(3.0) / 2.0
-            roots = [complex(x1 + s), complex(re + s, im), complex(re + s, -im)]
-
-    roots = [_newton_polish((a, b, c), lam) for lam in roots]
-    # keep a nonreal pair exactly conjugate
-    nonreal = [i for i, lam in enumerate(roots) if abs(lam.imag) > 1e-12 * scale]
-    if len(nonreal) == 2:
-        i, j = nonreal
-        re = (roots[i].real + roots[j].real) / 2.0
-        im = (abs(roots[i].imag) + abs(roots[j].imag)) / 2.0
-        roots[i], roots[j] = complex(re, im), complex(re, -im)
-    else:
-        roots = [complex(lam.real) for lam in roots]
-
-    eye = np.eye(3)
-    for lam in roots:
-        resid = abs(np.linalg.det(M - lam * eye))
-        if resid > 1e-9 * scale ** 3:
-            raise ArithmeticError(f"eigenvalue residual {resid:.3e} exceeds tolerance")
-    return np.array(roots)

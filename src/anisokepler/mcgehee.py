@@ -1,11 +1,11 @@
-"""McGehee-regularized coordinates and flow near collision, for beta > 2.
+"""McGehee-regularized coordinates and flow near collision, for beta >= 2.
 
 Coordinates (r, v, theta, u) with r = sqrt(x^2 + y^2), theta = atan2(y, x),
 v = r^((beta-2)/2) * (x*px + y*py), u = r^((beta-2)/2) * (x*py - y*px), and the
 time rescaling dt/dtau = r^(beta/2 + 1).  The vector field is polynomial in r
 and trigonometric in theta, hence analytic up to the collision boundary r = 0.
 The set C = {r = 0, u^2 + v^2 = 2b/Delta^(beta/2)} (a torus) is invariant; its
-flow organizes all near-collision orbits.
+flow organizes all near-collision orbits.  The analyses of C need beta > 2.
 """
 
 from __future__ import annotations
@@ -104,6 +104,7 @@ def from_mcgehee(m: McGeheeState, p: Params) -> CartesianState:
 
 
 def _field_arrays(r, v, theta, u, p: Params):
+    """The one definition of the field; scalars or equal-shape arrays alike."""
     D = delta(theta, p.mu)
     dr = r * v
     dv = (0.5 * (p.beta - 2.0) * v * v + r ** (p.beta - 1.0) + 2.0 * p.h * r ** p.beta
@@ -116,12 +117,12 @@ def _field_arrays(r, v, theta, u, p: Params):
 
 def mcgehee_field(m: McGeheeState, p: Params) -> np.ndarray:
     """Regularized field (r', v', theta', u'); smooth up to and including r = 0."""
-    p.require_beta_above(2.0)
+    p.require_beta_above(2.0, strict=False)
     return np.array(_field_arrays(m.r, m.v, m.theta, m.u, p))
 
 
 def mcgehee_rhs(p: Params):
-    p.require_beta_above(2.0)
+    p.require_beta_above(2.0, strict=False)
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         return np.array(_field_arrays(y[0], y[1], y[2], y[3], p))
@@ -131,7 +132,7 @@ def mcgehee_rhs(p: Params):
 
 def mcgehee_rhs_with_time(p: Params):
     """Five-dimensional extension tracking physical time: dt/dtau = r^(beta/2+1)."""
-    p.require_beta_above(2.0)
+    p.require_beta_above(2.0, strict=False)
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         dr, dv, dth, du = _field_arrays(y[0], y[1], y[2], y[3], p)
@@ -234,16 +235,17 @@ def linearize_at(eq: EquilibriumReport | McGeheeState, p: Params) -> np.ndarray:
                      [0.0, c, e]])
 
 
-def reduced_field(z: np.ndarray, p: Params, v_sign: int) -> np.ndarray:
-    """(r', theta', u') with v eliminated through the energy relation.
+def _v_squared(r, theta, u, p: Params):
+    """v^2 = 2 r^(beta-1) + 2b/Delta^(beta/2) + 2 h r^beta - u^2 on the energy level."""
+    return (2.0 * r ** (p.beta - 1.0) + 2.0 * p.b / delta(theta, p.mu) ** (p.beta / 2.0)
+            + 2.0 * p.h * r ** p.beta - u * u)
 
-    v = v_sign * sqrt(2 r^(beta-1) + 2b/Delta^(beta/2) + 2 h r^beta - u^2);
-    the chart is valid where the argument is positive.
-    """
+
+def reduced_field(z: np.ndarray, p: Params, v_sign: int) -> np.ndarray:
+    """(r', theta', u') with v = v_sign * sqrt(v^2) eliminated through the
+    energy relation; the chart is valid where v^2 > 0."""
     r, theta, u = z
-    D = delta(theta, p.mu)
-    s2 = (2.0 * r ** (p.beta - 1.0) + 2.0 * p.b / D ** (p.beta / 2.0)
-          + 2.0 * p.h * r ** p.beta - u * u)
+    s2 = _v_squared(r, theta, u, p)
     if s2 <= 0.0:
         raise DomainError("state is outside the reachable region of the energy level")
     v = v_sign * math.sqrt(s2)
@@ -317,19 +319,6 @@ class BasinBox:
                         u=(-width / 2, width / 2), v_sign=-1)
 
 
-def _vectorized_rhs(y: np.ndarray, p: Params) -> np.ndarray:
-    r, v, theta, u = y
-    D = delta(theta, p.mu)
-    return np.stack([
-        r * v,
-        0.5 * (p.beta - 2.0) * v * v + r ** (p.beta - 1.0) + 2.0 * p.h * r ** p.beta
-        - p.b * (p.beta - 2.0) / D ** (p.beta / 2.0),
-        u,
-        0.5 * (p.beta - 2.0) * u * v
-        + p.b * p.beta * (p.mu - 1.0) * np.sin(2.0 * theta) / (2.0 * D ** ((p.beta + 2.0) / 2.0)),
-    ])
-
-
 def basin_fraction(p: Params, n: int, horizon: float, box: BasinBox | None = None,
                    seed: int = 0, threshold: float = COLLISION_RADIUS,
                    dt: float = 0.02) -> float:
@@ -344,14 +333,14 @@ def basin_fraction(p: Params, n: int, horizon: float, box: BasinBox | None = Non
     p.require_beta_above(2.0)
     if n < 1:
         raise ValueError("sample count must satisfy n >= 1")
+    if not (math.isfinite(horizon) and horizon > 0.0):
+        raise ValueError(f"horizon must be finite and positive, got {horizon}")
     box = box or BasinBox.near_sink(p)
     rng = np.random.default_rng(seed)
     r = rng.uniform(*box.r, n)
     theta = rng.uniform(*box.theta, n)
     u = rng.uniform(*box.u, n)
-    D = delta(theta, p.mu)
-    s2 = (2.0 * r ** (p.beta - 1.0) + 2.0 * p.b / D ** (p.beta / 2.0)
-          + 2.0 * p.h * r ** p.beta - u * u)
+    s2 = _v_squared(r, theta, u, p)
     valid = s2 > 0.0
     if not np.any(valid):
         raise ValueError("sampling box does not intersect the energy level")
@@ -365,10 +354,10 @@ def basin_fraction(p: Params, n: int, horizon: float, box: BasinBox | None = Non
         if not np.any(active):
             break
         ya = y[:, active]
-        k1 = _vectorized_rhs(ya, p)
-        k2 = _vectorized_rhs(ya + 0.5 * dt * k1, p)
-        k3 = _vectorized_rhs(ya + 0.5 * dt * k2, p)
-        k4 = _vectorized_rhs(ya + dt * k3, p)
+        k1 = np.stack(_field_arrays(*ya, p))
+        k2 = np.stack(_field_arrays(*(ya + 0.5 * dt * k1), p))
+        k3 = np.stack(_field_arrays(*(ya + 0.5 * dt * k2), p))
+        k4 = np.stack(_field_arrays(*(ya + dt * k3), p))
         ya = ya + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         y[:, active] = ya
         collided[active] = ya[0] < threshold
@@ -391,13 +380,11 @@ def min_field_norm_on_level(p: Params, n_r: int = 25, n_theta: int = 20, n_phi: 
     thetas = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
     phis = np.linspace(0.0, TWO_PI, n_phi, endpoint=False)
     R, TH, PH = np.meshgrid(rs, thetas, phis, indexing="ij")
-    D = delta(TH, p.mu)
-    s2 = (2.0 * R ** (p.beta - 1.0) + 2.0 * p.b / D ** (p.beta / 2.0)
-          + 2.0 * p.h * R ** p.beta)
+    s2 = _v_squared(R, TH, 0.0, p)
     ok = s2 > 0.0
     mag = np.sqrt(np.where(ok, s2, np.nan))
     U = mag * np.sin(PH)
     V = mag * np.cos(PH)
-    f = _vectorized_rhs(np.stack([R, V, TH, U]), p)
+    f = np.stack(_field_arrays(R, V, TH, U, p))
     norms = np.sqrt(np.sum(f * f, axis=0))
     return float(np.nanmin(norms[ok])) if np.any(ok) else math.inf

@@ -238,11 +238,15 @@ def _i2_factored(p_param: float, beta: float) -> float:
 def i2_closed_form(p_param: float, beta: float) -> float:
     """Closed form of I2; evaluates both Gamma expressions (the bracketed one and
     the factored one with the (beta-2)(beta-3) zero structure), asserts their
-    mutual agreement to 1e-10 relative, and returns the factored value."""
+    mutual agreement to 1e-10 relative, and returns the factored value.  Raises
+    ArithmeticError where the Gamma products overflow (beta above about 148)."""
     if not beta > 1.5:
         raise ValueError(f"Gamma closed forms require beta > 3/2, got {beta}")
     v1 = _i2_gamma_bracket(p_param, beta)
     v2 = _i2_factored(p_param, beta)
+    if not (math.isfinite(v1) and math.isfinite(v2)):
+        raise ArithmeticError(f"Gamma closed forms overflow at beta = {beta}: "
+                              f"{float(v1)}, {float(v2)}")
     if abs(v1 - v2) > 1e-10 * max(1.0, abs(v1), abs(v2)):
         raise ArithmeticError(f"closed forms disagree: {v1!r} vs {v2!r}")
     return v2

@@ -39,6 +39,7 @@ __all__ = [
     "reversal_map",
     "trace_manifold",
     "splitting_gap",
+    "splitting_verdict",
     "splitting_sign",
     "connection_beta",
 ]
@@ -91,7 +92,6 @@ def torus_to_collision(t: TorusState, p: Params) -> McGeheeState:
 
 
 def torus_field(t: TorusState, p: Params) -> np.ndarray:
-    p.require_beta_above(2.0)
     return torus_rhs(p)(0.0, t.as_array())
 
 
@@ -263,12 +263,16 @@ def splitting_gap(beta: int, p: Params, cfg: IntegratorConfig | None = None
     return abs(psi_u - psi_s), psi_u, psi_s
 
 
-def splitting_sign(beta: int, p: Params, cfg: IntegratorConfig | None = None) -> SplittingVerdict:
+def splitting_verdict(gap: float, cfg: IntegratorConfig | None = None) -> SplittingVerdict:
     """Broken iff the branch gap at the section exceeds 10x the integrator tolerance."""
     cfg = cfg or IntegratorConfig()
-    gap, _, _ = splitting_gap(beta, p, cfg)
     tol = 10.0 * max(cfg.rel_tol, cfg.abs_tol)
     return SplittingVerdict.BROKEN if gap > tol else SplittingVerdict.CONNECTED
+
+
+def splitting_sign(beta: int, p: Params, cfg: IntegratorConfig | None = None) -> SplittingVerdict:
+    """Verdict on the gap that `splitting_gap` traces for these parameters."""
+    return splitting_verdict(splitting_gap(beta, p, cfg)[0], cfg)
 
 
 def connection_beta(family: str, k: int) -> float:

@@ -13,12 +13,12 @@ from conftest import criterion, fd_jacobian_reduced
 
 from anisokepler.cli import EXIT_OK, main
 from anisokepler.core import Params
-from anisokepler.integrate import IntegratorConfig, eigen3, integrate
+from anisokepler.integrate import IntegratorConfig, integrate
 from anisokepler.infinity import (
     SQRT2,
     InfinityState,
-    classify_infinity,
     i0_flow_closed_form,
+    infinity_equilibria,
     infinity_rhs,
     limit_circle,
 )
@@ -79,7 +79,7 @@ def test_criterion_1_eigenvalue_table():
                     for e in reports:
                         sign = 1 if e.location.v > 0 else -1
                         J_fd = fd_jacobian_reduced([0.0, e.location.theta, 0.0], p, sign)
-                        got = np.sort_complex(eigen3(J_fd))
+                        got = np.sort_complex(np.linalg.eigvals(J_fd))
                         want = np.sort_complex(np.array(e.eigenvalues))
                         scale = np.maximum(1.0, np.abs(want))
                         assert np.all(np.abs(got - want) <= 1e-6 * scale), (
@@ -94,7 +94,7 @@ def test_criterion_2_spiral_threshold():
             # sqrt(roundoff)-size imaginary part (~1e-8)
             J = linearize_at(McGeheeState(0.0, math.sqrt(2 * b), math.pi / 2, 0.0),
                              Params(beta, mu, b))
-            return any(abs(lam.imag) > 1e-6 for lam in eigen3(J))
+            return any(abs(lam.imag) > 1e-6 for lam in np.linalg.eigvals(J))
 
         for beta in (2.5, 3.0, 4.0):
             lo, hi = 1.0 + 1e-9, 3.0
@@ -141,7 +141,7 @@ def test_criterion_4_splitting():
 def test_criterion_5_infinity_manifold():
     with criterion(5, "C+- eigenvalues and I0 heteroclinics: theta-theta0 = -2(psi-psi0), "
                       "vbar = sqrt2 sin((theta+k)/2)", 10.0):
-        rep = classify_infinity(Params(3.0, 1.4, 0.5, h=0.0))
+        rep = infinity_equilibria(Params(3.0, 1.4, 0.5, h=0.0))
         assert np.allclose(sorted(rep.c_plus.eigenvalues),
                            sorted([-SQRT2, -SQRT2 / 2, 0.0]), atol=1e-9)
         assert np.allclose(sorted(rep.c_minus.eigenvalues),

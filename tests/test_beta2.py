@@ -12,12 +12,7 @@ from anisokepler.beta2 import (
     PolarState,
     beta2_energy_residual,
     beta2_g,
-    beta2_infinity_energy_residual,
-    beta2_infinity_field,
     beta2_infinity_g,
-    beta2_infinity_manifold,
-    beta2_infinity_rhs,
-    beta2_mcgehee_field,
     beta2_mcgehee_rhs,
     classify_heteroclinic,
     integral_G,
@@ -27,8 +22,14 @@ from anisokepler.beta2 import (
     rho_of_vbar,
     zero_velocity_radius,
 )
-from anisokepler.infinity import SQRT2, InfinityState
-from anisokepler.mcgehee import McGeheeState, delta
+from anisokepler.infinity import (
+    SQRT2,
+    InfinityState,
+    infinity_energy_residual,
+    infinity_field,
+    infinity_rhs,
+)
+from anisokepler.mcgehee import McGeheeState, delta, mcgehee_field
 
 TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
 P = Params(beta=2, mu=1.5, b=0.5, h=0.0)
@@ -122,7 +123,7 @@ class TestRegularizedFlow:
         u0 = math.sqrt(2 * p.b / D) * 0.6
         v0 = math.sqrt(2 * p.b / D - u0 * u0)
         m = McGeheeState(0.0, v0, 1.0, u0)
-        f = beta2_mcgehee_field(m, p)
+        f = mcgehee_field(m, p)
         assert f[0] == 0.0 and f[1] == 0.0  # r and v frozen on C
         traj = integrate(beta2_mcgehee_rhs(p), m.as_array(), (0.0, 20.0), TIGHT)
         assert np.all(traj.states[:, 0] == 0.0)
@@ -151,6 +152,56 @@ class TestRegularizedFlow:
         traj = integrate(beta2_mcgehee_rhs(lvl), m0.as_array(), (0.0, 8.0), TIGHT,
                          monitors={"g": lambda t, y: beta2_g(McGeheeState(*y), lvl)})
         assert traj.invariant_drift["g"] <= 1e-9
+
+
+def close_to_closed_form(got, terms, rel=1e-15):
+    """got equals sum(terms) to `rel` relative to the size of the terms."""
+    want = math.fsum(terms)
+    return abs(got - want) <= rel * sum(abs(t) for t in terms)
+
+
+class TestSharedFieldsAtBetaTwo:
+    # independent oracle: the paper's beta = 2 closed forms against the one
+    # McGehee and one inverted-chart field, evaluated at beta = 2
+
+    def test_mcgehee_field_closed_form(self):
+        rng = np.random.default_rng(30)
+        for _ in range(200):
+            p = Params(2, rng.uniform(1.0, 3.0), rng.uniform(0.1, 2.0), h=rng.uniform(-1, 1))
+            m = McGeheeState(rng.uniform(0.0, 4.0), rng.normal(0, 2), rng.uniform(-7, 7),
+                             rng.normal(0, 2))
+            eps, D = p.mu - 1.0, delta(m.theta, p.mu)
+            f = mcgehee_field(m, p)
+            assert close_to_closed_form(f[0], [m.r * m.v])
+            assert close_to_closed_form(f[1], [2 * p.h * m.r ** 2, m.r])
+            assert f[2] == m.u
+            assert close_to_closed_form(f[3], [eps * p.b * math.sin(2 * m.theta) / D ** 2])
+            assert np.array_equal(beta2_mcgehee_rhs(p)(0.0, m.as_array()), f)
+            assert close_to_closed_form(beta2_energy_residual(m, p), [
+                m.u ** 2, m.v ** 2, -2 * m.r, -2 * p.b / D, -2 * p.h * m.r ** 2])
+
+    def test_infinity_field_closed_form(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            p = Params(2, rng.uniform(1.0, 3.0), rng.uniform(0.1, 2.0), h=0.0)
+            s = InfinityState(rng.uniform(0.0, 4.0), rng.normal(0, 2), rng.uniform(-7, 7),
+                              rng.normal(0, 2))
+            eps, D = p.mu - 1.0, delta(s.theta, p.mu)
+            f = infinity_field(s, p)
+            assert close_to_closed_form(f[0], [-s.rho * s.vbar])
+            assert close_to_closed_form(f[1], [1.0, -0.5 * s.vbar ** 2])
+            assert f[2] == s.ubar
+            assert close_to_closed_form(f[3], [
+                -0.5 * s.ubar * s.vbar, eps * p.b * s.rho * math.sin(2 * s.theta) / D ** 2])
+            assert close_to_closed_form(infinity_energy_residual(s, p), [
+                s.ubar ** 2, s.vbar ** 2, -2.0, -2 * p.b * s.rho / D])
+
+    def test_beta2_entry_points_gate_the_exponent(self):
+        m = McGeheeState(1.0, 0.1, 0.2, 0.3)
+        with pytest.raises(ValueError):
+            beta2_mcgehee_rhs(Params(3, 1.5, 0.5))
+        with pytest.raises(ValueError):
+            beta2_energy_residual(m, Params(3, 1.5, 0.5))
 
 
 class TestZeroVelocity:
@@ -192,9 +243,9 @@ class TestInfinitySystem:
             th0 = 0.4
             ub = sign * math.sqrt(2 * p.b * rho0 / delta(th0, p.mu))
             s0 = InfinityState(rho0, vb, th0, ub)
-            assert abs(beta2_infinity_energy_residual(s0, p)) < 1e-14
+            assert abs(infinity_energy_residual(s0, p)) < 1e-14
             assert abs(beta2_infinity_g(s0, p)) < 1e-14  # this family has g = 0
-            traj = integrate(beta2_infinity_rhs(p), s0.as_array(), (0.0, 2.0), TIGHT)
+            traj = integrate(infinity_rhs(p), s0.as_array(), (0.0, 2.0), TIGHT)
             rho = traj.states[:, 0]
             assert np.allclose(rho, rho0 * np.exp(-sign * SQRT2 * traj.times), atol=1e-10)
             assert np.max(np.abs(traj.states[:, 1] - vb)) < 1e-12
@@ -206,7 +257,7 @@ class TestInfinitySystem:
         rho0 = 2.0 * (vb0 ** 2 - 2)
         ub0 = math.sqrt(2 + 2 * p.b * rho0 / delta(th0, p.mu) - vb0 ** 2)
         s0 = InfinityState(rho0, vb0, th0, ub0)
-        traj = integrate(beta2_infinity_rhs(p), s0.as_array(), (0.0, 1.5), TIGHT)
+        traj = integrate(infinity_rhs(p), s0.as_array(), (0.0, 1.5), TIGHT)
         rho, vb = traj.states[:, 0], traj.states[:, 1]
         assert np.max(np.abs(rho - rho_of_vbar(rho0, vb0, vb))) < 1e-6
 
@@ -216,8 +267,8 @@ class TestInfinitySystem:
         rho0 = 2.0 * (vb0 ** 2 - 2)
         ub0 = math.sqrt(2 + 2 * p.b * rho0 / delta(th0, p.mu) - vb0 ** 2)
         s0 = InfinityState(rho0, vb0, th0, ub0)
-        traj = integrate(beta2_infinity_rhs(p), s0.as_array(), (0.0, 1.2), TIGHT,
-                         monitors={"E": lambda t, y: beta2_infinity_energy_residual(
+        traj = integrate(infinity_rhs(p), s0.as_array(), (0.0, 1.2), TIGHT,
+                         monitors={"E": lambda t, y: infinity_energy_residual(
                              InfinityState(*y), p),
                              "g": lambda t, y: beta2_infinity_g(InfinityState(*y), p)})
         assert traj.invariant_drift["E"] <= 1e-9
@@ -225,26 +276,30 @@ class TestInfinitySystem:
 
 
 class TestInfinityManifoldSet:
+    # at beta = 2 the zero-energy infinity set is the two circles of fixed
+    # points {rho = 0, ubar = 0, vbar = +-sqrt2}, a strict subset of the
+    # invariant torus {rho = 0, ubar^2 + vbar^2 = 2} found for beta > 2
     def test_two_circles_of_fixed_points(self):
         p = Params(2, 1.4, 0.6, h=0.0)
-        man = beta2_infinity_manifold()
         for sign in (+1, -1):
             for th in np.linspace(0, 2 * math.pi, 25):
-                s = man.circle_point(sign, th)
-                assert man.contains(s)
-                assert np.max(np.abs(beta2_infinity_field(s, p))) < 1e-14
+                s = InfinityState(0.0, sign * SQRT2, th, 0.0)
+                assert abs(infinity_energy_residual(s, p)) < 1e-15
+                assert np.max(np.abs(infinity_field(s, p))) < 1e-14
 
     def test_strict_subset_of_torus(self):
-        # a free-ubar torus point satisfies the energy relation but is excluded here
-        man = beta2_infinity_manifold()
+        # a torus point with ubar != 0 satisfies the energy relation but is not fixed
+        p = Params(2, 1.4, 0.6, h=0.0)
         torus_point = InfinityState(0.0, 1.0, 0.3, 1.0)  # ubar^2 + vbar^2 = 2
-        assert not man.contains(torus_point)
+        assert infinity_energy_residual(torus_point, p) == 0.0
+        f = infinity_field(torus_point, p)
+        assert f[0] == 0.0  # the torus is invariant
+        assert f[1] == pytest.approx(0.5) and f[2] == 1.0
 
     def test_g_vanishes_on_manifold(self):
         # substitute rho -> 0 limit of (ubar^2 - 2b rho/Delta)/(2 rho): on the
         # circles ubar = 0 exactly, so g extends to 0 there
         p = Params(2, 1.4, 0.6, h=0.0)
-        man = beta2_infinity_manifold()
         for rho in (1e-4, 1e-6, 1e-8):
             s = InfinityState(rho, SQRT2, 0.7,
                               math.sqrt(2 * p.b * rho / delta(0.7, p.mu)))

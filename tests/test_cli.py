@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from anisokepler.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 
@@ -61,6 +62,13 @@ class TestMelnikovCommand:
             == EXIT_VALIDATION
         assert main(["melnikov", "--beta-grid", "oops", "--out", str(out)]) == EXIT_VALIDATION
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_gamma_overflow_is_numerical_failure(self, tmp_path):
+        out = tmp_path / "x.csv"
+        assert main(["melnikov", "--beta-grid", "150:200:10", "--out", str(out)]) \
+            == EXIT_NUMERICAL
+        assert not out.exists()
+
 
 class TestEquilibriaCommand:
     def test_eight_rows_with_spiral_flag(self, tmp_path):
@@ -97,6 +105,13 @@ class TestSimulateCommand:
                      "--b", "0.5", "--h", "-0.25", "--initial", "1,0,0.5,0.8",
                      "--t-final", "5", "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_VALIDATION
+        # a non-finite end time is rejected instead of integrating forever
+        for t_final in ("nan", "inf"):
+            for coords in ("mcgehee", "cartesian"):
+                code = main(["simulate", "--coords", coords, "--t-final", t_final,
+                             "--out", str(tmp_path / "x.csv")])
+                assert code == EXIT_VALIDATION
+        assert not (tmp_path / "x.csv").exists()
 
     def test_cartesian(self, tmp_path):
         out = tmp_path / "simc.csv"
@@ -136,6 +151,13 @@ class TestCollisionFlowCommand:
         worst = max(abs(-2 * ps + th + math.pi) for th, ps in branch)
         assert worst < 1e-6
 
+    def test_grid_validation(self, tmp_path):
+        out = tmp_path / "x.csv"
+        for grid in ("0", "-2"):
+            assert main(["collision-flow", "--grid", grid, "--out", str(out)]) \
+                == EXIT_VALIDATION
+        assert not out.exists()
+
 
 class TestInfinityFlowCommand:
     def test_orbit_rows_self_certify(self, tmp_path):
@@ -152,6 +174,10 @@ class TestInfinityFlowCommand:
     def test_h_validation(self, tmp_path):
         assert main(["infinity-flow", "--beta", "3", "--mu", "1.4", "--b", "0.5",
                      "--h", "-0.1", "--out", str(tmp_path / "x.csv")]) == EXIT_VALIDATION
+        for orbits in ("0", "-3"):
+            assert main(["infinity-flow", "--orbits", orbits,
+                         "--out", str(tmp_path / "x.csv")]) == EXIT_VALIDATION
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestSplittingCommand:
@@ -174,6 +200,14 @@ class TestBeta2VerifyCommand:
         _, cols, rows = read_rows(out)
         assert all(r[cols.index("status")] == "pass" for r in rows)
 
+    def test_count_validation(self, tmp_path):
+        # a check that ran on nothing must not be reported as a pass
+        out = tmp_path / "x.csv"
+        for counts in (["--n-states", "0", "--n-orbits", "-1"], ["--n-orbits", "0"],
+                       ["--n-states", "-5"]):
+            assert main(["beta2-verify", *counts, "--out", str(out)]) == EXIT_VALIDATION
+        assert not out.exists()
+
 
 class TestBasinCommand:
     def test_fraction_row(self, tmp_path):
@@ -189,6 +223,13 @@ class TestBasinCommand:
               "--n", "300", "--horizon", "30", "--seed", "1", "--out", str(out2)])
         assert out.read_text().replace("basin2", "basin") == out2.read_text().replace(
             "basin2", "basin")
+
+    def test_horizon_validation(self, tmp_path):
+        out = tmp_path / "x.csv"
+        for horizon in ("inf", "nan", "0", "-5"):
+            assert main(["basin", "--n", "10", "--horizon", horizon, "--out", str(out)]) \
+                == EXIT_VALIDATION
+        assert not out.exists()
 
 
 class TestConfigAndErrors:

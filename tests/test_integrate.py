@@ -1,4 +1,4 @@
-"""Shared integrator and 3x3 eigensolver."""
+"""Shared integrator."""
 
 import math
 
@@ -10,7 +10,6 @@ from anisokepler.integrate import (
     ForbiddenRegion,
     IntegratorConfig,
     MaxStepsExceeded,
-    eigen3,
     integrate,
 )
 
@@ -121,48 +120,7 @@ def test_config_validation():
         IntegratorConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
         integrate(harmonic, [1.0, 0.0], (1.0, 1.0))
+    for bad in ((0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0)):
+        with pytest.raises(ValueError):
+            integrate(harmonic, [1.0, 0.0], bad)
 
-
-# --- eigen3 ---
-
-def test_eigen3_diagonal():
-    vals = eigen3(np.diag([3.0, -1.0, 0.5]))
-    assert sorted(v.real for v in vals) == pytest.approx([-1.0, 0.5, 3.0])
-    assert all(v.imag == 0.0 for v in vals)
-
-
-def test_eigen3_companion_cube_roots_of_unity():
-    m = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    vals = sorted(eigen3(m), key=lambda z: (round(z.real, 9), z.imag))
-    expect = sorted([1.0 + 0j, complex(-0.5, math.sqrt(3) / 2), complex(-0.5, -math.sqrt(3) / 2)],
-                    key=lambda z: (round(z.real, 9), z.imag))
-    assert np.allclose(vals, expect, atol=1e-12)
-
-
-def test_eigen3_infinity_circle_matrix():
-    # attracting circle linearization: eigenvalues {-sqrt2, 0, -sqrt2/2}
-    v0 = math.sqrt(2.0)
-    m = np.array([[-v0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -v0 / 2]])
-    vals = sorted(v.real for v in eigen3(m))
-    assert vals == pytest.approx([-v0, -v0 / 2, 0.0], abs=1e-14)
-
-
-def test_eigen3_matches_numpy_on_random_matrices():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        m = rng.normal(size=(3, 3)) * rng.choice([0.1, 1.0, 10.0])
-        ours = np.sort_complex(eigen3(m))
-        ref = np.sort_complex(np.linalg.eigvals(m))
-        assert np.allclose(ours, ref, rtol=1e-8, atol=1e-9 * max(1, np.linalg.norm(m)))
-
-
-def test_eigen3_triple_root():
-    vals = eigen3(2.0 * np.eye(3))
-    assert np.allclose(vals, [2.0, 2.0, 2.0])
-
-
-def test_eigen3_rejects_bad_input():
-    with pytest.raises(ValueError):
-        eigen3(np.full((3, 3), np.nan))
-    with pytest.raises(ValueError):
-        eigen3(np.eye(2))

@@ -4,13 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anisokepler.core import CartesianState, Params, hamiltonian
-from anisokepler.integrate import Event, IntegratorConfig, eigen3, integrate
+from anisokepler.integrate import Event, IntegratorConfig, integrate
 from anisokepler.mcgehee import (
     BasinBox,
     McGeheeState,
     Stability,
+    _field_arrays,
     basin_fraction,
     classify,
     collision_flow,
@@ -104,8 +107,11 @@ class TestField:
         assert np.max(np.abs(mcgehee_field(eq, p))) < 1e-12
 
     def test_requires_beta_above_two(self):
+        # the field serves beta >= 2 (beta = 2 is the integrable case)
         with pytest.raises(ValueError):
-            mcgehee_field(McGeheeState(1, 0, 0, 0), Params(2, 1, 1))
+            mcgehee_field(McGeheeState(1, 0, 0, 0), Params(1.5, 1, 1))
+        with pytest.raises(ValueError):
+            mcgehee_rhs(Params(1.5, 1, 1))
 
     def test_time_rescaled_consistency_with_cartesian_flow(self):
         # dual-integration oracle: the regularized orbit, reparametrized by
@@ -124,6 +130,38 @@ class TestField:
         assert reg.event_times("t-final")
         back = from_mcgehee(McGeheeState(*reg.final_state[:4]), p)
         assert np.allclose(back.as_array(), cart.final_state, atol=1e-6)
+
+
+def _reals(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _state_batches(draw):
+    n = draw(st.integers(1, 12))
+    return np.array([draw(st.lists(_reals(lo, hi), min_size=n, max_size=n))
+                     for lo, hi in ((0.0, 3.0), (-3.0, 3.0), (-7.0, 7.0), (-3.0, 3.0))])
+
+
+class TestFieldBatching:
+    """The one field serves a (4, N) batch and single states alike."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(p=st.builds(Params, beta=_reals(2.0, 6.0), mu=_reals(1.0, 4.0),
+                       b=_reals(0.01, 2.0), h=_reals(-1.0, 1.0)),
+           y=_state_batches())
+    def test_batch_equals_per_state_calls(self, p, y):
+        batch = np.stack(_field_arrays(*y, p))
+        assert batch.shape == y.shape
+        for i in range(y.shape[1]):
+            # bitwise: a sample's field does not depend on the rest of the batch
+            alone = np.stack(_field_arrays(*y[:, i:i + 1], p))[:, 0]
+            assert np.array_equal(batch[:, i], alone)
+            # a scalar call takes numpy's scalar power, which may round the
+            # last bit differently from the vectorized one; terms stay below
+            # 2 * 3^6, whose ulp is 2.3e-13, so allow a few ulp
+            scalar = mcgehee_field(McGeheeState(*y[:, i]), p)
+            assert np.max(np.abs(scalar - batch[:, i])) <= 1e-12
 
 
 class TestEnergyResidual:
@@ -235,7 +273,7 @@ class TestLinearization:
         for e in equilibria(p):
             sign = 1 if e.location.v > 0 else -1
             J_fd = fd_jacobian_reduced([0.0, e.location.theta, 0.0], p, sign)
-            got = np.sort_complex(eigen3(J_fd))
+            got = np.sort_complex(np.linalg.eigvals(J_fd))
             expect = np.sort_complex(np.array(e.eigenvalues))
             assert np.allclose(got, expect, rtol=1e-6, atol=1e-8)
 
@@ -332,6 +370,9 @@ class TestBasin:
     def test_n_zero_rejected(self):
         with pytest.raises(ValueError):
             basin_fraction(self.P, 0, 10.0)
+        for horizon in (math.inf, math.nan, 0.0, -5.0):
+            with pytest.raises(ValueError):
+                basin_fraction(self.P, 10, horizon)
 
     def test_deterministic_under_seed(self):
         a = basin_fraction(self.P, 200, 30.0, seed=123)

@@ -211,6 +211,15 @@ class TestI2:
         with pytest.raises(ValueError):
             i2_closed_form(1.0, 1.5)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_gamma_overflow_raises(self):
+        # the Gamma products overflow from beta ~ 149 on; inf or NaN must not
+        # pass the agreement check
+        assert math.isfinite(i2_closed_form(1.0, 140.0))
+        for beta in (150.0, 180.0, 200.0):
+            with pytest.raises(ArithmeticError):
+                i2_closed_form(1.0, beta)
+
     def test_sign_change_only_across_two_and_three(self):
         assert i2_closed_form(1.0, 2.9) * i2_closed_form(1.0, 3.1) < 0
         grid = np.arange(1.51, 10.0, 0.007)
