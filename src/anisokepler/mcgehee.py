@@ -10,6 +10,7 @@ flow organizes all near-collision orbits.  The analyses of C need beta > 2.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -255,6 +256,11 @@ def reduced_field(z: np.ndarray, p: Params, v_sign: int) -> np.ndarray:
 
 def _classify_from_eigenvalues(eigs, tol: float = 1e-12) -> tuple[Stability, bool]:
     re = [lam.real for lam in eigs]
+    # for mu > 1 no exact eigenvalue has a zero real part: a zero or non-finite
+    # one means the closed form under- or overflowed
+    if not all(cmath.isfinite(lam) and lam.real != 0.0 for lam in eigs):
+        raise ArithmeticError(f"eigenvalues {[complex(lam) for lam in eigs]} are not finite "
+                              "or have a zero real part; the closed form under- or overflowed")
     spiral = any(abs(lam.imag) > tol for lam in eigs)
     if all(x > 0 for x in re):
         return (Stability.SPIRAL_SOURCE if spiral else Stability.SOURCE), spiral
@@ -349,18 +355,25 @@ def basin_fraction(p: Params, n: int, horizon: float, box: BasinBox | None = Non
     y = np.stack([r, v, theta, u])[:, valid]
     collided = np.zeros(y.shape[1], dtype=bool)
     n_steps = int(math.ceil(horizon / dt))
-    for _ in range(n_steps):
-        active = ~collided
-        if not np.any(active):
-            break
-        ya = y[:, active]
-        k1 = np.stack(_field_arrays(*ya, p))
-        k2 = np.stack(_field_arrays(*(ya + 0.5 * dt * k1), p))
-        k3 = np.stack(_field_arrays(*(ya + 0.5 * dt * k2), p))
-        k4 = np.stack(_field_arrays(*(ya + dt * k3), p))
-        ya = ya + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        y[:, active] = ya
-        collided[active] = ya[0] < threshold
+    # escaping samples overflow; they are counted once after the loop instead
+    # of warning at every step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_steps):
+            active = ~collided
+            if not np.any(active):
+                break
+            ya = y[:, active]
+            k1 = np.stack(_field_arrays(*ya, p))
+            k2 = np.stack(_field_arrays(*(ya + 0.5 * dt * k1), p))
+            k3 = np.stack(_field_arrays(*(ya + 0.5 * dt * k2), p))
+            k4 = np.stack(_field_arrays(*(ya + dt * k3), p))
+            ya = ya + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            y[:, active] = ya
+            collided[active] = ya[0] < threshold
+    nonfinite = np.count_nonzero(~np.isfinite(y).all(axis=0))
+    if nonfinite:
+        raise ArithmeticError(f"{nonfinite} of {y.shape[1]} on-level samples overflowed before "
+                              f"the horizon (escape orbits); the fraction is undecided")
 
     # samples off the level never started; they count as non-collisions of the box
     return float(np.count_nonzero(collided)) / float(n)

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gamma
 
 from .core import Params
 
@@ -123,6 +121,8 @@ def perturbation_W2_partials(r: float, theta: float, p: Params) -> tuple[float, 
 
 
 def _quad_checked(f, a: float, b: float) -> float:
+    from scipy.integrate import quad  # scipy loads on first use, not at package import
+
     out = quad(f, a, b, full_output=1, **_QUAD_OPTS)
     val, abserr = out[0], out[1]
     if len(out) > 3 and abserr > 1e-9 * max(1.0, abs(val)):
@@ -222,6 +222,8 @@ def i2_amplitude(p_param: float, beta: float) -> float:
 
 
 def _i2_gamma_bracket(p_param: float, beta: float) -> float:
+    from scipy.special import gamma
+
     pref = (2.0 ** (beta - 1.0) * p_param ** (1.5 - beta) * beta
             / (2.0 * gamma(beta - 1.0)) * math.sqrt(math.pi))
     t1 = gamma(beta - 1.5) * (3.0 / (2.0 * (beta - 1.0) * beta) - 1.0)
@@ -230,6 +232,8 @@ def _i2_gamma_bracket(p_param: float, beta: float) -> float:
 
 
 def _i2_factored(p_param: float, beta: float) -> float:
+    from scipy.special import gamma
+
     A = i2_amplitude(p_param, beta)
     return (A * math.sqrt(math.pi) * gamma(beta + 0.5) * (beta * beta - 5.0 * beta + 6.0)
             / ((beta - 1.0) * (beta - 1.5) * (beta - 0.5) * gamma(beta - 1.0)))
@@ -297,6 +301,8 @@ def chaos_verdict(beta: float, p_param: float = 1.0) -> ChaosVerdict:
     An indicator only: it reports the first-order transversality condition,
     not a full dynamical certificate.
     """
+    from scipy.special import gamma
+
     _require_melnikov_beta(beta)
     i2 = i2_closed_form(p_param, beta)
     scale = (i2_amplitude(p_param, beta) * math.sqrt(math.pi) * gamma(beta + 0.5)

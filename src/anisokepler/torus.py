@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core import Params
 from .integrate import Event, IntegratorConfig, integrate
@@ -165,6 +164,8 @@ def zeta1_quadrature(beta: int, theta: float) -> float:
         raise ValueError("closed forms are implemented for beta in {3, 4} only")
     if theta == -math.pi:
         return 0.0
+    from scipy.integrate import quad  # scipy loads on first use, not at package import
+
     slope0 = 0.5 if beta == 3 else 1.0  # d zeta0 / d theta
 
     def integrand(eta: float) -> float:

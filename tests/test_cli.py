@@ -87,6 +87,12 @@ class TestEquilibriaCommand:
         assert main(["equilibria", "--beta", "2", "--mu", "1.2", "--b", "0.5",
                      "--out", str(tmp_path / "x.csv")]) == EXIT_VALIDATION
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowed_spectrum_is_numerical_failure(self, tmp_path):
+        out = tmp_path / "x.csv"
+        assert main(["equilibria", "--mu", "1e300", "--out", str(out)]) == EXIT_NUMERICAL
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def test_mcgehee_rows_carry_residual(self, tmp_path):
@@ -112,6 +118,12 @@ class TestSimulateCommand:
                              "--out", str(tmp_path / "x.csv")])
                 assert code == EXIT_VALIDATION
         assert not (tmp_path / "x.csv").exists()
+
+    def test_tolerance_validation(self, tmp_path):
+        out = tmp_path / "x.csv"
+        for rtol in ("0", "1e-16", "-1e-8"):
+            assert main(["simulate", "--rtol", rtol, "--out", str(out)]) == EXIT_VALIDATION
+        assert not out.exists()
 
     def test_cartesian(self, tmp_path):
         out = tmp_path / "simc.csv"

@@ -1,6 +1,7 @@
 """Regularized coordinates, collision manifold, equilibria, classification."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -257,6 +258,12 @@ class TestEquilibria:
         for e in equilibria(p):
             assert np.max(np.abs(mcgehee_field(e.location, p))) < 1e-12
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowed_spectrum_is_not_classified(self):
+        # Delta^(beta/2) overflows, so every eigenvalue underflows to 0
+        with pytest.raises(ArithmeticError):
+            equilibria(Params(beta=3, mu=1e300, b=0.5))
+
 
 class TestLinearization:
     def test_matrix_matches_fd_jacobian(self):
@@ -386,6 +393,15 @@ class TestBasin:
                  for w in (0.4, 0.2, 0.1)]
         assert fracs[-1] >= fracs[0] - 1e-9
         assert fracs[-1] > 0.95
+
+    def test_escaping_samples_raise_instead_of_counting_as_misses(self):
+        # above the escape energy every sample of this box runs off to infinity
+        p = Params(3, 1.2, 0.5, h=0.5)
+        box = BasinBox(r=(0.3, 1.5), theta=(0.0, 2 * math.pi), u=(-0.5, 0.5), v_sign=+1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ArithmeticError, match="200 of 200"):
+                basin_fraction(p, 200, 40.0, box=box, seed=1)
 
     def test_box_must_meet_energy_level(self):
         p = Params(beta=3, mu=1.2, b=0.5, h=-5.0)
