@@ -256,11 +256,11 @@ def reduced_field(z: np.ndarray, p: Params, v_sign: int) -> np.ndarray:
 
 def _classify_from_eigenvalues(eigs, tol: float = 1e-12) -> tuple[Stability, bool]:
     re = [lam.real for lam in eigs]
-    # for mu > 1 no exact eigenvalue has a zero real part: a zero or non-finite
-    # one means the closed form under- or overflowed
-    if not all(cmath.isfinite(lam) and lam.real != 0.0 for lam in eigs):
-        raise ArithmeticError(f"eigenvalues {[complex(lam) for lam in eigs]} are not finite "
-                              "or have a zero real part; the closed form under- or overflowed")
+    # for mu > 1 no exact eigenvalue has a zero real part: a zero one means the
+    # closed form under- or overflowed
+    if any(x == 0.0 for x in re):
+        raise ArithmeticError(f"eigenvalues {[complex(lam) for lam in eigs]} have a zero "
+                              "real part; the closed form under- or overflowed")
     spiral = any(abs(lam.imag) > tol for lam in eigs)
     if all(x > 0 for x in re):
         return (Stability.SPIRAL_SOURCE if spiral else Stability.SOURCE), spiral
@@ -279,8 +279,15 @@ def equilibria(p: Params) -> list[EquilibriumReport]:
     reports = []
     for name, theta in zip(_ANGLE_NAMES, EQUILIBRIUM_ANGLES):
         for sign, tag in ((1, "+"), (-1, "-")):
-            loc = equilibrium_location(theta, sign, p)
-            eigs = equilibrium_eigenvalues(theta, sign, p)
+            # an extreme b or mu over- or underflows the closed forms; that is
+            # reported once here instead of as numpy warnings
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                loc = equilibrium_location(theta, sign, p)
+                eigs = equilibrium_eigenvalues(theta, sign, p)
+            if not (math.isfinite(loc.v) and all(cmath.isfinite(lam) for lam in eigs)):
+                raise ArithmeticError(
+                    f"equilibrium A{tag}_{name} overflowed: v = {float(loc.v)}, eigenvalues "
+                    f"{[complex(lam) for lam in eigs]}")
             if p.mu > 1.0:
                 stab, spiral = _classify_from_eigenvalues(eigs)
             else:
@@ -317,6 +324,12 @@ class BasinBox:
     theta: tuple[float, float]
     u: tuple[float, float]
     v_sign: int = -1
+
+    def __post_init__(self):
+        if not all(math.isfinite(x) for x in (*self.r, *self.theta, *self.u)):
+            raise ValueError(f"sampling box bounds must be finite: {self}")
+        if self.v_sign not in (1, -1):
+            raise ValueError(f"v_sign must be +1 or -1, got {self.v_sign}")
 
     @staticmethod
     def near_sink(p: Params, width: float = 0.3) -> "BasinBox":

@@ -59,6 +59,11 @@ def _require_melnikov_beta(beta: float) -> None:
         raise ValueError(f"perturbative analysis requires beta > 3/2, got {beta}")
 
 
+def _require_orbit_param(p_param: float) -> None:
+    if not p_param > 0.0:
+        raise ValueError(f"orbit parameter p must be positive, got {p_param}")
+
+
 @dataclass(frozen=True)
 class ParabolicOrbit:
     """Zero-energy Kepler orbit with parameter p = k^2 (k the angular momentum)."""
@@ -66,8 +71,7 @@ class ParabolicOrbit:
     p_param: float
 
     def __post_init__(self):
-        if not self.p_param > 0.0:
-            raise ValueError("orbit parameter p must be positive")
+        _require_orbit_param(self.p_param)
 
     @property
     def k(self) -> float:
@@ -209,6 +213,7 @@ def m1_direct_quadrature(orbit: ParabolicOrbit, p: Params, theta0: float = 0.0) 
 def i2_quadrature(p_param: float, beta: float) -> float:
     """I2 = (beta/2) int cos(2 Theta)/R^beta dt by quadrature in w = theta/2."""
     _require_melnikov_beta(beta)
+    _require_orbit_param(p_param)
 
     def integrand(w: float) -> float:
         return math.cos(w) ** (2.0 * beta - 4.0) * math.cos(4.0 * w)
@@ -218,6 +223,7 @@ def i2_quadrature(p_param: float, beta: float) -> float:
 
 def i2_amplitude(p_param: float, beta: float) -> float:
     """Scale A = 2^(beta-2) p^(3/2-beta) of the closed form."""
+    _require_orbit_param(p_param)
     return 2.0 ** (beta - 2.0) * p_param ** (1.5 - beta)
 
 
@@ -246,6 +252,7 @@ def i2_closed_form(p_param: float, beta: float) -> float:
     ArithmeticError where the Gamma products overflow (beta above about 148)."""
     if not beta > 1.5:
         raise ValueError(f"Gamma closed forms require beta > 3/2, got {beta}")
+    _require_orbit_param(p_param)
     v1 = _i2_gamma_bracket(p_param, beta)
     v2 = _i2_factored(p_param, beta)
     if not (math.isfinite(v1) and math.isfinite(v2)):

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +63,13 @@ class TestMelnikovCommand:
             == EXIT_VALIDATION
         assert main(["melnikov", "--beta-grid", "oops", "--out", str(out)]) == EXIT_VALIDATION
 
+    def test_orbit_parameter_validation(self, tmp_path):
+        out = tmp_path / "x.csv"
+        for p in ("nan", "0", "-1"):
+            assert main(["melnikov", "--beta-grid", "1.8:2:0.1", "--p", p, "--out", str(out)]) \
+                == EXIT_VALIDATION
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_gamma_overflow_is_numerical_failure(self, tmp_path):
         out = tmp_path / "x.csv"
@@ -87,10 +95,22 @@ class TestEquilibriaCommand:
         assert main(["equilibria", "--beta", "2", "--mu", "1.2", "--b", "0.5",
                      "--out", str(tmp_path / "x.csv")]) == EXIT_VALIDATION
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    def test_overflowed_spectrum_is_numerical_failure(self, tmp_path):
+    def test_overflowed_spectrum_is_numerical_failure(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
-        assert main(["equilibria", "--mu", "1e300", "--out", str(out)]) == EXIT_NUMERICAL
+        for flags in (["--mu", "1e300"], ["--mu", "1", "--b", "1e308"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert main(["equilibria", *flags, "--out", str(out)]) == EXIT_NUMERICAL
+            assert not out.exists()
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1
+            assert json.loads(lines[0])["exit_code"] == EXIT_NUMERICAL
+
+    def test_no_integrator_options(self, tmp_path):
+        # equilibria integrates nothing, so it takes no --rtol, --atol or --max-steps
+        out = tmp_path / "x.csv"
+        for flags in (["--rtol", "1e-3"], ["--atol", "1e-3"], ["--max-steps", "5"]):
+            assert main(["equilibria", *flags, "--out", str(out)]) == EXIT_VALIDATION
         assert not out.exists()
 
 
@@ -110,6 +130,10 @@ class TestSimulateCommand:
         code = main(["simulate", "--coords", "mcgehee", "--beta", "3", "--mu", "1.2",
                      "--b", "0.5", "--h", "-0.25", "--initial", "1,0,0.5,0.8",
                      "--t-final", "5", "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_VALIDATION
+        # a non-finite --h cannot agree with any level
+        code = main(["simulate", "--coords", "mcgehee", "--h", "nan", "--initial", "1,0,0.5,0.8",
+                     "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_VALIDATION
         # a non-finite end time is rejected instead of integrating forever
         for t_final in ("nan", "inf"):
@@ -220,6 +244,12 @@ class TestBeta2VerifyCommand:
             assert main(["beta2-verify", *counts, "--out", str(out)]) == EXIT_VALIDATION
         assert not out.exists()
 
+    def test_max_steps_applies(self, tmp_path):
+        out = tmp_path / "x.csv"
+        assert main(["beta2-verify", "--max-steps", "5", "--n-orbits", "2", "--n-states", "10",
+                     "--out", str(out)]) == EXIT_NUMERICAL
+        assert not out.exists()
+
 
 class TestBasinCommand:
     def test_fraction_row(self, tmp_path):
@@ -241,6 +271,9 @@ class TestBasinCommand:
         for horizon in ("inf", "nan", "0", "-5"):
             assert main(["basin", "--n", "10", "--horizon", horizon, "--out", str(out)]) \
                 == EXIT_VALIDATION
+        for box in ("nan,0.35,1.3,1.9,-0.15,0.15", "0.05,0.35,1.3,inf,-0.15,0.15"):
+            assert main(["basin", "--n", "10", "--box", box, "--out", str(out)]) \
+                == EXIT_VALIDATION
         assert not out.exists()
 
 
@@ -260,6 +293,13 @@ class TestConfigAndErrors:
         meta2, _, _ = read_rows(out2)
         assert meta2["p"] == "2.0"
 
+    def test_config_entry_the_command_does_not_take(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("command = melnikov\nrtol = 1e-8\n")
+        out = tmp_path / "m.csv"
+        assert main(["--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+        assert not out.exists()
+
     def test_missing_out(self):
         assert main(["melnikov"]) == EXIT_VALIDATION
 
@@ -267,11 +307,16 @@ class TestConfigAndErrors:
         assert main(["frobnicate", "--out", "x.csv"]) == EXIT_VALIDATION
 
     def test_error_record_is_json(self, tmp_path, capsys):
-        main(["equilibria", "--beta", "2", "--mu", "1.2", "--b", "0.5",
-              "--out", str(tmp_path / "x.csv")])
-        err = capsys.readouterr().err.strip()
-        record = json.loads(err.splitlines()[-1])
-        assert record["exit_code"] == EXIT_VALIDATION
+        for argv in (["equilibria", "--beta", "2", "--mu", "1.2", "--b", "0.5"],
+                     # bad flags are rejected by the parser and get the same record
+                     ["splitting", "--beta", "5"],
+                     ["collision-flow", "--grid", "abc"],
+                     ["simulate", "--coords", "polar"]):
+            assert main(argv + ["--out", str(tmp_path / "x.csv")]) == EXIT_VALIDATION
+            err = capsys.readouterr().err.strip()
+            record = json.loads(err.splitlines()[-1])
+            assert record["exit_code"] == EXIT_VALIDATION
+            assert set(record) == {"error", "message", "exit_code"}
 
     def test_console_entry_point(self, tmp_path):
         out = tmp_path / "cli.csv"

@@ -258,11 +258,20 @@ class TestEquilibria:
         for e in equilibria(p):
             assert np.max(np.abs(mcgehee_field(e.location, p))) < 1e-12
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowed_spectrum_is_not_classified(self):
         # Delta^(beta/2) overflows, so every eigenvalue underflows to 0
-        with pytest.raises(ArithmeticError):
-            equilibria(Params(beta=3, mu=1e300, b=0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ArithmeticError):
+                equilibria(Params(beta=3, mu=1e300, b=0.5))
+
+    def test_overflowed_location_raises_at_mu_one(self):
+        # 2b overflows to inf; at mu = 1 no classification runs, so the
+        # finiteness check must not depend on it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ArithmeticError):
+                equilibria(Params(beta=3, mu=1.0, b=1e308))
 
 
 class TestLinearization:
@@ -402,6 +411,14 @@ class TestBasin:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ArithmeticError, match="200 of 200"):
                 basin_fraction(p, 200, 40.0, box=box, seed=1)
+
+    def test_box_rejects_non_finite_bounds_and_bad_sign(self):
+        for bound in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                BasinBox(r=(0.05, 0.35), theta=(bound, 1.9), u=(-0.15, 0.15))
+        for v_sign in (0, 2, -3):
+            with pytest.raises(ValueError):
+                BasinBox(r=(0.05, 0.35), theta=(1.3, 1.9), u=(-0.15, 0.15), v_sign=v_sign)
 
     def test_box_must_meet_energy_level(self):
         p = Params(beta=3, mu=1.2, b=0.5, h=-5.0)

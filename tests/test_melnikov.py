@@ -211,6 +211,12 @@ class TestI2:
         with pytest.raises(ValueError):
             i2_closed_form(1.0, 1.5)
 
+    @pytest.mark.parametrize("p_par", [-1.0, 0.0, math.nan])
+    def test_orbit_parameter_must_be_positive(self, p_par):
+        for fn in (i2_quadrature, i2_closed_form, i2_amplitude):
+            with pytest.raises(ValueError, match="orbit parameter"):
+                fn(p_par, 2.5)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_gamma_overflow_raises(self):
         # the Gamma products overflow from beta ~ 149 on; inf or NaN must not
