@@ -58,10 +58,6 @@ class PolarState:
     def as_array(self) -> np.ndarray:
         return np.array([self.r, self.theta, self.pr, self.ptheta])
 
-    @staticmethod
-    def from_array(y: np.ndarray) -> "PolarState":
-        return PolarState(*map(float, y))
-
 
 def polar_hamiltonian(s: PolarState, p: Params) -> float:
     p.require_beta_equal(2.0)

@@ -468,6 +468,8 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     if argv and argv[0] in _RUNNERS:
         command, argv = argv[0], argv[1:]
     if command is None:
+        if "-h" in argv or "--help" in argv:
+            build_parser().parse_args(["--help"])  # prints the top-level help and exits
         raise ValidationError("no command given (see --help)")
     if command not in _RUNNERS:
         raise ValidationError(f"unknown command {command!r}")
@@ -488,14 +490,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         ns = _parse(list(sys.argv[1:] if argv is None else argv))
         meta, cols, rows, drift = _RUNNERS[ns.command](ns)
+        write_csv(ns.out, meta, cols, rows)
+        write_manifest(ns, drift)
     except SystemExit:  # --help printed the usage
         return EXIT_OK
-    except ValueError as exc:  # ValidationError and the library's input checks
+    except (ValueError, OSError) as exc:  # bad input, an unwritable --out included
         return _error_record("validation", str(exc), EXIT_VALIDATION)
     except (IntegrationError, ArithmeticError) as exc:
         return _error_record("numerical", str(exc), EXIT_NUMERICAL)
-    write_csv(ns.out, meta, cols, rows)
-    write_manifest(ns, drift)
     return EXIT_OK
 
 

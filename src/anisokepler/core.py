@@ -83,10 +83,6 @@ class CartesianState:
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.px, self.py])
 
-    @staticmethod
-    def from_array(y: np.ndarray) -> "CartesianState":
-        return CartesianState(*map(float, y))
-
     @property
     def radius(self) -> float:
         return math.hypot(self.x, self.y)

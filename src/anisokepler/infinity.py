@@ -62,10 +62,6 @@ class InfinityState:
     def as_array(self) -> np.ndarray:
         return np.array([self.rho, self.vbar, self.theta, self.ubar])
 
-    @staticmethod
-    def from_array(y: np.ndarray) -> "InfinityState":
-        return InfinityState(*map(float, y))
-
 
 def _require_zero_energy(p: Params) -> None:
     if p.h != 0.0:
@@ -157,7 +153,7 @@ def infinity_jacobian(v0: float) -> np.ndarray:
                      [0.0, 0.0, -v0 / 2.0]])
 
 
-def i0_rhs(p: Params | None = None):
+def i0_rhs():
     """Flow restricted to I0 in (vbar, theta, ubar): dvbar/ds = ubar^2/2,
     dtheta/ds = ubar, dubar/ds = -ubar vbar / 2.  Independent of all parameters."""
 

@@ -18,6 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .core import CartesianState, DomainError, Params
+from .integrate import IntegratorConfig, StepSizeUnderflow, _DormandPrince
 
 __all__ = [
     "COLLISION_RADIUS",
@@ -73,10 +74,6 @@ class McGeheeState:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.r, self.v, self.theta, self.u])
-
-    @staticmethod
-    def from_array(y: np.ndarray) -> "McGeheeState":
-        return McGeheeState(*map(float, y))
 
 
 def to_mcgehee(s: CartesianState, p: Params) -> McGeheeState:
@@ -339,15 +336,15 @@ class BasinBox:
 
 
 def basin_fraction(p: Params, n: int, horizon: float, box: BasinBox | None = None,
-                   seed: int = 0, threshold: float = COLLISION_RADIUS,
-                   dt: float = 0.02) -> float:
+                   seed: int = 0) -> float:
     """Monte-Carlo estimate of the collision fraction from a box on the energy level.
 
     Samples (r, theta, u) uniformly, closes v through the energy relation on the
-    requested branch, and integrates the regularized flow (all samples marched
-    together with a classical fixed-step fourth-order scheme; the field is
-    analytic at r = 0, so no stiffness appears near collision).  Deterministic
-    for a fixed seed.
+    requested branch, and advances all on-level samples together as one system
+    with the package's Dormand-Prince stepper at the default tolerances; the
+    field is analytic at r = 0, so no stiffness appears near collision.  A
+    sample has collided once r < COLLISION_RADIUS at an accepted step.
+    Deterministic for a fixed seed.
     """
     p.require_beta_above(2.0)
     if n < 1:
@@ -365,28 +362,24 @@ def basin_fraction(p: Params, n: int, horizon: float, box: BasinBox | None = Non
         raise ValueError("sampling box does not intersect the energy level")
     v = box.v_sign * np.sqrt(np.where(valid, s2, np.nan))
 
-    y = np.stack([r, v, theta, u])[:, valid]
-    collided = np.zeros(y.shape[1], dtype=bool)
-    n_steps = int(math.ceil(horizon / dt))
-    # escaping samples overflow; they are counted once after the loop instead
-    # of warning at every step
+    y0 = np.stack([r, v, theta, u])[:, valid]
+    m = y0.shape[1]
+
+    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        return np.concatenate(_field_arrays(*y.reshape(4, m), p))
+
+    collided = np.zeros(m, dtype=bool)
+    # an escaping sample overflows and stalls the shared step; that is reported
+    # once below instead of as numpy warnings at every stage
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(n_steps):
-            active = ~collided
-            if not np.any(active):
-                break
-            ya = y[:, active]
-            k1 = np.stack(_field_arrays(*ya, p))
-            k2 = np.stack(_field_arrays(*(ya + 0.5 * dt * k1), p))
-            k3 = np.stack(_field_arrays(*(ya + 0.5 * dt * k2), p))
-            k4 = np.stack(_field_arrays(*(ya + dt * k3), p))
-            ya = ya + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            y[:, active] = ya
-            collided[active] = ya[0] < threshold
-    nonfinite = np.count_nonzero(~np.isfinite(y).all(axis=0))
-    if nonfinite:
-        raise ArithmeticError(f"{nonfinite} of {y.shape[1]} on-level samples overflowed before "
-                              f"the horizon (escape orbits); the fraction is undecided")
+        stepper = _DormandPrince(rhs, 0.0, y0.ravel(), horizon, IntegratorConfig())
+        try:
+            while not (stepper.finished or collided.all()):
+                stepper.step()
+                collided |= stepper.y[:m] < COLLISION_RADIUS
+        except StepSizeUnderflow as exc:
+            raise ArithmeticError(f"the on-level samples stalled the step at tau = {stepper.t} "
+                                  "(escape orbits); the fraction is undecided") from exc
 
     # samples off the level never started; they count as non-collisions of the box
     return float(np.count_nonzero(collided)) / float(n)

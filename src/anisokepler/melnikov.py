@@ -24,6 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .core import Params
+from .integrate import _brentq
 
 __all__ = [
     "ParabolicOrbit",
@@ -263,36 +264,22 @@ def i2_closed_form(p_param: float, beta: float) -> float:
     return v2
 
 
-def i2_beta_roots(beta_lo: float = 1.502, beta_hi: float = 10.0,
-                  grid_step: float = 0.01, xtol: float = 1e-10,
-                  p_param: float = 1.0) -> list[float]:
-    """Zeros of beta -> I2(p, beta) on (3/2, 10], bisection-refined.
+def i2_beta_roots() -> list[float]:
+    """Zeros of beta -> I2(p, beta) on (3/2, 10], Brent-refined.
 
-    Independent of p by the scaling I2(p, beta) = p^(3/2-beta) I2(1, beta).
+    A 0.01 grid from beta = 1.502 brackets the sign changes.  Independent of p
+    by the scaling I2(p, beta) = p^(3/2-beta) I2(1, beta).
     """
-    grid = np.arange(beta_lo, beta_hi + grid_step / 2, grid_step)
-    vals = np.array([i2_closed_form(p_param, b) for b in grid])
+    grid = [float(b) for b in np.arange(1.502, 10.005, 0.01)]
+    vals = [i2_closed_form(1.0, b) for b in grid]
     roots: list[float] = []
-    for i in range(len(grid) - 1):
-        a, b = float(grid[i]), float(grid[i + 1])
-        fa, fb = float(vals[i]), float(vals[i + 1])
+    for a, b, fa, fb in zip(grid, grid[1:], vals, vals[1:]):
         if fa == 0.0:
             roots.append(a)
-            continue
-        if fa * fb < 0.0:
-            while b - a > xtol:
-                mid = 0.5 * (a + b)
-                fm = i2_closed_form(p_param, mid)
-                if fm == 0.0:
-                    a = b = mid
-                    break
-                if fa * fm < 0.0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            roots.append(0.5 * (a + b))
-    if float(vals[-1]) == 0.0:
-        roots.append(float(grid[-1]))
+        elif fa * fb < 0.0:
+            roots.append(_brentq(lambda beta: i2_closed_form(1.0, beta), a, b))
+    if vals[-1] == 0.0:
+        roots.append(grid[-1])
     return roots
 
 

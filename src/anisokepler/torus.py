@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .core import Params
-from .integrate import Event, IntegratorConfig, integrate
+from .integrate import Event, IntegrationError, IntegratorConfig, integrate
 from .mcgehee import McGeheeState, delta
 
 __all__ = [
@@ -48,7 +48,7 @@ ARC_LENGTH_CAP = 100.0
 SEED_OFFSET = 1e-6
 
 
-class TraceError(RuntimeError):
+class TraceError(IntegrationError):
     """Branch failed to reach the comparison section within the arc-length cap."""
 
 
@@ -73,10 +73,6 @@ class ManifoldBranch:
     origin: TorusState
     direction: str  # "stable" | "unstable"
     samples: np.ndarray  # (n, 2) rows of (theta, psi)
-
-    @property
-    def states(self) -> list[TorusState]:
-        return [TorusState(th, ps) for th, ps in self.samples]
 
     @property
     def section_psi(self) -> float:

@@ -250,7 +250,7 @@ def test_criterion_8_melnikov_integrals():
                 assert abs(i1_parity_check(orb, pp)) <= 1e-10
                 assert abs(m1_vanishes(orb, pp)) <= 1e-10
         assert abs(i2_closed_form(1.0, 4.0) - math.pi) <= 1e-8
-        roots = i2_beta_roots(xtol=1e-10)
+        roots = i2_beta_roots()
         assert len(roots) == 2
         assert abs(roots[0] - 2.0) <= 1e-10 and abs(roots[1] - 3.0) <= 1e-10
 

@@ -318,6 +318,32 @@ class TestConfigAndErrors:
             assert record["exit_code"] == EXIT_VALIDATION
             assert set(record) == {"error", "message", "exit_code"}
 
+    def test_untraceable_branch_is_numerical_failure(self, tmp_path, capsys):
+        # at mu = 10 the beta = 3 unstable branch falls into a sink before the
+        # section; the loose tolerances only shorten the run toward it
+        out = tmp_path / "x.csv"
+        for argv in (["collision-flow", "--beta", "3", "--mu", "10", "--grid", "2"],
+                     ["splitting", "--eps-list", "9"]):
+            code = main(argv + ["--rtol", "1e-4", "--atol", "1e-6", "--out", str(out)])
+            assert code == EXIT_NUMERICAL
+            assert not out.exists()
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1
+            assert json.loads(lines[0])["exit_code"] == EXIT_NUMERICAL
+
+    def test_unwritable_out_path(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["equilibria", "--out", str(out)]) == EXIT_VALIDATION
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["exit_code"] == EXIT_VALIDATION
+
+    def test_top_level_help(self, capsys):
+        for flag in ("--help", "-h"):
+            assert main([flag]) == EXIT_OK
+            assert capsys.readouterr().out.startswith("usage: anisokepler")
+        assert main([]) == EXIT_VALIDATION
+
     def test_console_entry_point(self, tmp_path):
         out = tmp_path / "cli.csv"
         proc = subprocess.run(

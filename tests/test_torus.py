@@ -9,7 +9,6 @@ from anisokepler.core import Params
 from anisokepler.integrate import Event, IntegratorConfig, integrate
 from anisokepler.mcgehee import collision_rhs, delta, energy_residual
 from anisokepler.torus import (
-    ManifoldBranch,
     SplittingVerdict,
     TorusState,
     comparison_section,
@@ -230,10 +229,3 @@ class TestConnectionFamilies:
         th_end = traj.final_state[0]
         assert th_end - (-math.pi) == pytest.approx(span * math.pi, abs=1e-5)
 
-
-class TestBranchType:
-    def test_states_property(self):
-        br = ManifoldBranch(TorusState(0.0, 0.0), "unstable",
-                            np.array([[0.0, 0.0], [0.1, 0.05]]))
-        sts = br.states
-        assert isinstance(sts[0], TorusState) and sts[1].theta == 0.1
