@@ -25,7 +25,6 @@ import sys
 from dataclasses import replace
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .core import CartesianState, Params, hamiltonian, cartesian_rhs
@@ -129,7 +128,6 @@ def write_manifest(ns: argparse.Namespace, drift: dict) -> str:
             "anisokepler": __version__,
             "numpy": np.__version__,
             "python": ".".join(map(str, sys.version_info[:3])),
-            "scipy": scipy.__version__,
         },
         "invariant_drift": {k: _fmt(v) for k, v in sorted(drift.items())},
     }
@@ -437,7 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("melnikov", help="I2 profile over a beta grid")
     common(sp)
-    sp.add_argument("--beta-grid", default="1.6:5:0.01")
+    sp.add_argument("--beta-grid", default="1.6:5:0.01",
+                    help="start:stop:step, inclusive; valid for beta > 3/2, and the "
+                         "closed form overflows (exit 3) from beta ~ 149 on")
     sp.add_argument("--p", type=float, default=1.0)
 
     sp = sub.add_parser("basin", help="collision fraction from a sampling box")

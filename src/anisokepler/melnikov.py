@@ -13,10 +13,19 @@ which compactifies the line to (-pi/2, pi/2): the integrand of I2 becomes
 cos(4w) cos^(2 beta - 4)(w), removing any truncation error (a truncated
 eta-range cannot reach high accuracy for beta near 3/2, where the integrand
 decays only like |eta|^(2 - 2 beta)).
+
+Every quadrature here, and `torus.zeta1_quadrature`, uses one rule: tanh-sinh
+(Takahasi & Mori 1974, Publ. RIMS 9:721), refined by halving the step until
+two levels agree.  The integrals with the factor cos^(2 beta - 4)(w) are
+split at w = 0 and each half is written in the distance d to its endpoint.
+For beta < 2 that factor is singular at w = +-pi/2, and t = d^(2 beta - 3)
+turns d^(2 beta - 4) dd into dt / (2 beta - 3), a bounded integrand down to
+beta = 3/2.  The Gamma closed forms use `math.gamma`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -52,7 +61,11 @@ __all__ = [
 # the sin(2 .) integrands are invariant under it
 THETA_NORMALIZATION_OFFSET = math.pi
 
-_QUAD_OPTS = dict(limit=300, epsabs=1e-13, epsrel=1e-12)
+# tanh-sinh rule: level k steps by 2^-k in u over [0, _TS_U_MAX), where the
+# distance of a node from its end has fallen below 1e-22 of the interval
+_TS_U_MAX = 3.5
+_TS_LEVELS = 9
+_TS_RTOL = 1e-13
 
 
 def _require_melnikov_beta(beta: float) -> None:
@@ -85,7 +98,8 @@ class ParabolicOrbit:
 
 def parabolic_rt(eta: float, orbit: ParabolicOrbit, normalized: bool = False
                  ) -> tuple[float, float, float]:
-    """(r, t, theta) on the parabolic orbit at parameter eta = tan(theta/2).
+    """(r, t, theta) on the parabolic orbit at parameter eta = tan(theta/2);
+    elementwise on an array of eta.
 
     r is even and t odd in eta; theta lies on the branch (-pi, pi), shifted by
     pi when ``normalized`` to place the perihelion angle at pi.
@@ -93,7 +107,7 @@ def parabolic_rt(eta: float, orbit: ParabolicOrbit, normalized: bool = False
     p = orbit.p_param
     r = 0.5 * p * (1.0 + eta * eta)
     t = 0.5 * p ** 1.5 * eta * (1.0 + eta * eta / 3.0)
-    theta = 2.0 * math.atan(eta)
+    theta = 2.0 * np.arctan(eta)
     if normalized:
         theta += THETA_NORMALIZATION_OFFSET
     return r, t, theta
@@ -117,22 +131,77 @@ def perturbation_W2(r: float, theta: float, p: Params) -> float:
 
 
 def perturbation_W2_partials(r: float, theta: float, p: Params) -> tuple[float, float]:
-    """(dW2/dr, dW2/dtheta)."""
+    """(dW2/dr, dW2/dtheta); elementwise on arrays of r and theta."""
     _require_melnikov_beta(p.beta)
-    c = math.cos(theta)
+    c = np.cos(theta)
     beta = p.beta
     return (-(beta * beta) * c * c / (2.0 * r ** (beta + 1.0)),
-            -beta * math.sin(2.0 * theta) / (2.0 * r ** beta))
+            -beta * np.sin(2.0 * theta) / (2.0 * r ** beta))
 
 
-def _quad_checked(f, a: float, b: float) -> float:
-    from scipy.integrate import quad  # scipy loads on first use, not at package import
+@functools.cache
+def _tanh_sinh_level(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma, omega): the nodes that level `level` adds to the rule on [0, 1].
 
-    out = quad(f, a, b, full_output=1, **_QUAD_OPTS)
-    val, abserr = out[0], out[1]
-    if len(out) > 3 and abserr > 1e-9 * max(1.0, abs(val)):
-        raise ArithmeticError(f"quadrature did not converge: {out[3]}")
-    return val
+    u runs over the multiples of h = 2^-level in [0, _TS_U_MAX) that no coarser
+    level has.  sigma = 1 / (1 + exp(pi sinh u)) is the distance of the node
+    x(u) = (1 + tanh(pi/2 sinh u)) / 2 from the nearer end, free of
+    cancellation; omega = dx/du.  Each sigma stands for the pair of nodes sigma
+    and 1 - sigma, so the midpoint (u = 0) carries half its weight.
+    """
+    h = 2.0 ** -level
+    u = np.arange(0.0, _TS_U_MAX, h) if level == 0 else np.arange(h, _TS_U_MAX, 2.0 * h)
+    sigma = 1.0 / (1.0 + np.exp(math.pi * np.sinh(u)))
+    omega = math.pi * np.cosh(u) * sigma * (1.0 - sigma)
+    if level == 0:
+        omega[0] *= 0.5
+    return sigma, omega
+
+
+def _tanh_sinh(f, a: float, b: float) -> float:
+    """Integral of f over [a, b] by the tanh-sinh rule.
+
+    f maps an array of nodes to an array of values whose last axis runs over
+    the nodes; leading axes are summed as well.  Each level halves the step and
+    adds only the new nodes.  Stops when two successive levels agree to 1e-13
+    of the integral of |f|, and raises ArithmeticError on a non-finite value or
+    when the finest level is reached first.
+    """
+    length = b - a
+    total = abs_total = 0.0
+    for level in range(_TS_LEVELS):
+        sigma, omega = _tanh_sinh_level(level)
+        fx = f(np.concatenate((a + length * sigma, b - length * sigma)))
+        weights = np.concatenate((omega, omega)) * (length * 2.0 ** -level)
+        previous = total
+        total = 0.5 * total + float(np.sum(fx * weights))
+        abs_total = 0.5 * abs_total + float(np.sum(np.abs(fx) * weights))
+        if not math.isfinite(total):
+            raise ArithmeticError(f"quadrature met a non-finite integrand on [{a}, {b}]")
+        if level > 0 and abs(total - previous) <= _TS_RTOL * abs_total:
+            return total
+    raise ArithmeticError(f"quadrature on [{a}, {b}] did not converge: the last two levels "
+                          f"differ by {abs(total - previous):.3g} of {abs_total:.3g}")
+
+
+def _cos_power_integral(beta: float, g) -> float:
+    """Integral of cos^(2 beta - 4)(w) g(w) over (-pi/2, pi/2), for beta > 3/2.
+
+    Both halves are written in the distance d = pi/2 - |w| to their endpoint.
+    For beta < 2, t = d^s with s = 2 beta - 3 absorbs the endpoint singularity
+    (sin d = d sinc d); for beta >= 2 the integrand is bounded and s = 1.
+    g maps an array of w to an array of values.
+    """
+    a = 2.0 * beta - 4.0
+    s = min(a + 1.0, 1.0)
+
+    def integrand(t: np.ndarray) -> np.ndarray:
+        d = t ** (1.0 / s)
+        core = np.sinc(d / math.pi) ** a * d ** (a + 1.0 - s) / s
+        w = 0.5 * math.pi - d
+        return np.stack((core * g(w), core * g(-w)))
+
+    return _tanh_sinh(integrand, 0.0, (0.5 * math.pi) ** s)
 
 
 def _prefactor(p_param: float, beta: float) -> float:
@@ -146,13 +215,9 @@ def melnikov_M2(theta0: float, orbit: ParabolicOrbit, p: Params) -> float:
     cos-component I1 is suppressed by parity.
     """
     _require_melnikov_beta(p.beta)
-    beta = p.beta
     phase = 2.0 * theta0 + 2.0 * THETA_NORMALIZATION_OFFSET
-
-    def integrand(w: float) -> float:
-        return math.cos(w) ** (2.0 * beta - 4.0) * math.sin(4.0 * w + phase)
-
-    return _prefactor(orbit.p_param, beta) * _quad_checked(integrand, -math.pi / 2, math.pi / 2)
+    return (_prefactor(orbit.p_param, p.beta)
+            * _cos_power_integral(p.beta, lambda w: np.sin(4.0 * w + phase)))
 
 
 def i1_integrand_eta(eta: float, orbit: ParabolicOrbit, p: Params) -> float:
@@ -165,12 +230,8 @@ def i1_integrand_eta(eta: float, orbit: ParabolicOrbit, p: Params) -> float:
 def i1_parity_check(orbit: ParabolicOrbit, p: Params) -> float:
     """Quadrature of I1 = (beta/2) int sin(2 Theta)/R^beta dt; zero by parity."""
     _require_melnikov_beta(p.beta)
-    beta = p.beta
-
-    def integrand(w: float) -> float:
-        return math.cos(w) ** (2.0 * beta - 4.0) * math.sin(4.0 * w)
-
-    return _prefactor(orbit.p_param, beta) * _quad_checked(integrand, -math.pi / 2, math.pi / 2)
+    return _prefactor(orbit.p_param, p.beta) * _cos_power_integral(
+        p.beta, lambda w: np.sin(4.0 * w))
 
 
 def _far_eta(orbit: ParabolicOrbit, beta: float, decay: float = 1e-12) -> float:
@@ -200,26 +261,25 @@ def m1_direct_quadrature(orbit: ParabolicOrbit, p: Params, theta0: float = 0.0) 
     _require_melnikov_beta(p.beta)
     p_par = orbit.p_param
 
-    def integrand(w: float) -> float:
-        eta = math.tan(w)
+    def integrand(w: np.ndarray) -> np.ndarray:
+        eta = np.tan(w)
         r, _, theta = parabolic_rt(eta, orbit, normalized=True)
         rdot, thdot = parabolic_velocities(eta, orbit)
-        wr, wth = perturbation_W2_partials(r, theta + theta0, p)
+        # r^beta overflows only at nodes next to w = +-pi/2, where the partials
+        # of W2 are 0 to working precision
+        with np.errstate(over="ignore"):
+            wr, wth = perturbation_W2_partials(r, theta + theta0, p)
         dt_dw = 0.5 * p_par ** 1.5 * (1.0 + eta * eta) ** 2
         return (rdot * wr + thdot * wth) * dt_dw
 
-    return _quad_checked(integrand, -math.pi / 2, math.pi / 2)
+    return _tanh_sinh(integrand, -math.pi / 2, math.pi / 2)
 
 
 def i2_quadrature(p_param: float, beta: float) -> float:
     """I2 = (beta/2) int cos(2 Theta)/R^beta dt by quadrature in w = theta/2."""
     _require_melnikov_beta(beta)
     _require_orbit_param(p_param)
-
-    def integrand(w: float) -> float:
-        return math.cos(w) ** (2.0 * beta - 4.0) * math.cos(4.0 * w)
-
-    return _prefactor(p_param, beta) * _quad_checked(integrand, -math.pi / 2, math.pi / 2)
+    return _prefactor(p_param, beta) * _cos_power_integral(beta, lambda w: np.cos(4.0 * w))
 
 
 def i2_amplitude(p_param: float, beta: float) -> float:
@@ -229,21 +289,17 @@ def i2_amplitude(p_param: float, beta: float) -> float:
 
 
 def _i2_gamma_bracket(p_param: float, beta: float) -> float:
-    from scipy.special import gamma
-
     pref = (2.0 ** (beta - 1.0) * p_param ** (1.5 - beta) * beta
-            / (2.0 * gamma(beta - 1.0)) * math.sqrt(math.pi))
-    t1 = gamma(beta - 1.5) * (3.0 / (2.0 * (beta - 1.0) * beta) - 1.0)
-    t2 = 2.0 * (gamma(beta + 0.5) - gamma(beta - 0.5)) / ((beta - 1.0) * beta)
+            / (2.0 * math.gamma(beta - 1.0)) * math.sqrt(math.pi))
+    t1 = math.gamma(beta - 1.5) * (3.0 / (2.0 * (beta - 1.0) * beta) - 1.0)
+    t2 = 2.0 * (math.gamma(beta + 0.5) - math.gamma(beta - 0.5)) / ((beta - 1.0) * beta)
     return pref * (t1 + t2)
 
 
 def _i2_factored(p_param: float, beta: float) -> float:
-    from scipy.special import gamma
-
     A = i2_amplitude(p_param, beta)
-    return (A * math.sqrt(math.pi) * gamma(beta + 0.5) * (beta * beta - 5.0 * beta + 6.0)
-            / ((beta - 1.0) * (beta - 1.5) * (beta - 0.5) * gamma(beta - 1.0)))
+    return (A * math.sqrt(math.pi) * math.gamma(beta + 0.5) * (beta * beta - 5.0 * beta + 6.0)
+            / ((beta - 1.0) * (beta - 1.5) * (beta - 0.5) * math.gamma(beta - 1.0)))
 
 
 def i2_closed_form(p_param: float, beta: float) -> float:
@@ -254,11 +310,13 @@ def i2_closed_form(p_param: float, beta: float) -> float:
     if not beta > 1.5:
         raise ValueError(f"Gamma closed forms require beta > 3/2, got {beta}")
     _require_orbit_param(p_param)
-    v1 = _i2_gamma_bracket(p_param, beta)
-    v2 = _i2_factored(p_param, beta)
+    try:
+        v1 = _i2_gamma_bracket(p_param, beta)
+        v2 = _i2_factored(p_param, beta)
+    except OverflowError:  # math.gamma itself overflows above 171.6
+        v1 = v2 = math.inf
     if not (math.isfinite(v1) and math.isfinite(v2)):
-        raise ArithmeticError(f"Gamma closed forms overflow at beta = {beta}: "
-                              f"{float(v1)}, {float(v2)}")
+        raise ArithmeticError(f"Gamma closed forms overflow at beta = {beta}: {v1}, {v2}")
     if abs(v1 - v2) > 1e-10 * max(1.0, abs(v1), abs(v2)):
         raise ArithmeticError(f"closed forms disagree: {v1!r} vs {v2!r}")
     return v2
@@ -295,12 +353,10 @@ def chaos_verdict(beta: float, p_param: float = 1.0) -> ChaosVerdict:
     An indicator only: it reports the first-order transversality condition,
     not a full dynamical certificate.
     """
-    from scipy.special import gamma
-
     _require_melnikov_beta(beta)
     i2 = i2_closed_form(p_param, beta)
-    scale = (i2_amplitude(p_param, beta) * math.sqrt(math.pi) * gamma(beta + 0.5)
-             / ((beta - 1.0) * (beta - 1.5) * (beta - 0.5) * gamma(beta - 1.0)))
+    scale = (i2_amplitude(p_param, beta) * math.sqrt(math.pi) * math.gamma(beta + 0.5)
+             / ((beta - 1.0) * (beta - 1.5) * (beta - 0.5) * math.gamma(beta - 1.0)))
     return ChaosVerdict.ZERO_M2 if abs(i2) <= 1e-9 * abs(scale) else ChaosVerdict.SIMPLE_ZEROS
 
 

@@ -20,6 +20,7 @@ import numpy as np
 from .core import Params
 from .integrate import Event, IntegrationError, IntegratorConfig, integrate
 from .mcgehee import McGeheeState, delta
+from .melnikov import _tanh_sinh
 
 __all__ = [
     "TorusState",
@@ -46,10 +47,12 @@ __all__ = [
 SECTIONS = {3: 0.0, 4: -math.pi / 2}
 ARC_LENGTH_CAP = 100.0
 SEED_OFFSET = 1e-6
+SINK_RADIUS = 1e-3  # a branch this close to an attracting equilibrium has stalled
 
 
 class TraceError(IntegrationError):
-    """Branch failed to reach the comparison section within the arc-length cap."""
+    """Branch failed to reach the comparison section: it exceeded the arc-length
+    cap or fell into an attracting equilibrium."""
 
 
 @dataclass(frozen=True)
@@ -160,21 +163,23 @@ def zeta1_quadrature(beta: int, theta: float) -> float:
         raise ValueError("closed forms are implemented for beta in {3, 4} only")
     if theta == -math.pi:
         return 0.0
-    from scipy.integrate import quad  # scipy loads on first use, not at package import
-
     slope0 = 0.5 if beta == 3 else 1.0  # d zeta0 / d theta
 
-    def integrand(eta: float) -> float:
-        z0 = zeta0(beta, eta)
-        s = math.sin(z0)
-        if s == 0.0:
-            # both sin(eta) and sin(zeta0) vanish at the saddle endpoints;
-            # the ratio has the finite limit cos(eta)/(slope0 cos(zeta0))
-            return 0.5 * beta * math.cos(eta) ** 2 / slope0
-        return 0.5 * beta * math.cos(eta) * math.sin(eta) * math.cos(z0) / s
+    def integrand(eta: np.ndarray) -> np.ndarray:
+        # sin and cos of zeta0 = eta/2 + pi/2 (beta = 3) or eta + pi (beta = 4)
+        # by exact quarter-turn identities, so sin(zeta0) keeps full relative
+        # precision next to its zeros, which are zeros of sin(eta) as well
+        if beta == 3:
+            s, c = np.cos(0.5 * eta), -np.sin(0.5 * eta)
+        else:
+            s, c = -np.sin(eta), -np.cos(eta)
+        zero = s == 0.0
+        # where both vanish the ratio sin(eta)/sin(zeta0) has the finite limit
+        # cos(eta)/(slope0 cos(zeta0))
+        return np.where(zero, 0.5 * beta * np.cos(eta) ** 2 / slope0,
+                        0.5 * beta * np.cos(eta) * np.sin(eta) * c / np.where(zero, 1.0, s))
 
-    val, _ = quad(integrand, -math.pi, theta, limit=200, epsabs=1e-12, epsrel=1e-12)
-    return val
+    return _tanh_sinh(integrand, -math.pi, theta)
 
 
 def comparison_section(beta: int) -> float:
@@ -202,9 +207,11 @@ def trace_manifold(origin: TorusState, direction: str, p: Params,
     """Continue a manifold branch from a torus saddle to the comparison section.
 
     Seeds ``offset`` along the stable/unstable eigenvector (toward increasing
-    theta) and integrates until theta reaches the section for this beta, or the
-    arc length exceeds ``arc_cap``.  mu = 1 is admitted: the branch then leaves
-    along the limit eigendirection of slope (beta-2)/2.
+    theta) and integrates until theta reaches the section for this beta.  Raises
+    TraceError when the arc length exceeds ``arc_cap`` first, or when the branch
+    comes within SINK_RADIUS of an equilibrium that attracts in the direction of
+    tracing.  mu = 1 is admitted: the branch then leaves along the limit
+    eigendirection of slope (beta-2)/2.
     """
     beta = int(round(p.beta))
     if beta not in (3, 4) or p.beta != beta:
@@ -236,9 +243,27 @@ def trace_manifold(origin: TorusState, direction: str, p: Params,
 
     hit = Event(lambda t, y: y[0] - section, "section", terminal=True)
     capped = Event(lambda t, y: y[2] - arc_cap, "arc-cap", terminal=True)
+    events = [hit, capped]
+    if p.mu > 1.0:
+        # For mu > 1 the equilibria at theta = pi/2 (mod pi) attract: there
+        # torus_jacobian has a positive determinant and a trace with the sign of
+        # cos(psi), so they are sinks at psi = pi and sources (attracting in
+        # backward time) at psi = 0.  The arc-length cap cannot fire once the
+        # branch settles into one, so the trace stops within SINK_RADIUS of it.
+        psi_attractor = math.pi if sign > 0 else 0.0
+
+        def sink_gap(t: float, y: np.ndarray) -> float:
+            return math.hypot(math.remainder(y[0] - 0.5 * math.pi, math.pi),
+                              math.remainder(y[1] - psi_attractor, 2 * math.pi)) - SINK_RADIUS
+
+        events.append(Event(sink_gap, "sink", terminal=True))
     tau_max = sign * 1e5
-    traj = integrate(rhs, np.append(y0, 0.0), (0.0, tau_max), cfg, events=[hit, capped])
+    traj = integrate(rhs, np.append(y0, 0.0), (0.0, tau_max), cfg, events=events)
     if not traj.event_times("section"):
+        if traj.event_times("sink"):
+            raise TraceError(f"branch from {origin} fell into an attracting equilibrium at "
+                             f"theta = {traj.states[-1, 0]:.6g}, psi = {traj.states[-1, 1]:.6g} "
+                             f"before reaching theta = {section}")
         raise TraceError(f"branch from {origin} did not reach theta = {section} "
                          f"within arc length {arc_cap}")
     return ManifoldBranch(origin, direction, traj.states[:, :2].copy())

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -320,7 +321,7 @@ class TestConfigAndErrors:
 
     def test_untraceable_branch_is_numerical_failure(self, tmp_path, capsys):
         # at mu = 10 the beta = 3 unstable branch falls into a sink before the
-        # section; the loose tolerances only shorten the run toward it
+        # section; at these loose tolerances it exceeds the arc-length cap first
         out = tmp_path / "x.csv"
         for argv in (["collision-flow", "--beta", "3", "--mu", "10", "--grid", "2"],
                      ["splitting", "--eps-list", "9"]):
@@ -330,6 +331,19 @@ class TestConfigAndErrors:
             lines = capsys.readouterr().err.splitlines()
             assert len(lines) == 1
             assert json.loads(lines[0])["exit_code"] == EXIT_NUMERICAL
+
+    def test_branch_into_sink_fails_fast_at_default_tolerances(self, tmp_path, capsys):
+        # the branch settles into the sink near (-pi/2, pi); the trace stops
+        # there instead of integrating on toward tau = 1e5
+        out = tmp_path / "x.csv"
+        start = time.perf_counter()
+        code = main(["collision-flow", "--beta", "3", "--mu", "10", "--grid", "2",
+                     "--out", str(out)])
+        assert time.perf_counter() - start < 5.0
+        assert code == EXIT_NUMERICAL
+        assert not out.exists()
+        record = json.loads(capsys.readouterr().err)
+        assert "attracting equilibrium" in record["message"]
 
     def test_unwritable_out_path(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.csv"
@@ -352,3 +366,33 @@ class TestConfigAndErrors:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert out.exists()
+
+
+# every command at a small size, plus the one quadrature outside the CLI, in an
+# interpreter where importing scipy fails
+NO_SCIPY_RUN = """
+import sys
+sys.modules["scipy"] = None
+from anisokepler.cli import main
+from anisokepler.torus import zeta1, zeta1_quadrature
+out = sys.argv[1]
+runs = [
+    ["simulate", "--t-final", "1"],
+    ["equilibria"],
+    ["collision-flow", "--grid", "3"],
+    ["infinity-flow", "--orbits", "1"],
+    ["splitting", "--eps-list", "0,1e-3"],
+    ["beta2-verify", "--n-states", "20", "--n-orbits", "1", "--tau", "1"],
+    ["melnikov", "--beta-grid", "1.502:3:0.1"],
+    ["basin", "--n", "50"],
+]
+print([main(argv + ["--out", out]) for argv in runs])
+print(abs(zeta1_quadrature(3, 0.5) - zeta1(3, 0.5)) < 1e-12)
+"""
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN, str(tmp_path / "x.csv")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == [str([EXIT_OK] * 8), "True"]

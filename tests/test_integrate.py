@@ -155,9 +155,10 @@ def test_field_turning_nan_after_a_zero_start_underflows():
 
 
 def test_package_import_loads_no_scipy_subpackage():
+    # the runtime needs no scipy at all; the import loads neither scipy nor any
+    # of its subpackages
     code = ("import sys, anisokepler.cli; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.special', "
-            "'scipy.linalg') if m in sys.modules))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)
     assert proc.stdout.strip() == "[]"

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -28,6 +29,22 @@ from anisokepler.melnikov import (
 
 BETAS = [1.75, 2.0, 2.5, 3.0, 4.0, 5.0]
 PS = [0.5, 1.0, 2.0]
+# dense near the endpoint singularity at beta = 3/2, the poles of the exact
+# form at beta = 2, 3 and beyond
+EXACT_BETAS = ([1.502, 1.503, 1.505, 1.51, 1.52, 1.55, 1.6, 1.75, 1.9, 1.99, 2.0, 2.01]
+               + [round(b, 2) for b in np.arange(2.25, 10.0, 0.25)] + [2.999, 3.0, 3.001, 10.0])
+
+
+def i2_exact(p_par, beta):
+    """I2 from the Beta-function integral of cos^a(w) cos(4w), a = 2 beta - 4, in
+    mpmath at 40 digits; rgamma is 0 at the poles beta = 2 and 3."""
+    with mpmath.workdps(40):
+        beta = mpmath.mpf(beta)
+        a = 2 * beta - 4
+        integral = (2 * mpmath.pi * mpmath.gamma(a + 1) / 2 ** (a + 1)
+                    * mpmath.rgamma(1 + (a + 4) / 2) * mpmath.rgamma(1 + (a - 4) / 2))
+        prefactor = 2 ** (beta - 2) * beta * mpmath.mpf(p_par) ** (mpmath.mpf(1.5) - beta)
+        return float(prefactor * integral)
 
 
 class TestParabolicOrbit:
@@ -125,6 +142,15 @@ class TestM2:
         i2 = i2_quadrature(0.9, 3.4)
         for th0 in np.linspace(0, 2 * math.pi, 9):
             assert melnikov_M2(th0, orb, p) == pytest.approx(i2 * math.sin(2 * th0), abs=1e-10)
+
+    @pytest.mark.parametrize("beta", [1.502, 1.75, 2.5, 3.0, 4.0, 7.5])
+    def test_matches_exact_i2_times_sin(self, beta):
+        p = Params(beta=beta, mu=1.1, b=0.01)
+        orb = ParabolicOrbit(0.8)
+        i2 = i2_exact(0.8, beta)
+        for th0 in np.linspace(0, 2 * math.pi, 13):
+            assert melnikov_M2(th0, orb, p) == pytest.approx(
+                i2 * math.sin(2 * th0), abs=1e-13 * max(1.0, abs(i2)))
 
     def test_normalization_offset_invariance(self):
         # the sin(2 .) integrand ignores the pi shift fixing the perihelion angle
@@ -239,6 +265,20 @@ class TestI2:
         q = i2_quadrature(p_par, beta)
         c = i2_closed_form(p_par, beta)
         assert abs(q - c) <= 1e-6 * max(1.0, abs(c))
+
+    @pytest.mark.parametrize("p_par", [0.7, 1.0])
+    def test_both_routes_match_exact_reference(self, p_par):
+        for beta in EXACT_BETAS:
+            exact = i2_exact(p_par, beta)
+            for route in (i2_quadrature, i2_closed_form):
+                assert abs(route(p_par, beta) - exact) <= 1e-13 * max(1.0, abs(exact)), \
+                    (route.__name__, beta)
+
+    def test_quadrature_converges_next_to_three_halves(self):
+        # the endpoint singularity cos^(2 beta - 4) is strongest here
+        for beta in np.arange(1.502, 1.51, 0.001):
+            exact = i2_exact(1.0, float(beta))
+            assert abs(i2_quadrature(1.0, float(beta)) - exact) <= 1e-13 * abs(exact)
 
     @pytest.mark.parametrize("beta", [1.75, 2.5, 4.0])
     def test_scaling_law(self, beta):

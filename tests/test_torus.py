@@ -11,6 +11,7 @@ from anisokepler.mcgehee import collision_rhs, delta, energy_residual
 from anisokepler.torus import (
     SplittingVerdict,
     TorusState,
+    TraceError,
     comparison_section,
     connection_beta,
     reversal_map,
@@ -19,6 +20,7 @@ from anisokepler.torus import (
     splitting_gap,
     splitting_sign,
     torus_field,
+    torus_jacobian,
     torus_rhs,
     torus_to_collision,
     trace_manifold,
@@ -119,8 +121,10 @@ class TestZeta:
 
     @pytest.mark.parametrize("beta", [3, 4])
     def test_quadrature_matches_closed_form(self, beta):
-        for th in np.linspace(-math.pi, math.pi, 50):
-            assert zeta1_quadrature(beta, th) == pytest.approx(zeta1(beta, th), abs=1e-8)
+        # the grid includes theta = pi, where the beta = 4 integrand has its
+        # removable singularity at the midpoint eta = 0 of the interval
+        for th in np.linspace(-math.pi, math.pi, 201):
+            assert zeta1_quadrature(beta, th) == pytest.approx(zeta1(beta, th), abs=1e-12)
 
 
 class TestTrace:
@@ -155,6 +159,27 @@ class TestTrace:
         stable = trace_manifold(TorusState(math.pi, math.pi), "stable", p, cfg=TIGHT)
         unst = trace_manifold(TorusState(-math.pi, 0.0), "unstable", p, cfg=TIGHT)
         assert stable.section_psi == pytest.approx(math.pi - unst.section_psi, abs=1e-9)
+
+    @pytest.mark.parametrize("beta", [3.0, 4.0])
+    @pytest.mark.parametrize("mu", [1.001, 1.5, 10.0])
+    def test_attracting_equilibria_sit_at_theta_pi_half(self, beta, mu):
+        # the trace's stall event assumes the sinks are (pi/2 mod pi, pi) and
+        # the sources (pi/2 mod pi, 0)
+        p = Params(beta, mu, 0.5)
+        for k in range(4):
+            for j in range(2):
+                eig = np.linalg.eigvals(torus_jacobian(TorusState(k * math.pi / 2, j * math.pi), p))
+                assert np.all(eig.real < 0) == (k % 2 == 1 and j == 1)
+                assert np.all(eig.real > 0) == (k % 2 == 1 and j == 0)
+
+    @pytest.mark.parametrize("origin,direction", [((-math.pi, 0.0), "unstable"),
+                                                  ((math.pi, math.pi), "stable")])
+    def test_branch_into_attractor_stops_there(self, origin, direction):
+        # at mu = 10 both branches settle into an attracting equilibrium (a sink
+        # forward in time, a source backward) before the section
+        p = Params(3.0, 10.0, 0.5)
+        with pytest.raises(TraceError, match="attracting equilibrium"):
+            trace_manifold(TorusState(*origin), direction, p)
 
     def test_rejects_non_saddle_origin(self):
         p = Params(3.0, 1.1, 0.5)
