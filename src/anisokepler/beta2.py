@@ -173,8 +173,7 @@ class HeteroclinicClass:
     v_limit: float  # limiting |v| on the collision side (0 for the equator case)
 
 
-def classify_heteroclinic(rho0: float, vbar0: float, p: Params,
-                          tol: float = _EQUALITY_TOL) -> HeteroclinicClass:
+def classify_heteroclinic(rho0: float, vbar0: float, p: Params) -> HeteroclinicClass:
     """Collision-side target of the zero-energy orbit through (rho0, vbar0).
 
     k = rho0/(vbar0^2 - 2) fixes the invariant (rho, vbar) hyperbola; backward
@@ -194,11 +193,11 @@ def classify_heteroclinic(rho0: float, vbar0: float, p: Params,
         raise ValueError("no collision heteroclinic: k <= 0 (orbit stays away from r = 0)")
     v_lim = math.sqrt(1.0 / k)
     v_max = math.sqrt(2.0 * p.b)
-    if v_lim > v_max + tol:
+    if v_lim > v_max + _EQUALITY_TOL:
         raise ValueError("no heteroclinic of this family: sqrt(1/k) > sqrt(2b) "
                          "is inconsistent with ubar^2 >= 0")
-    if abs(v_lim - v_max) <= tol:
+    if abs(v_lim - v_max) <= _EQUALITY_TOL:
         return HeteroclinicClass(k, HeteroclinicTarget.DIAGONAL_FIXED_POINTS, v_lim)
-    if abs(v_lim - math.sqrt(2.0 * p.b / p.mu)) <= tol:
+    if abs(v_lim - math.sqrt(2.0 * p.b / p.mu)) <= _EQUALITY_TOL:
         return HeteroclinicClass(k, HeteroclinicTarget.AXIS_FIXED_POINTS, v_lim)
     return HeteroclinicClass(k, HeteroclinicTarget.PERIODIC_ORBIT, v_lim)

@@ -11,9 +11,8 @@ line-for-line port of ``scipy.optimize.brentq`` that agrees with it bit for
 bit as well.  The test suite checks both against scipy.
 
 Around the stepper the driver adds the bookkeeping the rest of the package
-relies on: a hard step-count limit, a caller-declared forbidden region (so
-singular states surface as a domain error instead of NaN propagation), event
-detection with root refinement, and per-step drift tracking for first
+relies on: a hard step-count limit, detection of sign changes of event
+functions with root refinement, and per-step drift tracking for first
 integrals.
 """
 
@@ -29,7 +28,6 @@ __all__ = [
     "IntegrationError",
     "MaxStepsExceeded",
     "StepSizeUnderflow",
-    "ForbiddenRegion",
     "EventRootError",
     "IntegratorConfig",
     "Event",
@@ -84,10 +82,6 @@ class StepSizeUnderflow(IntegrationError):
     """Raised when the stepper stalls (stiffness or an unguarded singularity)."""
 
 
-class ForbiddenRegion(IntegrationError):
-    """Raised when the solution enters a caller-declared forbidden region."""
-
-
 class EventRootError(IntegrationError):
     pass
 
@@ -96,7 +90,6 @@ class EventRootError(IntegrationError):
 class IntegratorConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: float = math.inf
     max_steps: int = 1_000_000
 
     def __post_init__(self):
@@ -105,23 +98,20 @@ class IntegratorConfig:
         if self.rel_tol < 100 * _EPS:
             raise ValueError(f"rel_tol must be at least 100 eps = {100 * _EPS:.3g}, "
                              f"got {self.rel_tol!r}")
-        if not (self.max_step > 0 and self.max_steps > 0):
-            raise ValueError("max_step and max_steps must be positive")
+        if not self.max_steps > 0:
+            raise ValueError("max_steps must be positive")
 
 
 @dataclass(frozen=True)
 class Event:
-    """Scalar event function g(t, y); a root of g along the solution fires the event.
-
-    direction: 0 fires on any sign change, +1 only when g increases through 0,
-    -1 only when it decreases. A terminal event truncates the trajectory at the
-    refined event time.
+    """Scalar event function g(t, y); a sign change of g along the solution fires
+    the event.  A terminal event truncates the trajectory at the refined event
+    time.
     """
 
     fn: Callable[[float, np.ndarray], float]
     label: str
     terminal: bool = False
-    direction: int = 0
 
 
 @dataclass
@@ -152,7 +142,7 @@ class _DormandPrince:
         self.fun = fun
         self.t_bound = t_bound
         self.direction = 1.0 if t_bound > t0 else -1.0
-        self.rtol, self.atol, self.max_step = cfg.rel_tol, cfg.abs_tol, cfg.max_step
+        self.rtol, self.atol = cfg.rel_tol, cfg.abs_tol
         self.t, self.y = t0, y0
         self.t_old = self.y_old = None
         self.f = np.asarray(fun(t0, y0), dtype=float)
@@ -181,7 +171,7 @@ class _DormandPrince:
             h1 = math.inf
         else:
             h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-        return min(100 * h0, h1, interval_length, self.max_step)
+        return min(100 * h0, h1, interval_length)
 
     @property
     def finished(self) -> bool:
@@ -191,12 +181,7 @@ class _DormandPrince:
         """Take one accepted step, shrinking the step size after each rejection."""
         fun, t, y, K, direction = self.fun, self.t, self.y, self.K, self.direction
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-        if self.h_abs > self.max_step:
-            h_abs = self.max_step
-        elif self.h_abs < min_step:
-            h_abs = min_step
-        else:
-            h_abs = self.h_abs
+        h_abs = max(self.h_abs, min_step)
 
         rejected = False
         while True:
@@ -313,14 +298,6 @@ def _brentq(f: Callable[[float], float], xa: float, xb: float) -> float:
     raise EventRootError(f"no convergence after {_EVENT_MAX_ITER} iterations, value is {xcur}")
 
 
-def _crossed(g_old: float, g_new: float, direction: int) -> bool:
-    if direction >= 0 and g_old < 0.0 <= g_new:
-        return True
-    if direction <= 0 and g_old > 0.0 >= g_new:
-        return True
-    return False
-
-
 def integrate(
     field: Callable[[float, np.ndarray], np.ndarray],
     s0: Sequence[float],
@@ -328,7 +305,6 @@ def integrate(
     cfg: IntegratorConfig | None = None,
     events: Sequence[Event] = (),
     monitors: Mapping[str, Callable[[float, np.ndarray], float]] | None = None,
-    forbidden: Callable[[float, np.ndarray], bool] | None = None,
 ) -> Trajectory:
     """Integrate ``y' = field(t, y)`` over ``t_span`` with an embedded 5(4) pair.
 
@@ -346,8 +322,6 @@ def integrate(
     y0 = np.asarray(s0, dtype=float)
     if y0.ndim != 1 or y0.size == 0 or not np.isfinite(y0).all():
         raise ValueError("the initial state must be a non-empty 1-D array of finite values")
-    if forbidden is not None and forbidden(t0, y0):
-        raise ForbiddenRegion(f"initial state lies in the forbidden region at t={t0}")
 
     stepper = _DormandPrince(field, t0, y0, t1, cfg)
 
@@ -369,15 +343,12 @@ def integrate(
         stepper.step()
 
         t_new, y_new = stepper.t, stepper.y
-        if forbidden is not None and forbidden(t_new, y_new):
-            raise ForbiddenRegion(f"state entered the forbidden region at t={t_new}")
-
         dense = None
         t_old = stepper.t_old
         step_events: list[tuple[float, int]] = []
         for i, ev in enumerate(events):
             g_new = ev.fn(t_new, y_new)
-            if _crossed(g_old[i], g_new, ev.direction):
+            if g_old[i] < 0.0 <= g_new or g_old[i] > 0.0 >= g_new:
                 dense = dense or stepper.dense_output()
                 lo, hi = (t_old, t_new) if t_old < t_new else (t_new, t_old)
                 try:

@@ -251,14 +251,14 @@ def reduced_field(z: np.ndarray, p: Params, v_sign: int) -> np.ndarray:
     return np.array([dr, dth, du])
 
 
-def _classify_from_eigenvalues(eigs, tol: float = 1e-12) -> tuple[Stability, bool]:
+def _classify_from_eigenvalues(eigs) -> tuple[Stability, bool]:
     re = [lam.real for lam in eigs]
     # for mu > 1 no exact eigenvalue has a zero real part: a zero one means the
     # closed form under- or overflowed
     if any(x == 0.0 for x in re):
         raise ArithmeticError(f"eigenvalues {[complex(lam) for lam in eigs]} have a zero "
                               "real part; the closed form under- or overflowed")
-    spiral = any(abs(lam.imag) > tol for lam in eigs)
+    spiral = any(abs(lam.imag) > 1e-12 for lam in eigs)
     if all(x > 0 for x in re):
         return (Stability.SPIRAL_SOURCE if spiral else Stability.SOURCE), spiral
     if all(x < 0 for x in re):
@@ -385,9 +385,8 @@ def basin_fraction(p: Params, n: int, horizon: float, box: BasinBox | None = Non
     return float(np.count_nonzero(collided)) / float(n)
 
 
-def min_field_norm_on_level(p: Params, n_r: int = 25, n_theta: int = 20, n_phi: int = 20,
-                            r_range: tuple[float, float] = (1e-3, 5.0)) -> float:
-    """Minimum field norm over a grid of on-level states with r > 0.
+def min_field_norm_on_level(p: Params) -> float:
+    """Minimum field norm over a grid of on-level states with 1e-3 <= r <= 5.
 
     Supports the no-equilibria-off-C check: on the energy level, a zero of the
     field with r > 0 would need u = v = 0 together with v' = 0, which the
@@ -395,9 +394,9 @@ def min_field_norm_on_level(p: Params, n_r: int = 25, n_theta: int = 20, n_phi: 
     where the two scalar conditions coincide.
     """
     p.require_beta_above(2.0)
-    rs = np.geomspace(r_range[0], r_range[1], n_r)
-    thetas = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
-    phis = np.linspace(0.0, TWO_PI, n_phi, endpoint=False)
+    rs = np.geomspace(1e-3, 5.0, 25)
+    thetas = np.linspace(0.0, TWO_PI, 20, endpoint=False)
+    phis = np.linspace(0.0, TWO_PI, 20, endpoint=False)
     R, TH, PH = np.meshgrid(rs, thetas, phis, indexing="ij")
     s2 = _v_squared(R, TH, 0.0, p)
     ok = s2 > 0.0

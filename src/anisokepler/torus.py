@@ -201,14 +201,12 @@ def _is_torus_saddle(t: TorusState) -> bool:
 
 
 def trace_manifold(origin: TorusState, direction: str, p: Params,
-                   cfg: IntegratorConfig | None = None,
-                   offset: float = SEED_OFFSET,
-                   arc_cap: float = ARC_LENGTH_CAP) -> ManifoldBranch:
+                   cfg: IntegratorConfig | None = None) -> ManifoldBranch:
     """Continue a manifold branch from a torus saddle to the comparison section.
 
-    Seeds ``offset`` along the stable/unstable eigenvector (toward increasing
+    Seeds SEED_OFFSET along the stable/unstable eigenvector (toward increasing
     theta) and integrates until theta reaches the section for this beta.  Raises
-    TraceError when the arc length exceeds ``arc_cap`` first, or when the branch
+    TraceError when the arc length exceeds ARC_LENGTH_CAP first, or when the branch
     comes within SINK_RADIUS of an equilibrium that attracts in the direction of
     tracing.  mu = 1 is admitted: the branch then leaves along the limit
     eigendirection of slope (beta-2)/2.
@@ -233,7 +231,7 @@ def trace_manifold(origin: TorusState, direction: str, p: Params,
     if vec[0] * toward < 0.0:
         vec = -vec
 
-    y0 = origin.as_array() + offset * vec
+    y0 = origin.as_array() + SEED_OFFSET * vec
     sign = 1.0 if direction == "unstable" else -1.0
     rhs2 = torus_rhs(p)
 
@@ -242,7 +240,7 @@ def trace_manifold(origin: TorusState, direction: str, p: Params,
         return np.array([f[0], f[1], math.hypot(f[0], f[1])])
 
     hit = Event(lambda t, y: y[0] - section, "section", terminal=True)
-    capped = Event(lambda t, y: y[2] - arc_cap, "arc-cap", terminal=True)
+    capped = Event(lambda t, y: y[2] - ARC_LENGTH_CAP, "arc-cap", terminal=True)
     events = [hit, capped]
     if p.mu > 1.0:
         # For mu > 1 the equilibria at theta = pi/2 (mod pi) attract: there
@@ -265,7 +263,7 @@ def trace_manifold(origin: TorusState, direction: str, p: Params,
                              f"theta = {traj.states[-1, 0]:.6g}, psi = {traj.states[-1, 1]:.6g} "
                              f"before reaching theta = {section}")
         raise TraceError(f"branch from {origin} did not reach theta = {section} "
-                         f"within arc length {arc_cap}")
+                         f"within arc length {ARC_LENGTH_CAP}")
     return ManifoldBranch(origin, direction, traj.states[:, :2].copy())
 
 

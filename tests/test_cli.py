@@ -66,7 +66,7 @@ class TestMelnikovCommand:
 
     def test_orbit_parameter_validation(self, tmp_path):
         out = tmp_path / "x.csv"
-        for p in ("nan", "0", "-1"):
+        for p in ("nan", "0", "-1", "inf"):
             assert main(["melnikov", "--beta-grid", "1.8:2:0.1", "--p", p, "--out", str(out)]) \
                 == EXIT_VALIDATION
         assert not out.exists()
@@ -142,6 +142,19 @@ class TestSimulateCommand:
                 code = main(["simulate", "--coords", coords, "--t-final", t_final,
                              "--out", str(tmp_path / "x.csv")])
                 assert code == EXIT_VALIDATION
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_mcgehee_chart_takes_beta_two(self, tmp_path):
+        out = tmp_path / "b2.csv"
+        code = main(["simulate", "--coords", "mcgehee", "--beta", "2", "--initial", "1,0,0.3,1",
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        _, _, rows = read_rows(out)
+        assert len(rows) > 5
+        assert max(abs(float(r[-1])) for r in rows) < 1e-8
+        code = main(["simulate", "--coords", "mcgehee", "--beta", "1.5",
+                     "--initial", "1,0,0.3,1", "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_VALIDATION
         assert not (tmp_path / "x.csv").exists()
 
     def test_tolerance_validation(self, tmp_path):

@@ -126,7 +126,7 @@ class TestField:
         t_end = 0.5
         cart = integrate(cartesian_rhs(p), s.as_array(), (0.0, t_end), TIGHT)
         m0 = to_mcgehee(s, p)
-        hit = Event(lambda t, y: y[4] - t_end, "t-final", terminal=True, direction=1)
+        hit = Event(lambda t, y: y[4] - t_end, "t-final", terminal=True)
         reg = integrate(mcgehee_rhs_with_time(p), np.append(m0.as_array(), 0.0),
                         (0.0, 50.0), TIGHT, events=[hit])
         assert reg.event_times("t-final")
@@ -434,7 +434,7 @@ class TestBasin:
         p = replace(self.P, mu=mu)
         rng = np.random.default_rng(9)
         box = BasinBox.near_sink(p)
-        hit = Event(lambda t, y: y[0] - 1e-6, "collision", terminal=True, direction=-1)
+        hit = Event(lambda t, y: y[0] - 1e-6, "collision", terminal=True)
         for _ in range(10):
             r = rng.uniform(*box.r)
             th = rng.uniform(*box.theta)

@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import anisokepler.melnikov as melnikov
 from anisokepler.core import Params
 from anisokepler.melnikov import (
     ChaosVerdict,
@@ -18,7 +19,6 @@ from anisokepler.melnikov import (
     i2_closed_form,
     i2_quadrature,
     m1_direct_quadrature,
-    m1_vanishes,
     melnikov_M2,
     melnikov_analysis,
     parabolic_rt,
@@ -171,6 +171,13 @@ class TestI1AndM1:
         p = Params(beta=beta, mu=1.1, b=0.01)
         assert abs(i1_parity_check(ParabolicOrbit(p_par), p)) <= 1e-10
 
+    def test_i1_check_fails_off_the_symmetric_phase(self, monkeypatch):
+        # with the perihelion angle moved off pi, I1 is not zero; a quadrature
+        # on nodes mirrored about the perihelion would still return 0
+        monkeypatch.setattr(melnikov, "THETA_NORMALIZATION_OFFSET", math.pi / 3)
+        p = Params(beta=2.5, mu=1.1, b=0.01)
+        assert abs(i1_parity_check(ParabolicOrbit(1.0), p)) > 1e-3
+
     def test_i1_integrand_odd_pointwise(self):
         p = Params(beta=2.5, mu=1.1, b=0.01)
         orb = ParabolicOrbit(1.4)
@@ -183,7 +190,20 @@ class TestI1AndM1:
     @pytest.mark.parametrize("p_par", PS)
     def test_m1_residual_small(self, beta, p_par):
         p = Params(beta=beta, mu=1.1, b=0.01)
-        assert abs(m1_vanishes(ParabolicOrbit(p_par), p)) <= 1e-10
+        assert abs(m1_direct_quadrature(ParabolicOrbit(p_par), p, 0.4)) <= 1e-10
+
+    def test_m1_check_fails_on_a_wrong_r_partial(self, monkeypatch):
+        # dW2/dr scaled by r^0.1 is no longer the partial of a function that
+        # vanishes at both ends, so the integral of the "total derivative" is not 0
+        partials = melnikov.perturbation_W2_partials
+
+        def wrong(r, theta, p):
+            wr, wth = partials(r, theta, p)
+            return wr * r ** 0.1, wth
+
+        monkeypatch.setattr(melnikov, "perturbation_W2_partials", wrong)
+        p = Params(beta=2.5, mu=1.1, b=0.01)
+        assert abs(m1_direct_quadrature(ParabolicOrbit(1.0), p, 0.4)) > 1e-3
 
     def test_endpoint_decay_rate(self):
         p = Params(beta=2.5, mu=1.1, b=0.01)
@@ -237,7 +257,7 @@ class TestI2:
         with pytest.raises(ValueError):
             i2_closed_form(1.0, 1.5)
 
-    @pytest.mark.parametrize("p_par", [-1.0, 0.0, math.nan])
+    @pytest.mark.parametrize("p_par", [-1.0, 0.0, math.nan, math.inf])
     def test_orbit_parameter_must_be_positive(self, p_par):
         for fn in (i2_quadrature, i2_closed_form, i2_amplitude):
             with pytest.raises(ValueError, match="orbit parameter"):
