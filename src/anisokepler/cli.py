@@ -40,6 +40,7 @@ from .mcgehee import (
 )
 from .torus import (
     TorusState,
+    is_split_beta,
     splitting_gap,
     splitting_verdict,
     torus_rhs,
@@ -199,8 +200,7 @@ def _run_collision_flow(ns: argparse.Namespace):
         for ps in np.linspace(0.0, 2 * math.pi, ns.grid, endpoint=False):
             f = rhs(0.0, np.array([th, ps]))
             rows.append(("field", th, ps, f[0], f[1]))
-    ibeta = int(round(p.beta))
-    if ibeta in (3, 4) and p.beta == ibeta:
+    if is_split_beta(p.beta):
         branch = trace_manifold(TorusState(-math.pi, 0.0), "unstable", p, cfg=_integrator(ns))
         for th, ps in branch.samples:
             rows.append(("branch-unstable", th, ps, 0.0, 0.0))
@@ -210,7 +210,7 @@ def _run_collision_flow(ns: argparse.Namespace):
 
 
 def _run_infinity_flow(ns: argparse.Namespace):
-    p = Params(ns.beta, ns.mu, ns.b, ns.h)
+    p = Params(ns.beta, ns.mu, ns.b)  # the inverted chart covers h = 0 only
     if not p.beta > 2:
         raise ValidationError("this command covers beta > 2 (see beta2-verify)")
     rhs = infinity_rhs(p)
@@ -309,11 +309,10 @@ def _run_beta2_verify(ns: argparse.Namespace):
 
 
 def _run_melnikov(ns: argparse.Namespace):
-    rows = []
-    for beta in _parse_grid(ns.beta_grid):
-        q = i2_quadrature(ns.p, float(beta))
-        c = i2_closed_form(ns.p, float(beta))
-        rows.append((float(beta), q, c, c / i2_amplitude(ns.p, float(beta))))
+    # I2/A does not depend on p: take it at p = 1, where A cannot underflow
+    rows = [(beta, i2_quadrature(ns.p, beta), i2_closed_form(ns.p, beta),
+             i2_closed_form(1.0, beta) / i2_amplitude(1.0, beta))
+            for beta in map(float, _parse_grid(ns.beta_grid))]
     meta = {"command": ns.command, "p": ns.p, "beta_grid": ns.beta_grid, "seed": ns.seed}
     return meta, ["beta", "i2_quadrature", "i2_closed_form", "i2_over_A"], rows, {}
 
@@ -362,7 +361,11 @@ def read_config_file(path: str) -> dict:
 
 class _Parser(argparse.ArgumentParser):
     """Raises ValidationError on a bad flag instead of printing usage and exiting,
-    so the failure gets the JSON error record; subparsers inherit the class."""
+    so the failure gets the JSON error record; subparsers inherit the class.
+    No abbreviations: `--h` on a command without it is an error, not `--help`."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ValidationError(message)
@@ -413,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, beta_default=3.0, integrates=True)
     sp.add_argument("--mu", type=float, default=1.4)
     sp.add_argument("--b", type=float, default=0.5)
-    sp.add_argument("--h", type=float, default=0.0)
     sp.add_argument("--orbits", type=_count, default=5)
     sp.add_argument("--s-final", type=float, default=25.0)
 
@@ -437,14 +439,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--beta-grid", default="1.6:5:0.01",
                     help="start:stop:step, inclusive; valid for beta > 3/2, and the "
                          "closed form overflows (exit 3) from beta ~ 149 on")
-    sp.add_argument("--p", type=float, default=1.0)
+    sp.add_argument("--p", type=float, default=1.0,
+                    help="orbit parameter p > 0; I2 scales as p^(3/2 - beta), exit 3 on overflow")
 
     sp = sub.add_parser("basin", help="collision fraction from a sampling box")
     common(sp, beta_default=3.0)
     sp.add_argument("--mu", type=float, default=1.2)
     sp.add_argument("--b", type=float, default=0.5)
     sp.add_argument("--h", type=float, default=-0.25)
-    sp.add_argument("--n", type=int, default=10000)
+    sp.add_argument("--n", type=_count, default=10000)
     sp.add_argument("--horizon", type=float, default=40.0)
     sp.add_argument("--box", help="rlo,rhi,thetalo,thetahi,ulo,uhi")
     return parser

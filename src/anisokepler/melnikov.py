@@ -7,21 +7,18 @@ the splitting of the asymptotic manifolds of the point at infinity is governed
 by M2(theta0) = I2 sin(2 theta0): simple zeros of M2 indicate transversal
 intersections, hence chaotic dynamics, whenever I2 != 0.  I2 vanishes exactly
 at beta = 2 and beta = 3 (the factor (beta-2)(beta-3) of the closed form).
+I2(p, beta) = p^(3/2 - beta) I2(1, beta), as is M2: every route evaluates at
+p = 1, where the Gamma forms are compared, and scales once, raising on overflow.
 
 Improper integrals are evaluated after the exact substitution eta = tan(w),
-which compactifies the line to (-pi/2, pi/2): the integrand of I2 becomes
-cos(4w) cos^(2 beta - 4)(w), removing any truncation error (a truncated
-eta-range cannot reach high accuracy for beta near 3/2, where the integrand
-decays only like |eta|^(2 - 2 beta)).
+which compactifies the line to (-pi/2, pi/2) with no truncation error (a
+truncated eta-range cannot reach high accuracy for beta near 3/2, where the
+integrand decays only like |eta|^(2 - 2 beta)).
 
 Every quadrature here, and `torus.zeta1_quadrature`, uses one rule: tanh-sinh
 (Takahasi & Mori 1974, Publ. RIMS 9:721), refined by halving the step until
-two levels agree.  The integrals with the factor cos^(2 beta - 4)(w) are
-split at w = 0 and each half is written in the distance d to its endpoint.
-For beta < 2 that factor is singular at w = +-pi/2, and t = d^(2 beta - 3)
-turns d^(2 beta - 4) dd into dt / (2 beta - 3), a bounded integrand down to
-beta = 3/2.  The Gamma closed forms use `math.gamma`.  The checks that I1
-and M1 vanish avoid nodes mirrored about the perihelion, on which an odd
+two levels agree.  The Gamma closed forms use `math.gamma`.  The checks that
+I1 and M1 vanish avoid nodes mirrored about the perihelion, on which an odd
 integrand would cancel whatever its values.
 """
 
@@ -185,13 +182,12 @@ def _tanh_sinh(f, a: float, b: float) -> float:
                           f"differ by {abs(total - previous):.3g} of {abs_total:.3g}")
 
 
-def _cos_power_integral(beta: float, g) -> float:
-    """Integral of cos^(2 beta - 4)(w) g(w) over (-pi/2, pi/2), for beta > 3/2.
-
-    Both halves are written in the distance d = pi/2 - |w| to their endpoint.
-    For beta < 2, t = d^s with s = 2 beta - 3 absorbs the endpoint singularity
-    (sin d = d sinc d); for beta >= 2 the integrand is bounded and s = 1.
-    g maps an array of w to an array of values.
+def _unit_orbit_integral(beta: float, g) -> float:
+    """(beta/2) int g(theta/2) / R^beta dt on the orbit with p = 1, for beta > 3/2:
+    2^(beta-2) beta times the integral of cos^(2 beta - 4)(w) g(w) on (-pi/2, pi/2),
+    g elementwise on an array of w.  Both halves are written in the distance
+    d = pi/2 - |w| to their endpoint; for beta < 2, t = d^s with s = 2 beta - 3
+    absorbs the endpoint singularity (sin d = d sinc d), else s = 1.
     """
     a = 2.0 * beta - 4.0
     s = min(a + 1.0, 1.0)
@@ -202,11 +198,21 @@ def _cos_power_integral(beta: float, g) -> float:
         w = 0.5 * math.pi - d
         return np.stack((core * g(w), core * g(-w)))
 
-    return _tanh_sinh(integrand, 0.0, (0.5 * math.pi) ** s)
+    return 2.0 ** (beta - 2.0) * beta * _tanh_sinh(integrand, 0.0, (0.5 * math.pi) ** s)
 
 
-def _prefactor(p_param: float, beta: float) -> float:
-    return 2.0 ** (beta - 2.0) * beta * p_param ** (1.5 - beta)
+def _at_p(p_param: float, beta: float, unit: float) -> float:
+    """p^(3/2 - beta) times `unit`, an integral of W2 at p = 1: r and t scale as p
+    and p^(3/2) at fixed eta.  Checks p; raises ArithmeticError on overflow."""
+    _require_orbit_param(p_param)
+    try:
+        value = p_param ** (1.5 - beta) * unit
+        if math.isfinite(value):
+            return value
+    except OverflowError:  # the scale itself exceeds the float range
+        pass
+    raise ArithmeticError(f"the p^(3/2 - beta) scaling at p = {p_param!r}, beta = {beta!r} "
+                          f"leaves the float range (magnitude above 1.8e308)")
 
 
 def melnikov_M2(theta0: float, orbit: ParabolicOrbit, p: Params) -> float:
@@ -217,8 +223,8 @@ def melnikov_M2(theta0: float, orbit: ParabolicOrbit, p: Params) -> float:
     """
     _require_melnikov_beta(p.beta)
     phase = 2.0 * theta0 + 2.0 * THETA_NORMALIZATION_OFFSET
-    return (_prefactor(orbit.p_param, p.beta)
-            * _cos_power_integral(p.beta, lambda w: np.sin(4.0 * w + phase)))
+    return _at_p(orbit.p_param, p.beta,
+                 _unit_orbit_integral(p.beta, lambda w: np.sin(4.0 * w + phase)))
 
 
 def i1_integrand_eta(eta: float, orbit: ParabolicOrbit, p: Params) -> float:
@@ -248,12 +254,12 @@ def i1_parity_check(orbit: ParabolicOrbit, p: Params) -> float:
     return _tanh_sinh(integrand, -math.pi / 2, 0.3) + _tanh_sinh(integrand, 0.3, math.pi / 2)
 
 
-def m1_direct_quadrature(orbit: ParabolicOrbit, p: Params, theta0: float = 0.0) -> float:
+def m1_direct_quadrature(orbit: ParabolicOrbit, p: Params, theta0: float) -> float:
     """M1 as the quadrature of Rdot dW2/dr + Thetadot dW2/dtheta along the orbit.
 
     M1 integrates the total time derivative of W2, so it vanishes with W2 at
     both ends.  At theta0 = 0 the integrand is odd and cancels on the mirrored
-    nodes whatever W2 is; a check needs theta0 != 0.
+    nodes whatever W2 is, so theta0 has no default: a check needs theta0 != 0.
     """
     _require_melnikov_beta(p.beta)
     p_par = orbit.p_param
@@ -275,55 +281,51 @@ def m1_direct_quadrature(orbit: ParabolicOrbit, p: Params, theta0: float = 0.0) 
 def i2_quadrature(p_param: float, beta: float) -> float:
     """I2 = (beta/2) int cos(2 Theta)/R^beta dt by quadrature in w = theta/2."""
     _require_melnikov_beta(beta)
-    _require_orbit_param(p_param)
-    return _prefactor(p_param, beta) * _cos_power_integral(beta, lambda w: np.cos(4.0 * w))
+    return _at_p(p_param, beta, _unit_orbit_integral(beta, lambda w: np.cos(4.0 * w)))
 
 
 def i2_amplitude(p_param: float, beta: float) -> float:
     """Scale A = 2^(beta-2) p^(3/2-beta) of the closed form."""
-    _require_orbit_param(p_param)
-    return 2.0 ** (beta - 2.0) * p_param ** (1.5 - beta)
+    return _at_p(p_param, beta, 2.0 ** (beta - 2.0))
 
 
-def _i2_gamma_bracket(p_param: float, beta: float) -> float:
-    pref = (2.0 ** (beta - 1.0) * p_param ** (1.5 - beta) * beta
+def _i2_gamma_bracket(beta: float) -> float:
+    pref = (2.0 ** (beta - 1.0) * beta
             / (2.0 * math.gamma(beta - 1.0)) * math.sqrt(math.pi))
     t1 = math.gamma(beta - 1.5) * (3.0 / (2.0 * (beta - 1.0) * beta) - 1.0)
     t2 = 2.0 * (math.gamma(beta + 0.5) - math.gamma(beta - 0.5)) / ((beta - 1.0) * beta)
     return pref * (t1 + t2)
 
 
-def _i2_factored(p_param: float, beta: float) -> float:
-    A = i2_amplitude(p_param, beta)
-    return (A * math.sqrt(math.pi) * math.gamma(beta + 0.5) * (beta * beta - 5.0 * beta + 6.0)
+def _i2_factored(beta: float) -> float:
+    return (2.0 ** (beta - 2.0) * math.sqrt(math.pi) * math.gamma(beta + 0.5)
+            * (beta * beta - 5.0 * beta + 6.0)
             / ((beta - 1.0) * (beta - 1.5) * (beta - 0.5) * math.gamma(beta - 1.0)))
 
 
 def i2_closed_form(p_param: float, beta: float) -> float:
-    """Closed form of I2; evaluates both Gamma expressions (the bracketed one and
-    the factored one with the (beta-2)(beta-3) zero structure), asserts their
-    mutual agreement to 1e-10 relative, and returns the factored value.  Raises
-    ArithmeticError where the Gamma products overflow (beta above about 148)."""
-    if not beta > 1.5:
-        raise ValueError(f"Gamma closed forms require beta > 3/2, got {beta}")
-    _require_orbit_param(p_param)
+    """Closed form of I2: both Gamma expressions at p = 1 (the bracketed one and the
+    factored one with the (beta-2)(beta-3) zeros) must agree to 1e-10 relative; the
+    factored one is scaled to p.  Raises ArithmeticError where the Gamma products
+    overflow (beta above about 148) or the scaled value leaves the float range."""
+    _require_melnikov_beta(beta)
     try:
-        v1 = _i2_gamma_bracket(p_param, beta)
-        v2 = _i2_factored(p_param, beta)
+        v1 = _i2_gamma_bracket(beta)
+        v2 = _i2_factored(beta)
     except OverflowError:  # math.gamma itself overflows above 171.6
         v1 = v2 = math.inf
     if not (math.isfinite(v1) and math.isfinite(v2)):
         raise ArithmeticError(f"Gamma closed forms overflow at beta = {beta}: {v1}, {v2}")
     if abs(v1 - v2) > 1e-10 * max(1.0, abs(v1), abs(v2)):
         raise ArithmeticError(f"closed forms disagree: {v1!r} vs {v2!r}")
-    return v2
+    return _at_p(p_param, beta, v2)
 
 
 def i2_beta_roots() -> list[float]:
     """Zeros of beta -> I2(p, beta) on (3/2, 10], Brent-refined.
 
-    A 0.01 grid from beta = 1.502 brackets the sign changes.  Independent of p
-    by the scaling I2(p, beta) = p^(3/2-beta) I2(1, beta).
+    A 0.01 grid from beta = 1.502 brackets the sign changes.  Independent of p,
+    which only scales I2 (`_at_p`).
     """
     grid = [float(b) for b in np.arange(1.502, 10.005, 0.01)]
     vals = [i2_closed_form(1.0, b) for b in grid]

@@ -6,7 +6,9 @@ system on the (theta, psi) torus.  At mu = 1 the slope dpsi/dtheta is the
 constant (beta-2)/2 and heteroclinic connections between saddles close up for
 the exponent families beta = 2 + 2/(1+2k) and beta = 2 + 1/(1+k); for small
 anisotropy epsilon = mu - 1 > 0 the connections split, and the splitting is
-measured here for beta = 3 and beta = 4.
+measured here for beta = 3 and beta = 4, from the line psi = (beta-2)(theta+pi)/2
+of the connection out of (-pi, 0): the section is where it crosses psi = pi/2,
+the reversal reflects about the section, and `is_split_beta` gates beta.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
     "torus_jacobian",
     "slope_field_F",
     "slope_eps_rate",
+    "is_split_beta",
     "zeta0",
     "zeta1",
     "zeta1_quadrature",
@@ -44,7 +47,6 @@ __all__ = [
     "connection_beta",
 ]
 
-SECTIONS = {3: 0.0, 4: -math.pi / 2}
 ARC_LENGTH_CAP = 100.0
 SEED_OFFSET = 1e-6
 SINK_RADIUS = 1e-3  # a branch this close to an attracting equilibrium has stalled
@@ -137,33 +139,36 @@ def slope_eps_rate(theta: float, psi: float, beta: float) -> float:
     return 0.5 * beta * math.cos(theta) * math.sin(theta) * math.cos(psi) / math.sin(psi)
 
 
+def is_split_beta(beta: float) -> bool:
+    """Whether the splitting is measured at this exponent: beta in {3, 4}."""
+    return beta in (3, 4)
+
+
+def _require_split_beta(beta: float) -> None:
+    if not is_split_beta(beta):
+        raise ValueError(f"connection geometry covers beta in {{3, 4}} only, got {float(beta)!r}")
+
+
 def zeta0(beta: int, theta: float) -> float:
     """psi-coordinate of the unperturbed connection branch out of (-pi, 0)."""
-    if beta == 3:
-        return 0.5 * theta + math.pi / 2
-    if beta == 4:
-        return theta + math.pi
-    raise ValueError("closed forms are implemented for beta in {3, 4} only")
+    _require_split_beta(beta)
+    return 0.5 * (beta - 2) * (theta + math.pi)
 
 
 def zeta1(beta: int, theta: float) -> float:
     """First-order displacement of the connection branch in epsilon (closed form)."""
+    _require_split_beta(beta)
     if beta == 3:
         ch, sh = math.cos(theta / 2), math.sin(theta / 2)
         return -4.5 * ch * sh + 0.75 * theta + 3.0 * ch ** 3 * sh + 0.75 * math.pi
-    if beta == 4:
-        return math.cos(theta) * math.sin(theta) + theta + math.pi
-    raise ValueError("closed forms are implemented for beta in {3, 4} only")
+    return math.cos(theta) * math.sin(theta) + theta + math.pi
 
 
 def zeta1_quadrature(beta: int, theta: float) -> float:
     """Defining integral (beta/2) int_{-pi}^theta cos sin cos(zeta0)/sin(zeta0);
     cross-checks the closed form."""
-    if beta not in (3, 4):
-        raise ValueError("closed forms are implemented for beta in {3, 4} only")
-    if theta == -math.pi:
-        return 0.0
-    slope0 = 0.5 if beta == 3 else 1.0  # d zeta0 / d theta
+    _require_split_beta(beta)
+    slope0 = (beta - 2) / 2  # d zeta0 / d theta
 
     def integrand(eta: np.ndarray) -> np.ndarray:
         # sin and cos of zeta0 = eta/2 + pi/2 (beta = 3) or eta + pi (beta = 4)
@@ -183,16 +188,15 @@ def zeta1_quadrature(beta: int, theta: float) -> float:
 
 
 def comparison_section(beta: int) -> float:
-    return SECTIONS[beta]
+    """theta at which the connection line zeta0 crosses psi = pi/2."""
+    _require_split_beta(beta)
+    return math.pi / (beta - 2) - math.pi
 
 
 def reversal_map(beta: int, t: TorusState) -> TorusState:
-    """Time-reversing symmetry carrying unstable branches onto stable ones."""
-    if beta == 3:
-        return TorusState(-t.theta, math.pi - t.psi)
-    if beta == 4:
-        return TorusState(-t.theta - math.pi, math.pi - t.psi)
-    raise ValueError("reversal maps are implemented for beta in {3, 4} only")
+    """Time reversal carrying unstable onto stable branches: reflection about the section."""
+    section = comparison_section(beta)
+    return TorusState(2.0 * section - t.theta, math.pi - t.psi)
 
 
 def _is_torus_saddle(t: TorusState) -> bool:
@@ -204,23 +208,18 @@ def trace_manifold(origin: TorusState, direction: str, p: Params,
                    cfg: IntegratorConfig | None = None) -> ManifoldBranch:
     """Continue a manifold branch from a torus saddle to the comparison section.
 
-    Seeds SEED_OFFSET along the stable/unstable eigenvector (toward increasing
-    theta) and integrates until theta reaches the section for this beta.  Raises
-    TraceError when the arc length exceeds ARC_LENGTH_CAP first, or when the branch
-    comes within SINK_RADIUS of an equilibrium that attracts in the direction of
-    tracing.  mu = 1 is admitted: the branch then leaves along the limit
-    eigendirection of slope (beta-2)/2.
+    Seeds SEED_OFFSET along the stable/unstable eigenvector, toward the section,
+    and integrates until theta reaches it.  Raises TraceError when the arc length
+    exceeds ARC_LENGTH_CAP first, or when the branch comes within SINK_RADIUS of
+    an equilibrium that attracts in the direction of tracing.  At mu = 1 the
+    branch leaves along the limit eigendirection, of slope (beta-2)/2.
     """
-    beta = int(round(p.beta))
-    if beta not in (3, 4) or p.beta != beta:
-        raise ValueError("branch tracing is implemented for beta in {3, 4} only")
+    section = comparison_section(p.beta)
     if direction not in ("stable", "unstable"):
         raise ValueError("direction must be 'stable' or 'unstable'")
     if not _is_torus_saddle(origin):
         raise ValueError("origin is not a saddle of the torus flow")
-    cfg = cfg or IntegratorConfig()
 
-    section = comparison_section(beta)
     jac = torus_jacobian(origin, p)
     eigvals, eigvecs = np.linalg.eig(jac)
     want = np.argmax(eigvals.real) if direction == "unstable" else np.argmin(eigvals.real)

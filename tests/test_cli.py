@@ -71,6 +71,27 @@ class TestMelnikovCommand:
                 == EXIT_VALIDATION
         assert not out.exists()
 
+    def test_ratio_column_does_not_depend_on_p(self, tmp_path):
+        # at p = 1e-4 the Gamma forms are still compared at p = 1, so beta = 3
+        # passes; I2/A is the same bytes for every p
+        ratios = []
+        for p in ("1e-4", "1", "1e4"):
+            out = tmp_path / f"m{p}.csv"
+            assert main(["melnikov", "--p", p, "--out", str(out)]) == EXIT_OK
+            _, _, rows = read_rows(out)
+            assert all(math.isfinite(float(x)) for r in rows for x in r)
+            ratios.append([r[3] for r in rows])
+        assert ratios[0] == ratios[1] == ratios[2]
+
+    def test_scale_outside_float_range_is_numerical_failure(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["melnikov", "--p", "1e-300", "--out", str(out)]) == EXIT_NUMERICAL
+        assert not out.exists()
+        record = json.loads(capsys.readouterr().err)
+        assert record["exit_code"] == EXIT_NUMERICAL
+        assert "p = 1e-300, beta = " in record["message"]
+        assert "leaves the float range" in record["message"]
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_gamma_overflow_is_numerical_failure(self, tmp_path):
         out = tmp_path / "x.csv"
@@ -221,6 +242,16 @@ class TestInfinityFlowCommand:
         assert max(abs(float(r[i_line])) for r in rows) < 1e-7
         assert max(abs(float(r[i_vb])) for r in rows) < 1e-7
 
+    def test_takes_no_energy_option(self, tmp_path, capsys):
+        # the inverted chart covers h = 0 only, so there is no --h; it is not
+        # taken as an abbreviation of --help either
+        out = tmp_path / "x.csv"
+        for h in ("0", "-0.1"):
+            assert main(["infinity-flow", "--h", h, "--out", str(out)]) == EXIT_VALIDATION
+            assert "--h" in json.loads(capsys.readouterr().err)["message"]
+        assert main(["splitting", "--eps", "0", "--out", str(out)]) == EXIT_VALIDATION
+        assert not out.exists()
+
     def test_h_validation(self, tmp_path):
         assert main(["infinity-flow", "--beta", "3", "--mu", "1.4", "--b", "0.5",
                      "--h", "-0.1", "--out", str(tmp_path / "x.csv")]) == EXIT_VALIDATION
@@ -288,6 +319,13 @@ class TestBasinCommand:
         for box in ("nan,0.35,1.3,1.9,-0.15,0.15", "0.05,0.35,1.3,inf,-0.15,0.15"):
             assert main(["basin", "--n", "10", "--box", box, "--out", str(out)]) \
                 == EXIT_VALIDATION
+        assert not out.exists()
+
+    def test_sample_count_checked_by_the_parser(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        for n in ("0", "-3", "2.5"):
+            assert main(["basin", "--n", n, "--out", str(out)]) == EXIT_VALIDATION
+            assert "--n" in json.loads(capsys.readouterr().err)["message"]
         assert not out.exists()
 
 

@@ -5,6 +5,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import anisokepler.melnikov as melnikov
 from anisokepler.core import Params
@@ -308,6 +310,32 @@ class TestI2:
                 p_par ** (1.5 - beta) * base, rel=1e-12)
             assert i2_quadrature(p_par, beta) == pytest.approx(
                 p_par ** (1.5 - beta) * base, rel=1e-9, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(log_p=st.floats(-6.0, 6.0),
+           beta=st.sampled_from([1.502, 1.6, 1.75, 2.0, 2.5, 2.999, 3.0, 3.001, 4.0, 7.5, 10.0]))
+    def test_scaling_law_holds_for_every_p(self, log_p, beta):
+        # the closed form at p is its p = 1 value times p^(3/2 - beta), and
+        # exactly 0 at the zeros beta = 2, 3 for every p: the Gamma forms are
+        # compared at p = 1, so no p lifts their roundoff residue above 1e-10
+        p_par = 10.0 ** log_p
+        expect = p_par ** (1.5 - beta) * i2_closed_form(1.0, beta)
+        got = i2_closed_form(p_par, beta)
+        assert abs(got - expect) <= 4 * math.ulp(expect)
+        if beta in (2.0, 3.0):
+            assert got == 0.0
+
+    def test_scaled_value_outside_the_float_range_raises(self):
+        orb = ParabolicOrbit(1e-300)
+        p = Params(beta=5.0, mu=1.1, b=0.01)
+        for call in (lambda: i2_closed_form(1e-300, 5.0), lambda: i2_quadrature(1e-300, 5.0),
+                     lambda: i2_amplitude(1e-300, 5.0), lambda: melnikov_M2(0.4, orb, p)):
+            with pytest.raises(ArithmeticError,
+                               match=r"p = 1e-300, beta = 5\.0 leaves the float range"):
+                call()
+        # at the zeros too: p^(3/2 - beta) itself is out of range
+        with pytest.raises(ArithmeticError, match="float range"):
+            i2_closed_form(1e-300, 3.0)
 
     def test_roots_located_to_tolerance(self):
         roots = i2_beta_roots()

@@ -14,6 +14,7 @@ from anisokepler.torus import (
     TraceError,
     comparison_section,
     connection_beta,
+    is_split_beta,
     reversal_map,
     slope_eps_rate,
     slope_field_F,
@@ -203,6 +204,54 @@ class TestReversal:
         assert reversal_map(3, TorusState(s3, 0.3)).theta == pytest.approx(s3)
         s4 = comparison_section(4)
         assert reversal_map(4, TorusState(s4, 0.3)).theta == pytest.approx(s4)
+
+
+class TestConnectionGeometry:
+    """zeta0, the section and the reversal all come from the line
+    psi = (beta - 2)(theta + pi)/2; pinned against per-beta literal tables."""
+
+    THETAS = [-math.pi, -2.0, -math.pi / 2, -0.3, 0.0, 0.7, 1.0, math.pi / 2, 2.5, math.pi]
+    ZETA0 = {
+        3: [0.0, 0.5707963267948966, 0.7853981633974483, 1.4207963267948966,
+            1.5707963267948966, 1.9207963267948966, 2.0707963267948966, 2.356194490192345,
+            2.8207963267948966, 3.141592653589793],
+        4: [0.0, 1.1415926535897931, 1.5707963267948966, 2.8415926535897933,
+            3.141592653589793, 3.8415926535897933, 4.141592653589793, 4.71238898038469,
+            5.641592653589793, 6.283185307179586],
+    }
+    SECTION = {3: 0.0, 4: -1.5707963267948966}
+    # reversed theta; reversed psi is pi - 0.4 = 2.741592653589793 throughout
+    REVERSED_THETA = {
+        3: [3.141592653589793, 2.0, 1.5707963267948966, 0.3, 0.0, -0.7, -1.0,
+            -1.5707963267948966, -2.5, -3.141592653589793],
+        4: [0.0, -1.1415926535897931, -1.5707963267948966, -2.8415926535897933,
+            -3.141592653589793, -3.8415926535897933, -4.141592653589793, -4.71238898038469,
+            -5.641592653589793, -6.283185307179586],
+    }
+
+    @pytest.mark.parametrize("beta", [3, 4])
+    def test_literal_tables(self, beta):
+        # == compares every bit except the sign of a zero, which an angle ignores
+        assert comparison_section(beta) == self.SECTION[beta]
+        assert [zeta0(beta, th) for th in self.THETAS] == self.ZETA0[beta]
+        reversed_states = [reversal_map(beta, TorusState(th, 0.4)) for th in self.THETAS]
+        assert [t.theta for t in reversed_states] == self.REVERSED_THETA[beta]
+        assert all(t.psi == 2.741592653589793 for t in reversed_states)
+
+    def test_one_gate_for_every_beta_specific_function(self):
+        calls = [lambda: zeta0(5, 0.0), lambda: zeta1(5, 0.0), lambda: zeta1_quadrature(5, 0.0),
+                 lambda: comparison_section(5),
+                 lambda: reversal_map(5, TorusState(0.0, 1.0)),
+                 lambda: trace_manifold(TorusState(-math.pi, 0.0), "unstable",
+                                        Params(5.0, 1.0, 0.5))]
+        messages = set()
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            messages.add(str(info.value))
+        assert messages == {"connection geometry covers beta in {3, 4} only, got 5.0"}
+        assert [is_split_beta(b) for b in (3, 4, 3.0, 4.0, 2, 2.5, 3.5, 5, 4.000001)] \
+            == [True] * 4 + [False] * 5
 
 
 class TestSplitting:
