@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Params
+from .core import Params, _on_floats
 from .infinity import SQRT2, InfinityState
 from .mcgehee import McGeheeState, delta, energy_residual, mcgehee_rhs
 
@@ -69,22 +69,23 @@ def polar_hamiltonian(s: PolarState, p: Params) -> float:
 def polar_rhs(p: Params):
     """Hamiltonian flow of H2 in (r, theta, pr, ptheta)."""
     p.require_beta_equal(2.0)
-    mu, b = p.mu, p.b
-    eps = mu - 1.0
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        r, theta, pr, pth = y
-        D = delta(theta, mu)
-        r2 = r * r
-        r3 = r2 * r
-        return np.array([
-            pr,
-            pth / r2,
-            pth * pth / r3 - 1.0 / r2 - 2.0 * b / (r3 * D),
-            b * eps * math.sin(2.0 * theta) / (r2 * D * D),
-        ])
+        return _on_floats(_polar_arrays, y, p)
 
     return rhs
+
+
+def _polar_arrays(xp, r, theta, pr, pth, p: Params):
+    """The one definition of the polar field, sines and cosines from xp."""
+    b = p.b
+    D = delta(theta, p.mu, xp)
+    r2 = r * r
+    r3 = r2 * r
+    return (pr,
+            pth / r2,
+            pth * pth / r3 - 1.0 / r2 - 2.0 * b / (r3 * D),
+            b * (p.mu - 1.0) * xp.sin(2.0 * theta) / (r2 * D * D))
 
 
 def integral_G(s: PolarState, p: Params) -> float:

@@ -440,7 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="start:stop:step, inclusive; valid for beta > 3/2, and the "
                          "closed form overflows (exit 3) from beta ~ 149 on")
     sp.add_argument("--p", type=float, default=1.0,
-                    help="orbit parameter p > 0; I2 scales as p^(3/2 - beta), exit 3 on overflow")
+                    help="orbit parameter p > 0; I2 scales as p^(3/2 - beta), exit 3 where "
+                         "that scale leaves the normal float range")
 
     sp = sub.add_parser("basin", help="collision fraction from a sampling box")
     common(sp, beta_default=3.0)

@@ -101,26 +101,54 @@ def potential(s: CartesianState, p: Params) -> float:
 
 def grad_potential(s: CartesianState, p: Params) -> tuple[float, float]:
     """Gradient of the potential; agrees with central finite differences."""
-    _check_off_origin(s.x, s.y)
-    r3 = math.hypot(s.x, s.y) ** 3
-    q = p.mu * s.x * s.x + s.y * s.y
+    _, _, fx, fy = _cartesian_arrays(math, s.x, s.y, s.px, s.py, p)
+    return -fx, -fy
+
+
+def _cartesian_arrays(xp, x, y, px, py, p: Params):
+    """The one definition of (dx, dy, dpx, dpy) = (px, py, -dU/dx, -dU/dy), on
+    Python floats or numpy scalars alike.  It takes the namespace argument of
+    `_on_floats` but needs nothing from it: math.hypot takes both."""
+    _check_off_origin(x, y)
+    r3 = math.hypot(x, y) ** 3
+    q = p.mu * x * x + y * y
     aniso = p.b * p.beta * q ** (-(p.beta + 2.0) / 2.0)
-    return (s.x / r3 + aniso * p.mu * s.x, s.y / r3 + aniso * s.y)
+    return px, py, -(x / r3 + aniso * p.mu * x), -(y / r3 + aniso * y)
 
 
 def cartesian_field(s: CartesianState, p: Params) -> np.ndarray:
     """(dx, dy, dpx, dpy) = (px, py, -dU/dx, -dU/dy)."""
-    ux, uy = grad_potential(s, p)
-    return np.array([s.px, s.py, -ux, -uy])
+    return cartesian_rhs(p)(0.0, s.as_array())
 
 
 def cartesian_rhs(p: Params):
     """Vector-field closure for the integrator, guarding the origin."""
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return cartesian_field(CartesianState(*y), p)
+        return _on_floats(_cartesian_arrays, y, p)
 
     return rhs
+
+
+def _on_floats(field, y: np.ndarray, p: Params) -> np.ndarray:
+    """field(math, *y, p) as an array, with y unpacked once into Python floats.
+
+    `field` takes the namespace (`math` or `numpy`) its sines and cosines come
+    from.  Float arithmetic and `math` give the doubles numpy's scalar
+    arithmetic gives, at a fraction of its per-operation cost
+    (tests/test_float_fields.py holds every closure to that).  Where a float
+    operation raises instead (an overflowing power, a division by zero, the sine
+    of inf) or turns complex (a negative base at a non-integral power, from a
+    trial stage just past r = 0), the same definition is evaluated again on
+    numpy scalars, which give numpy's NaN or inf and its RuntimeWarning.
+    """
+    try:
+        out = np.array(field(math, *y.tolist(), p))
+        if out.dtype.kind == "f":
+            return out
+    except (ArithmeticError, ValueError):
+        pass
+    return np.array(field(np, *y, p))
 
 
 def hamiltonian(s: CartesianState, p: Params) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, Params
+from .core import DomainError, Params, _on_floats
 from .mcgehee import McGeheeState, delta
 
 __all__ = [
@@ -91,22 +91,24 @@ def infinity_energy_residual(s: InfinityState, p: Params) -> float:
             - 2.0 * p.b / D ** (p.beta / 2.0) * s.rho ** (p.beta - 1.0))
 
 
-def infinity_rhs(p: Params):
-    p.require_beta_above(2.0, strict=False)
-    _require_zero_energy(p)
+def _infinity_arrays(xp, rho, vb, theta, ub, p: Params):
+    """The one definition of the inverted-chart field, sines and cosines from xp."""
     beta, mu, b = p.beta, p.mu, p.b
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        rho, vb, theta, ub = y
-        D = delta(theta, mu)
-        rp = rho ** (beta - 1.0)
-        return np.array([
-            -rho * vb,
+    D = delta(theta, mu, xp)
+    rp = rho ** (beta - 1.0)
+    return (-rho * vb,
             -0.5 * vb * vb - b * (beta - 2.0) / D ** (beta / 2.0) * rp + 1.0,
             ub,
             -0.5 * ub * vb
-            + b * beta * (mu - 1.0) * math.sin(2.0 * theta) / (2.0 * D ** ((beta + 2.0) / 2.0)) * rp,
-        ])
+            + b * beta * (mu - 1.0) * xp.sin(2.0 * theta) / (2.0 * D ** ((beta + 2.0) / 2.0)) * rp)
+
+
+def infinity_rhs(p: Params):
+    p.require_beta_above(2.0, strict=False)
+    _require_zero_energy(p)
+
+    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        return _on_floats(_infinity_arrays, y, p)
 
     return rhs
 
@@ -158,7 +160,7 @@ def i0_rhs():
     dtheta/ds = ubar, dubar/ds = -ubar vbar / 2.  Independent of all parameters."""
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        vb, theta, ub = y
+        vb, theta, ub = y.tolist()  # products only: no float operation can raise
         return np.array([0.5 * ub * ub, ub, -0.5 * ub * vb])
 
     return rhs

@@ -6,9 +6,11 @@ dense output and the step-size control of Hairer, Norsett & Wanner, *Solving
 ODEs I*, Sec. II.4.  It uses the coefficients and rules of
 ``scipy.integrate.RK45`` and performs the same floating-point operations in the
 same order, so every step, state and field call agrees with that solver bit
-for bit.  Event times are refined on the dense output by Brent's method, a
-line-for-line port of ``scipy.optimize.brentq`` that agrees with it bit for
-bit as well.  The test suite checks both against scipy.
+for bit; its stage sums call ``ndarray.dot``, the product scipy's ``np.dot``
+computes, without the dispatch frame.  Event times are refined on the dense
+output by Brent's method, a line-for-line port of ``scipy.optimize.brentq``
+that agrees with it bit for bit as well.  The test suite checks both against
+scipy.
 
 Around the stepper the driver adds the bookkeeping the rest of the package
 relies on: a hard step-count limit, detection of sign changes of event
@@ -149,7 +151,8 @@ class _DormandPrince:
         self.K = np.empty((7, y0.size))
         # views of K made once: per stage (earlier stages, their weights, time
         # fraction); then the six stages B weighs and all seven rows E weighs.
-        # K keeps scipy's (7, n) layout, so np.dot sums in the same order.
+        # K keeps scipy's (7, n) layout, so the .dot products sum in the same
+        # order as scipy's np.dot.
         self._stages = [(self.K[:s].T, _A[s, :s], _C[s]) for s in range(1, 6)]
         self._KT_B, self._KT = self.K[:-1].T, self.K.T
         self.h_abs = self._initial_step()
@@ -196,14 +199,14 @@ class _DormandPrince:
 
             K[0] = self.f
             for s, (K_prev, a, c) in enumerate(self._stages, start=1):
-                dy = np.dot(K_prev, a) * h
+                dy = K_prev.dot(a) * h
                 K[s] = fun(t + c * h, y + dy)
-            y_new = y + h * np.dot(self._KT_B, _B)
+            y_new = y + h * self._KT_B.dot(_B)
             f_new = np.asarray(fun(t + h, y_new), dtype=float)
             K[-1] = f_new
 
             scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
-            error_norm = _rms_norm(np.dot(self._KT, _E) * h / scale)
+            error_norm = _rms_norm(self._KT.dot(_E) * h / scale)
             if error_norm < 1:
                 if error_norm == 0:
                     factor = _MAX_FACTOR
@@ -229,7 +232,7 @@ class _DormandPrince:
             x = (t - t_old) / h
             x2 = x * x
             x3 = x2 * x
-            return h * np.dot(Q, np.array((x, x2, x3, x3 * x))) + y_old
+            return h * Q.dot(np.array((x, x2, x3, x3 * x))) + y_old
 
         return y_at
 

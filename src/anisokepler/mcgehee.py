@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import CartesianState, DomainError, Params
+from .core import CartesianState, DomainError, Params, _on_floats
 from .integrate import IntegratorConfig, StepSizeUnderflow, _DormandPrince
 
 __all__ = [
@@ -54,10 +54,11 @@ EQUILIBRIUM_ANGLES = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
 _ANGLE_NAMES = ("0", "pi/2", "pi", "3pi/2")
 
 
-def delta(theta, mu):
-    """Anisotropy profile Delta(theta) = mu cos^2 + sin^2, in [1, mu] for mu >= 1."""
-    c = np.cos(theta)
-    s = np.sin(theta)
+def delta(theta, mu, xp=np):
+    """Anisotropy profile Delta(theta) = mu cos^2 + sin^2, in [1, mu] for mu >= 1;
+    sine and cosine from the namespace xp (`math` on Python floats)."""
+    c = xp.cos(theta)
+    s = xp.sin(theta)
     return mu * c * c + s * s
 
 
@@ -101,29 +102,34 @@ def from_mcgehee(m: McGeheeState, p: Params) -> CartesianState:
     return CartesianState(x, y, (x * vt - y * ut) / r2, (y * vt + x * ut) / r2)
 
 
-def _field_arrays(r, v, theta, u, p: Params):
-    """The one definition of the field; scalars or equal-shape arrays alike."""
-    D = delta(theta, p.mu)
+def _field_arrays(xp, r, v, theta, u, p: Params):
+    """The one definition of the field, with sines and cosines from the namespace
+    xp: `math` on Python floats for one state, `numpy` for equal-shape arrays."""
+    D = delta(theta, p.mu, xp)
     dr = r * v
     dv = (0.5 * (p.beta - 2.0) * v * v + r ** (p.beta - 1.0) + 2.0 * p.h * r ** p.beta
           - p.b * (p.beta - 2.0) / D ** (p.beta / 2.0))
     dth = u
     du = (0.5 * (p.beta - 2.0) * u * v
-          + p.b * p.beta * (p.mu - 1.0) * np.sin(2.0 * theta) / (2.0 * D ** ((p.beta + 2.0) / 2.0)))
+          + p.b * p.beta * (p.mu - 1.0) * xp.sin(2.0 * theta) / (2.0 * D ** ((p.beta + 2.0) / 2.0)))
     return dr, dv, dth, du
+
+
+def _field_with_time(xp, r, v, theta, u, t, p: Params):
+    """The field extended by the physical time, dt/dtau = r^(beta/2+1)."""
+    return (*_field_arrays(xp, r, v, theta, u, p), r ** (p.beta / 2.0 + 1.0))
 
 
 def mcgehee_field(m: McGeheeState, p: Params) -> np.ndarray:
     """Regularized field (r', v', theta', u'); smooth up to and including r = 0."""
-    p.require_beta_above(2.0, strict=False)
-    return np.array(_field_arrays(m.r, m.v, m.theta, m.u, p))
+    return mcgehee_rhs(p)(0.0, m.as_array())
 
 
 def mcgehee_rhs(p: Params):
     p.require_beta_above(2.0, strict=False)
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return np.array(_field_arrays(y[0], y[1], y[2], y[3], p))
+        return _on_floats(_field_arrays, y, p)
 
     return rhs
 
@@ -133,8 +139,7 @@ def mcgehee_rhs_with_time(p: Params):
     p.require_beta_above(2.0, strict=False)
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        dr, dv, dth, du = _field_arrays(y[0], y[1], y[2], y[3], p)
-        return np.array([dr, dv, dth, du, y[0] ** (p.beta / 2.0 + 1.0)])
+        return _on_floats(_field_with_time, y, p)
 
     return rhs
 
@@ -166,15 +171,15 @@ def collision_rhs(p: Params):
     p.require_beta_above(2.0)
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        v, theta, u = y
-        D = delta(theta, p.mu)
-        dv = 0.5 * (p.beta - 2.0) * (-u * u)
-        du = (0.5 * (p.beta - 2.0) * u * v
-              + p.b * p.beta * (p.mu - 1.0) * math.sin(2.0 * theta)
-              / (2.0 * D ** ((p.beta + 2.0) / 2.0)))
-        return np.array([dv, u, du])
+        return _on_floats(_collision_arrays, y, p)
 
     return rhs
+
+
+def _collision_arrays(xp, v, theta, u, p: Params):
+    """The field at r = 0, with v' = (beta-2)/2 * (-u^2) from the energy relation on C."""
+    _, _, dth, du = _field_arrays(xp, 0.0, v, theta, u, p)
+    return 0.5 * (p.beta - 2.0) * (-u * u), dth, du
 
 
 # --- Equilibria on C and their linearization ---
@@ -247,7 +252,7 @@ def reduced_field(z: np.ndarray, p: Params, v_sign: int) -> np.ndarray:
     if s2 <= 0.0:
         raise DomainError("state is outside the reachable region of the energy level")
     v = v_sign * math.sqrt(s2)
-    dr, _, dth, du = _field_arrays(r, v, theta, u, p)
+    dr, _, dth, du = _field_arrays(np, r, v, theta, u, p)
     return np.array([dr, dth, du])
 
 
@@ -366,7 +371,7 @@ def basin_fraction(p: Params, n: int, horizon: float, box: BasinBox | None = Non
     m = y0.shape[1]
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return np.concatenate(_field_arrays(*y.reshape(4, m), p))
+        return np.concatenate(_field_arrays(np, *y.reshape(4, m), p))
 
     collided = np.zeros(m, dtype=bool)
     # an escaping sample overflows and stalls the shared step; that is reported
@@ -403,6 +408,6 @@ def min_field_norm_on_level(p: Params) -> float:
     mag = np.sqrt(np.where(ok, s2, np.nan))
     U = mag * np.sin(PH)
     V = mag * np.cos(PH)
-    f = np.stack(_field_arrays(R, V, TH, U, p))
+    f = np.stack(_field_arrays(np, R, V, TH, U, p))
     norms = np.sqrt(np.sum(f * f, axis=0))
     return float(np.nanmin(norms[ok])) if np.any(ok) else math.inf

@@ -8,7 +8,9 @@ by M2(theta0) = I2 sin(2 theta0): simple zeros of M2 indicate transversal
 intersections, hence chaotic dynamics, whenever I2 != 0.  I2 vanishes exactly
 at beta = 2 and beta = 3 (the factor (beta-2)(beta-3) of the closed form).
 I2(p, beta) = p^(3/2 - beta) I2(1, beta), as is M2: every route evaluates at
-p = 1, where the Gamma forms are compared, and scales once, raising on overflow.
+p = 1, where the Gamma forms are compared, and scales once, raising where the
+scale p^(3/2 - beta) overflows or, on a nonzero value, falls below the normal
+floats.
 
 Improper integrals are evaluated after the exact substitution eta = tan(w),
 which compactifies the line to (-pi/2, pi/2) with no truncation error (a
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -203,16 +206,23 @@ def _unit_orbit_integral(beta: float, g) -> float:
 
 def _at_p(p_param: float, beta: float, unit: float) -> float:
     """p^(3/2 - beta) times `unit`, an integral of W2 at p = 1: r and t scale as p
-    and p^(3/2) at fixed eta.  Checks p; raises ArithmeticError on overflow."""
+    and p^(3/2) at fixed eta.  Checks p; raises ArithmeticError on overflow, and
+    where a nonzero unit meets a scale below the normal floats, whose product
+    would keep fewer digits than the tolerances assume, or none."""
     _require_orbit_param(p_param)
     try:
-        value = p_param ** (1.5 - beta) * unit
-        if math.isfinite(value):
-            return value
+        scale = p_param ** (1.5 - beta)
     except OverflowError:  # the scale itself exceeds the float range
-        pass
+        scale = math.inf
+    value = scale * unit
+    if scale < sys.float_info.min and unit != 0.0:
+        bound = "below 2.2e-308"
+    elif not math.isfinite(value):
+        bound = "above 1.8e308"
+    else:
+        return value
     raise ArithmeticError(f"the p^(3/2 - beta) scaling at p = {p_param!r}, beta = {beta!r} "
-                          f"leaves the float range (magnitude above 1.8e308)")
+                          f"leaves the float range (magnitude {bound})")
 
 
 def melnikov_M2(theta0: float, orbit: ParabolicOrbit, p: Params) -> float:

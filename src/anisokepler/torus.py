@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Params
+from .core import Params, _on_floats
 from .integrate import Event, IntegrationError, IntegratorConfig, integrate
 from .mcgehee import McGeheeState, delta
 from .melnikov import _tanh_sinh
@@ -95,20 +95,30 @@ def torus_field(t: TorusState, p: Params) -> np.ndarray:
     return torus_rhs(p)(0.0, t.as_array())
 
 
+def _torus_arrays(xp, theta, psi, p: Params):
+    """The one definition of the torus field, sines and cosines from xp."""
+    beta, mu, b = p.beta, p.mu, p.b
+    D = delta(theta, mu, xp)
+    g = math.sqrt(2.0 * b) / D ** (beta / 4.0)
+    sp = xp.sin(psi)
+    dth = g * sp
+    dps = (0.5 * (beta - 2.0) * g * sp
+           + 0.25 * beta * (mu - 1.0) * math.sqrt(2.0 * b)
+           * xp.sin(2.0 * theta) * xp.cos(psi) / D ** ((beta + 4.0) / 4.0))
+    return dth, dps
+
+
+def _branch_arrays(xp, theta, psi, arc, p: Params):
+    """The torus field extended by the arc length of the path."""
+    dth, dps = _torus_arrays(xp, theta, psi, p)
+    return dth, dps, math.hypot(dth, dps)
+
+
 def torus_rhs(p: Params):
     p.require_beta_above(2.0)
-    beta, mu, b = p.beta, p.mu, p.b
 
     def rhs(tau: float, y: np.ndarray) -> np.ndarray:
-        theta, psi = y
-        D = delta(theta, mu)
-        g = math.sqrt(2.0 * b) / D ** (beta / 4.0)
-        sp = math.sin(psi)
-        dth = g * sp
-        dps = (0.5 * (beta - 2.0) * g * sp
-               + 0.25 * beta * (mu - 1.0) * math.sqrt(2.0 * b)
-               * math.sin(2.0 * theta) * math.cos(psi) / D ** ((beta + 4.0) / 4.0))
-        return np.array([dth, dps])
+        return _on_floats(_torus_arrays, y, p)
 
     return rhs
 
@@ -232,11 +242,9 @@ def trace_manifold(origin: TorusState, direction: str, p: Params,
 
     y0 = origin.as_array() + SEED_OFFSET * vec
     sign = 1.0 if direction == "unstable" else -1.0
-    rhs2 = torus_rhs(p)
 
     def rhs(tau: float, y: np.ndarray) -> np.ndarray:
-        f = rhs2(tau, y[:2])
-        return np.array([f[0], f[1], math.hypot(f[0], f[1])])
+        return _on_floats(_branch_arrays, y, p)
 
     hit = Event(lambda t, y: y[0] - section, "section", terminal=True)
     capped = Event(lambda t, y: y[2] - ARC_LENGTH_CAP, "arc-cap", terminal=True)

@@ -92,6 +92,16 @@ class TestMelnikovCommand:
         assert "p = 1e-300, beta = " in record["message"]
         assert "leaves the float range" in record["message"]
 
+    def test_scale_below_normal_floats_is_numerical_failure(self, tmp_path, capsys):
+        # the default grid reaches beta = 3.04, where 1e200^(3/2 - beta) is 1e-308
+        out = tmp_path / "x.csv"
+        assert main(["melnikov", "--p", "1e200", "--out", str(out)]) == EXIT_NUMERICAL
+        assert not out.exists()
+        record = json.loads(capsys.readouterr().err)
+        assert record["exit_code"] == EXIT_NUMERICAL
+        assert ("p = 1e+200, beta = 3.04 leaves the float range (magnitude below 2.2e-308)"
+                in record["message"])
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_gamma_overflow_is_numerical_failure(self, tmp_path):
         out = tmp_path / "x.csv"

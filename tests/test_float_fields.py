@@ -1,0 +1,173 @@
+"""Single-state fields on Python floats against numpy-scalar evaluation.
+
+Every closure the package hands to `integrate` evaluates its chart's one field
+definition on Python floats through `math`.  These tests hold each one to the
+numpy-scalar evaluation of the same definition, bit for bit and NaN for NaN,
+including the states where a float operation would raise or turn complex.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from anisokepler.beta2 import _polar_arrays, polar_rhs
+from anisokepler.core import Params, _cartesian_arrays, _on_floats, cartesian_rhs
+from anisokepler.infinity import _infinity_arrays, i0_rhs, infinity_rhs
+from anisokepler.integrate import IntegratorConfig, integrate
+from anisokepler.mcgehee import (
+    McGeheeState,
+    _collision_arrays,
+    _field_arrays,
+    _field_with_time,
+    collision_rhs,
+    energy_residual,
+    mcgehee_rhs,
+    mcgehee_rhs_with_time,
+)
+from anisokepler.torus import _branch_arrays, _torus_arrays, torus_rhs
+
+
+def _branch_rhs(p):
+    """The closure `trace_manifold` integrates: the torus field and the arc length."""
+    return lambda t, y: _on_floats(_branch_arrays, y, p)
+
+
+def _i0_arrays(xp, vb, theta, ub, p):
+    return 0.5 * ub * ub, ub, -0.5 * ub * vb
+
+
+# (closure factory, its definition, state size, index of theta, chart): the
+# chart fixes beta or h where the closure requires it
+CLOSURES = {
+    "cartesian": (cartesian_rhs, _cartesian_arrays, 4, None, None),
+    "mcgehee": (mcgehee_rhs, _field_arrays, 4, 2, None),
+    "mcgehee_with_time": (mcgehee_rhs_with_time, _field_with_time, 5, 2, None),
+    "collision": (collision_rhs, _collision_arrays, 3, 1, None),
+    "infinity": (infinity_rhs, _infinity_arrays, 4, 2, "h=0"),
+    "i0": (lambda p: i0_rhs(), _i0_arrays, 3, 1, None),
+    "polar": (polar_rhs, _polar_arrays, 4, 1, "beta=2"),
+    "torus": (torus_rhs, _torus_arrays, 2, 0, None),
+    "branch": (_branch_rhs, _branch_arrays, 3, 0, None),
+}
+
+
+def _params(beta, mu, b, h, chart):
+    if chart == "beta=2":
+        beta = 2.0
+    if chart == "h=0":
+        h = 0.0
+    return Params(beta, mu, b, h)
+
+
+def _reals(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _numpy_scalars(field, y, p):
+    """The definition on numpy scalars, as every closure evaluated it before, or
+    the class of what that raises: the Cartesian chart refuses the origin, and
+    its cube of math.hypot overflows on floats either way."""
+    with np.errstate(all="ignore"):
+        try:
+            return np.array(field(np, *y, p))
+        except (ValueError, OverflowError) as exc:
+            return type(exc)
+
+
+def _on_closure(rhs, y):
+    """rhs(0, y), failing on a complex cast, or the class of what it raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", np.exceptions.ComplexWarning)
+        try:
+            return rhs(0.0, y)
+        except (ValueError, OverflowError) as exc:
+            return type(exc)
+
+
+def _assert_bitwise(got, want):
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert isinstance(got, np.ndarray) and got.dtype == np.float64 and got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+# mu up to 1e300 overflows the Delta powers; r and rho below 0 take a
+# non-integral power of a negative base, as a trial stage past r = 0 can
+_MU = st.one_of(_reals(1.0, 4.0), _reals(0.0, 300.0).map(lambda e: 10.0 ** e))
+_BETA = _reals(2.0, 6.0).filter(lambda beta: beta != math.floor(beta))
+
+
+@pytest.mark.parametrize("name", CLOSURES)
+@settings(max_examples=200, deadline=None)
+@given(beta=_BETA, mu=_MU, b=_reals(0.01, 2.0), h=_reals(-1.0, 1.0),
+       lead=_reals(-1.0, 3.0), theta=_reals(-10.0, 10.0),
+       rest=st.lists(_reals(-3.0, 3.0), min_size=4, max_size=4))
+def test_float_closure_equals_numpy_scalars(name, beta, mu, b, h, lead, theta, rest):
+    make, field, size, theta_at, chart = CLOSURES[name]
+    p = _params(beta, mu, b, h, chart)
+    y = np.array([lead, *rest])[:size]  # r or rho leads
+    if theta_at is not None:
+        y[theta_at] = theta
+    _assert_bitwise(_on_closure(make(p), y), _numpy_scalars(field, y, p))
+
+
+@pytest.mark.parametrize("name", CLOSURES)
+def test_special_values_take_numpy_values(name):
+    """inf, NaN, signed zeros and huge entries in every position, where the
+    float path raises (sine of inf, division by zero, overflow) or must match."""
+    make, field, size, _, chart = CLOSURES[name]
+    p = _params(2.5, 3.0, 0.5, -0.2, chart)
+    for special in (math.inf, -math.inf, math.nan, 0.0, -0.0, 1e300):
+        for i in range(size):
+            y = np.array([0.7, -0.4, 1.1, 0.3, 0.2])[:size]
+            y[i] = special
+            _assert_bitwise(_on_closure(make(p), y), _numpy_scalars(field, y, p))
+
+
+def _counted(rhs):
+    def f(t, y):
+        f.calls += 1
+        return rhs(t, y)
+
+    f.calls = 0
+    return f
+
+
+# `simulate --coords mcgehee` with these options: a trial stage takes r below 0
+# at beta = 2.5, and mu = 1e200 overflows Delta^((beta+2)/2)
+REPRODUCERS = [
+    pytest.param(2.5, 1.2, 400.0, "invalid value", id="beta2.5-negative-r"),
+    pytest.param(3.0, 1e200, 5.0, "overflow", id="mu1e200-overflow"),
+]
+
+
+@pytest.mark.parametrize("beta, mu, t_final, numpy_warning", REPRODUCERS)
+def test_reproducers_integrate_as_on_numpy_scalars(beta, mu, t_final, numpy_warning):
+    m0 = McGeheeState(0.5, -0.8, 1.4, 0.1)
+    base = Params(beta, mu, 0.5)
+    p = Params(beta, mu, 0.5, h=energy_residual(m0, base) / (2.0 * m0.r ** beta))
+
+    reference = _counted(lambda t, y: np.array(_field_arrays(np, *y, p)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        want = integrate(reference, m0.as_array(), (0.0, t_final), IntegratorConfig())
+    # the run does reach the state where float arithmetic differs from numpy's
+    assert any(numpy_warning in str(w.message) for w in caught)
+
+    closure = _counted(mcgehee_rhs(p))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", np.exceptions.ComplexWarning)
+        got = integrate(closure, m0.as_array(), (0.0, t_final), IntegratorConfig())
+
+    assert closure.calls == reference.calls
+    assert got.times.tobytes() == want.times.tobytes()
+    assert got.states.tobytes() == want.states.tobytes()

@@ -153,14 +153,15 @@ class TestFieldBatching:
                        b=_reals(0.01, 2.0), h=_reals(-1.0, 1.0)),
            y=_state_batches())
     def test_batch_equals_per_state_calls(self, p, y):
-        batch = np.stack(_field_arrays(*y, p))
+        batch = np.stack(_field_arrays(np, *y, p))
         assert batch.shape == y.shape
         for i in range(y.shape[1]):
             # bitwise: a sample's field does not depend on the rest of the batch
-            alone = np.stack(_field_arrays(*y[:, i:i + 1], p))[:, 0]
+            alone = np.stack(_field_arrays(np, *y[:, i:i + 1], p))[:, 0]
             assert np.array_equal(batch[:, i], alone)
-            # a scalar call takes numpy's scalar power, which may round the
-            # last bit differently from the vectorized one; terms stay below
+            # a single state runs on Python floats, whose power (the C
+            # library's pow, as numpy's scalar power) may round the last bit
+            # differently from numpy's vectorized one; terms stay below
             # 2 * 3^6, whose ulp is 2.3e-13, so allow a few ulp
             scalar = mcgehee_field(McGeheeState(*y[:, i]), p)
             assert np.max(np.abs(scalar - batch[:, i])) <= 1e-12

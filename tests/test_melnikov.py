@@ -337,6 +337,21 @@ class TestI2:
         with pytest.raises(ArithmeticError, match="float range"):
             i2_closed_form(1e-300, 3.0)
 
+    def test_scale_below_the_normal_floats_raises(self):
+        # p^(3/2 - beta) = 1e-310 is subnormal: a nonzero value scaled by it
+        # would keep few digits, or none
+        orb = ParabolicOrbit(1e200)
+        p = Params(beta=3.05, mu=1.1, b=0.01)
+        for call in (lambda: i2_closed_form(1e200, 3.05), lambda: i2_quadrature(1e200, 3.05),
+                     lambda: i2_amplitude(1e200, 3.05), lambda: melnikov_M2(0.4, orb, p)):
+            with pytest.raises(ArithmeticError, match=r"p = 1e\+200, beta = 3\.05 leaves the "
+                                                      r"float range \(magnitude below 2\.2e-308\)"):
+                call()
+        # a scale of 1e-307 is still normal
+        assert i2_amplitude(1e200, 3.035) == pytest.approx(2.0 ** 1.035 * 1e-307, rel=1e-12)
+        # an exact zero needs no digits: the closed form at beta = 3, scale 1e-450
+        assert i2_closed_form(1e300, 3.0) == 0.0
+
     def test_roots_located_to_tolerance(self):
         roots = i2_beta_roots()
         assert len(roots) == 2
