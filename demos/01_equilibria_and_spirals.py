@@ -13,7 +13,7 @@ import numpy as np
 
 from anisokepler import Params, equilibria, spiral_threshold
 from anisokepler.integrate import integrate
-from anisokepler.mcgehee import mcgehee_rhs, McGeheeState, energy_residual
+from anisokepler.mcgehee import mcgehee_rhs, McGeheeState, energy_residual, level_through
 
 p = Params(beta=3.0, mu=1.2, b=0.5, h=-0.25)
 
@@ -36,7 +36,7 @@ for mu in (1.01, 1.03, spiral_threshold(3.0), 1.05, 1.2):
 # a collision orbit: start near the sink A-_pi/2 and fall in; the energy
 # relation certifies the integration
 m0 = McGeheeState(r=0.2, v=-0.9, theta=np.pi / 2 + 0.1, u=0.1)
-level = Params(3.0, 1.2, 0.5, h=p.h + energy_residual(m0, p) / (2 * m0.r ** p.beta))
+level = level_through(m0, p)
 traj = integrate(mcgehee_rhs(level), m0.as_array(), (0.0, 15.0),
                  monitors={"energy relation": lambda t, y: energy_residual(
                      McGeheeState(*y), level)})

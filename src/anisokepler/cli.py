@@ -35,6 +35,7 @@ from .mcgehee import (
     basin_fraction,
     energy_residual,
     equilibria,
+    level_through,
     mcgehee_rhs,
     spiral_threshold,
 )
@@ -59,7 +60,7 @@ from .beta2 import (
     polar_hamiltonian,
     polar_rhs,
 )
-from .melnikov import i2_amplitude, i2_closed_form, i2_quadrature
+from .melnikov import _at_p, i2_amplitude, i2_closed_form, i2_quadrature
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -159,7 +160,7 @@ def _run_simulate(ns: argparse.Namespace):
         # the regularized field carries h as a parameter: derive the level from
         # the initial state; an explicit --h must agree with it
         if m0.r > 0.0:
-            p = replace(base, h=energy_residual(m0, base) / (2.0 * m0.r ** base.beta))
+            p = level_through(m0, base)
             if ns.h is not None and abs(ns.h - p.h) > 1e-6:
                 raise ValidationError(
                     f"--h {ns.h} is inconsistent with the initial state "
@@ -289,7 +290,7 @@ def _run_beta2_verify(ns: argparse.Namespace):
         g_drift = max(g_drift, traj.invariant_drift["G"])
 
     m0 = McGeheeState(1.2, 0.1, 0.9, 0.7)
-    lvl = Params(2.0, p.mu, p.b, h=p.h + beta2_energy_residual(m0, p) / (2 * m0.r ** 2))
+    lvl = level_through(m0, p)
     traj = integrate(beta2_mcgehee_rhs(lvl), m0.as_array(), (0.0, ns.tau), icfg,
                      monitors={"E": lambda t, y: beta2_energy_residual(McGeheeState(*y), lvl),
                                "g": lambda t, y: beta2_g(McGeheeState(*y), lvl)})
@@ -309,10 +310,11 @@ def _run_beta2_verify(ns: argparse.Namespace):
 
 
 def _run_melnikov(ns: argparse.Namespace):
-    # I2/A does not depend on p: take it at p = 1, where A cannot underflow
-    rows = [(beta, i2_quadrature(ns.p, beta), i2_closed_form(ns.p, beta),
-             i2_closed_form(1.0, beta) / i2_amplitude(1.0, beta))
-            for beta in map(float, _parse_grid(ns.beta_grid))]
+    rows = []
+    for beta in map(float, _parse_grid(ns.beta_grid)):
+        quadrature = i2_quadrature(ns.p, beta)
+        unit = i2_closed_form(1.0, beta)  # at p = 1, where A cannot underflow
+        rows.append((beta, quadrature, _at_p(ns.p, beta, unit), unit / i2_amplitude(1.0, beta)))
     meta = {"command": ns.command, "p": ns.p, "beta_grid": ns.beta_grid, "seed": ns.seed}
     return meta, ["beta", "i2_quadrature", "i2_closed_form", "i2_over_A"], rows, {}
 
@@ -384,9 +386,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output CSV path (manifest written alongside)")
         sp.add_argument("--seed", type=int, default=0)
         if integrates:
-            sp.add_argument("--rtol", type=float, default=1e-10)
-            sp.add_argument("--atol", type=float, default=1e-12)
-            sp.add_argument("--max-steps", type=int, default=1_000_000)
+            icfg = IntegratorConfig()
+            sp.add_argument("--rtol", type=float, default=icfg.rel_tol)
+            sp.add_argument("--atol", type=float, default=icfg.abs_tol)
+            sp.add_argument("--max-steps", type=int, default=icfg.max_steps)
         if beta_default is not None:
             sp.add_argument("--beta", type=float, default=beta_default)
 
@@ -421,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("splitting", help="saddle-connection splitting vs anisotropy")
     common(sp, integrates=True)
-    sp.add_argument("--beta", type=int, default=3, choices=(3, 4))
+    sp.add_argument("--beta", type=int, default=3, help="3 or 4")
     sp.add_argument("--b", type=float, default=0.5)
     sp.add_argument("--eps-list", default="0,1e-3,2e-3,4e-3")
 

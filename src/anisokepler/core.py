@@ -107,10 +107,13 @@ def grad_potential(s: CartesianState, p: Params) -> tuple[float, float]:
 
 def _cartesian_arrays(xp, x, y, px, py, p: Params):
     """The one definition of (dx, dy, dpx, dpy) = (px, py, -dU/dx, -dU/dy), on
-    Python floats or numpy scalars alike.  It takes the namespace argument of
-    `_on_floats` but needs nothing from it: math.hypot takes both."""
+    Python floats or numpy scalars alike: math.hypot takes both (numpy's differs
+    in the last bit), and a radius cubed above the floats is inf, as on numpy."""
     _check_off_origin(x, y)
-    r3 = math.hypot(x, y) ** 3
+    try:
+        r3 = math.hypot(x, y) ** 3
+    except OverflowError:
+        r3 = math.inf
     q = p.mu * x * x + y * y
     aniso = p.b * p.beta * q ** (-(p.beta + 2.0) / 2.0)
     return px, py, -(x / r3 + aniso * p.mu * x), -(y / r3 + aniso * y)

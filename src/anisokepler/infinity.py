@@ -187,13 +187,6 @@ class I0Curve:
     def vbar_of_theta(self, theta):
         return SQRT2 * np.sin(0.5 * (np.asarray(theta) + self.k))
 
-    def ubar_of_theta(self, theta):
-        return SQRT2 * np.sin(self.psi_of_theta(theta))
-
-    def state(self, theta: float) -> InfinityState:
-        return InfinityState(0.0, float(self.vbar_of_theta(theta)), theta,
-                             float(self.ubar_of_theta(theta)))
-
 
 def i0_flow_closed_form(theta0: float, psi0: float) -> I0Curve:
     """Closed-form I0 orbit through ubar = sqrt2 sin(psi0), vbar = sqrt2 cos(psi0)."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -32,6 +32,7 @@ __all__ = [
     "mcgehee_rhs",
     "mcgehee_rhs_with_time",
     "energy_residual",
+    "level_through",
     "collision_flow",
     "collision_rhs",
     "equilibria",
@@ -152,12 +153,18 @@ def energy_residual(m: McGeheeState, p: Params) -> float:
             - 2.0 * p.b / D ** (p.beta / 2.0) - 2.0 * p.h * m.r ** p.beta)
 
 
+def level_through(m: McGeheeState, p: Params) -> Params:
+    """p with h moved to the level through m: the residual has slope -2 r^beta in h."""
+    if not m.r > 0.0:
+        raise DomainError("every energy level passes through r = 0")
+    return replace(p, h=p.h + energy_residual(m, p) / (2.0 * m.r ** p.beta))
+
+
 def collision_flow(m: McGeheeState, p: Params) -> np.ndarray:
     """Three-dimensional field (v', theta', u') on the collision manifold.
 
     v' = (beta-2)/2 * (-u^2) <= 0 always, so the flow is gradient-like in -v.
     """
-    p.require_beta_above(2.0)
     if m.r != 0.0:
         raise ValueError("collision flow is defined on r = 0 only")
     resid = energy_residual(m, p)
@@ -211,20 +218,18 @@ def equilibrium_eigenvalues(theta: float, sign: int, p: Params) -> tuple[complex
     """Closed-form eigenvalues of the linearization restricted to the energy level.
 
     The radial direction decouples with eigenvalue v*; the (theta, u) block
-    [[0, 1], [c, e]] with e = (beta-2) v*/2 and c = b beta (mu-1) cos(2 theta*)
-    / Delta*^((beta+2)/2) contributes e/2 +- sqrt(e^2/4 + c).
+    [[0, 1], [c, e]] of `linearize_at` contributes e/2 +- sqrt(e^2/4 + c).
     """
-    D = delta(theta, p.mu)
-    vstar = sign * math.sqrt(2.0 * p.b / D ** (p.beta / 2.0))
-    e = 0.5 * (p.beta - 2.0) * vstar
-    c = p.b * p.beta * (p.mu - 1.0) * math.cos(2.0 * theta) / D ** ((p.beta + 2.0) / 2.0)
+    (vstar, _, _), _, (_, c, e) = linearize_at(equilibrium_location(theta, sign, p), p).tolist()
     disc = complex(e * e / 4.0 + c)
     root = np.sqrt(disc)
     return (complex(vstar), complex(e / 2.0) + root, complex(e / 2.0) - root)
 
 
 def linearize_at(eq: EquilibriumReport | McGeheeState, p: Params) -> np.ndarray:
-    """Linearization on the energy level in the (r, theta, u) basis.
+    """Linearization on the energy level in the (r, theta, u) basis: v on the
+    diagonal, then the (theta, u) block [[0, 1], [c, e]] with e = (beta-2) v/2
+    and c = b beta (mu-1) cos(2 theta) / Delta^((beta+2)/2).
 
     Matches the finite-difference Jacobian of the reduced field at the
     equilibrium (the v-direction is transverse to the level set and drops out).
@@ -304,7 +309,6 @@ def classify(p: Params) -> list[EquilibriumReport]:
     A_(0,pi) are saddles; A^+_(pi/2,3pi/2) sources and A^-_(pi/2,3pi/2) sinks,
     spiraling exactly when mu > (beta+2)^2/(8 beta).
     """
-    p.require_beta_above(2.0)
     if p.mu <= 1.0:
         raise ValueError("classification requires mu > 1 (mu = 1 is degenerate)")
     return equilibria(p)

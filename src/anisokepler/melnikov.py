@@ -334,19 +334,15 @@ def i2_closed_form(p_param: float, beta: float) -> float:
 def i2_beta_roots() -> list[float]:
     """Zeros of beta -> I2(p, beta) on (3/2, 10], Brent-refined.
 
-    A 0.01 grid from beta = 1.502 brackets the sign changes.  Independent of p,
-    which only scales I2 (`_at_p`).
+    A 0.01 grid from beta = 1.502, which never lands on 2 or 3, brackets the
+    sign changes.  Independent of p, which only scales I2 (`_at_p`).
     """
     grid = [float(b) for b in np.arange(1.502, 10.005, 0.01)]
     vals = [i2_closed_form(1.0, b) for b in grid]
     roots: list[float] = []
     for a, b, fa, fb in zip(grid, grid[1:], vals, vals[1:]):
-        if fa == 0.0:
-            roots.append(a)
-        elif fa * fb < 0.0:
+        if fa * fb < 0.0:
             roots.append(_brentq(lambda beta: i2_closed_form(1.0, beta), a, b))
-    if vals[-1] == 0.0:
-        roots.append(grid[-1])
     return roots
 
 
@@ -379,7 +375,6 @@ class MelnikovResult:
 
 def melnikov_analysis(orbit: ParabolicOrbit, p: Params) -> MelnikovResult:
     """I1, I2 (both routes) and the zeros of M2 on [0, 2 pi) when I2 != 0."""
-    _require_melnikov_beta(p.beta)
     i1 = i1_parity_check(orbit, p)
     i2q = i2_quadrature(orbit.p_param, p.beta)
     i2c = i2_closed_form(orbit.p_param, p.beta)

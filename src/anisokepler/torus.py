@@ -75,8 +75,6 @@ class SplittingVerdict(Enum):
 class ManifoldBranch:
     """Numerically continued branch of an invariant manifold of a torus saddle."""
 
-    origin: TorusState
-    direction: str  # "stable" | "unstable"
     samples: np.ndarray  # (n, 2) rows of (theta, psi)
 
     @property
@@ -271,7 +269,7 @@ def trace_manifold(origin: TorusState, direction: str, p: Params,
                              f"before reaching theta = {section}")
         raise TraceError(f"branch from {origin} did not reach theta = {section} "
                          f"within arc length {ARC_LENGTH_CAP}")
-    return ManifoldBranch(origin, direction, traj.states[:, :2].copy())
+    return ManifoldBranch(traj.states[:, :2].copy())
 
 
 def splitting_gap(beta: int, p: Params, cfg: IntegratorConfig | None = None

@@ -29,7 +29,7 @@ from anisokepler.infinity import (
     infinity_field,
     infinity_rhs,
 )
-from anisokepler.mcgehee import McGeheeState, delta, mcgehee_field
+from anisokepler.mcgehee import McGeheeState, delta, level_through, mcgehee_field
 
 TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
 P = Params(beta=2, mu=1.5, b=0.5, h=0.0)
@@ -135,7 +135,7 @@ class TestRegularizedFlow:
     def test_energy_relation_conserved(self):
         p = Params(2, 1.5, 0.5, h=-0.25)
         m0 = McGeheeState(0.9, 0.2, 0.7, 0.8)
-        lvl = Params(2, 1.5, 0.5, h=p.h + beta2_energy_residual(m0, p) / (2 * m0.r ** 2))
+        lvl = level_through(m0, p)
         assert abs(beta2_energy_residual(m0, lvl)) < 1e-12
         traj = integrate(beta2_mcgehee_rhs(lvl), m0.as_array(), (0.0, 10.0), TIGHT,
                          monitors={"E": lambda t, y: beta2_energy_residual(
@@ -148,7 +148,7 @@ class TestRegularizedFlow:
         # bounded orbit (h < 0): rescaled time does not compress an escape
         p = Params(2, 1.2, 0.4, h=-0.3)
         m0 = McGeheeState(1.4, -0.3, 2.0, 1.1)
-        lvl = Params(2, 1.2, 0.4, h=p.h + beta2_energy_residual(m0, p) / (2 * m0.r ** 2))
+        lvl = level_through(m0, p)
         traj = integrate(beta2_mcgehee_rhs(lvl), m0.as_array(), (0.0, 8.0), TIGHT,
                          monitors={"g": lambda t, y: beta2_g(McGeheeState(*y), lvl)})
         assert traj.invariant_drift["g"] <= 1e-9

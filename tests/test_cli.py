@@ -10,7 +10,9 @@ import warnings
 import numpy as np
 import pytest
 
-from anisokepler.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
+from anisokepler import cli
+from anisokepler.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, build_parser, main
+from anisokepler.integrate import IntegratorConfig
 
 
 def read_rows(path):
@@ -101,6 +103,23 @@ class TestMelnikovCommand:
         assert record["exit_code"] == EXIT_NUMERICAL
         assert ("p = 1e+200, beta = 3.04 leaves the float range (magnitude below 2.2e-308)"
                 in record["message"])
+
+    def test_gamma_forms_once_per_beta(self, tmp_path, monkeypatch):
+        calls = []
+        closed_form = cli.i2_closed_form
+
+        def counted(p_param, beta):
+            calls.append(p_param)
+            return closed_form(p_param, beta)
+
+        monkeypatch.setattr(cli, "i2_closed_form", counted)
+        out = tmp_path / "mel.csv"
+        code = main(["melnikov", "--beta-grid", "1.8:2.4:0.1", "--p", "0.5", "--out", str(out)])
+        assert code == EXIT_OK
+        _, _, rows = read_rows(out)
+        assert len(rows) == 7
+        # at p = 1 only: the value at --p is that one scaled
+        assert calls == [1.0] * len(rows)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_gamma_overflow_is_numerical_failure(self, tmp_path):
@@ -203,6 +222,19 @@ class TestSimulateCommand:
         _, cols, rows = read_rows(out)
         assert cols[0] == "t" and len(rows) > 5
 
+    def test_cartesian_far_start_is_free_flight(self, tmp_path):
+        # the cube of |(x, y)| = 1e200 overflows the floats; the pull is 0
+        out = tmp_path / "far.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main(["simulate", "--coords", "cartesian", "--initial", "1e200,0,0,1",
+                         "--out", str(out)])
+        assert code == EXIT_OK
+        _, _, rows = read_rows(out)
+        assert len(rows) > 1 and float(rows[-1][0]) == 10.0
+        assert all(math.isfinite(float(x)) for row in rows for x in row)
+        assert all(float(r[2]) == pytest.approx(float(r[0])) for r in rows)  # y = t
+
     def test_numerical_failure_exit_code(self, tmp_path):
         # collision orbit with beta = 2 in Cartesian coordinates stalls the stepper
         out = tmp_path / "crash.csv"
@@ -280,6 +312,13 @@ class TestSplittingCommand:
         _, cols, rows = read_rows(out)
         assert rows[0][cols.index("verdict")] == "connected-within-tolerance"
         assert rows[1][cols.index("verdict")] == "broken"
+
+    def test_beta_outside_the_torus_gate(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["splitting", "--beta", "5", "--out", str(out)]) == EXIT_VALIDATION
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["message"] == "connection geometry covers beta in {3, 4} only, got 5.0"
+        assert not out.exists()
 
 
 class TestBeta2VerifyCommand:
@@ -361,6 +400,18 @@ class TestConfigAndErrors:
         out = tmp_path / "m.csv"
         assert main(["--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
         assert not out.exists()
+
+    def test_integrator_defaults_are_the_library_defaults(self):
+        defaults = IntegratorConfig()
+        integrating = []
+        for command in cli._RUNNERS:
+            ns = build_parser().parse_args([command, "--out", "x.csv"])
+            if hasattr(ns, "rtol"):
+                integrating.append(command)
+                assert (ns.rtol, ns.atol, ns.max_steps) == (
+                    defaults.rel_tol, defaults.abs_tol, defaults.max_steps)
+        assert integrating == ["simulate", "collision-flow", "infinity-flow", "splitting",
+                               "beta2-verify"]
 
     def test_missing_out(self):
         assert main(["melnikov"]) == EXIT_VALIDATION

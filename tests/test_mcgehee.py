@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anisokepler.core import CartesianState, Params, hamiltonian
+from anisokepler.core import CartesianState, DomainError, Params, hamiltonian
 from anisokepler.integrate import Event, IntegratorConfig, integrate
 from anisokepler.mcgehee import (
     BasinBox,
@@ -26,6 +26,7 @@ from anisokepler.mcgehee import (
     equilibrium_eigenvalues,
     equilibrium_location,
     from_mcgehee,
+    level_through,
     linearize_at,
     mcgehee_field,
     mcgehee_rhs,
@@ -190,6 +191,20 @@ class TestEnergyResidual:
         traj = integrate(mcgehee_rhs(p_level), m0.as_array(), (0.0, 10.0), TIGHT,
                          monitors={"E": lambda t, y: energy_residual(McGeheeState(*y), p_level)})
         assert traj.invariant_drift["E"] <= 1e-8
+
+    @pytest.mark.parametrize("beta", [2, 2.5, 3])
+    def test_level_through_zeroes_the_residual(self, beta):
+        p = Params(beta, 1.3, 0.5, h=-0.25)
+        m = McGeheeState(0.8, 0.1, 1.0, 0.6)
+        level = level_through(m, p)
+        assert abs(energy_residual(m, level)) <= 1e-12
+        inline = p.h + energy_residual(m, p) / (2 * m.r ** beta)
+        assert level == replace(p, h=level.h)
+        assert float(level.h).hex() == float(inline).hex()
+
+    def test_level_through_needs_r_positive(self):
+        with pytest.raises(DomainError):
+            level_through(McGeheeState(0.0, 1.0, 0.5, 0.0), Params(3, 1.3, 0.5))
 
 
 class TestCollisionFlow:
