@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .core import CartesianState, Params, hamiltonian, cartesian_rhs
-from .integrate import IntegrationError, IntegratorConfig, integrate
+from .integrate import IntegrationError, IntegratorConfig, StepSizeUnderflow, integrate
 from .mcgehee import (
     BasinBox,
     McGeheeState,
@@ -149,12 +149,20 @@ def _run_simulate(ns: argparse.Namespace):
     p = base if ns.h is None else replace(base, h=ns.h)
     if ns.coords == "cartesian":
         s0 = CartesianState(*y0)
-        traj = integrate(cartesian_rhs(p), s0.as_array(), (0.0, ns.t_final), icfg)
+        try:
+            traj = integrate(cartesian_rhs(p), s0.as_array(), (0.0, ns.t_final), icfg)
+        except StepSizeUnderflow as exc:
+            # the field is smooth off the origin and the energy bounds the momenta
+            # there, so the only place a finite orbit stalls is the collision
+            raise StepSizeUnderflow(
+                "the orbit reached the collision at the origin, which the Cartesian "
+                f"chart cannot pass ({exc}); --coords mcgehee regularizes it") from exc
         h0 = hamiltonian(s0, p)
         invariant = "energy"
         cols = ["t", "x", "y", "px", "py", "energy_residual"]
+        # the residuals run on Python floats, as the field closures do
         rows = [(t, *y, hamiltonian(CartesianState(*y), p) - h0)
-                for t, y in zip(traj.times, traj.states)]
+                for t, y in zip(traj.times.tolist(), traj.states.tolist())]
     else:
         m0 = McGeheeState(*y0)
         # the regularized field carries h as a parameter: derive the level from
@@ -170,7 +178,7 @@ def _run_simulate(ns: argparse.Namespace):
         invariant = "energy_relation"
         cols = ["tau", "r", "v", "theta", "u", "energy_residual_drift"]
         rows = [(t, *y, energy_residual(McGeheeState(*y), p) - r0)
-                for t, y in zip(traj.times, traj.states)]
+                for t, y in zip(traj.times.tolist(), traj.states.tolist())]
     meta = {"command": ns.command, "coords": ns.coords, "beta": p.beta, "mu": p.mu,
             "b": p.b, "h": p.h, "seed": ns.seed}
     return meta, cols, rows, {invariant: max(abs(row[-1]) for row in rows)}

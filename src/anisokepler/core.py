@@ -96,7 +96,11 @@ def _check_off_origin(x: float, y: float) -> None:
 def potential(s: CartesianState, p: Params) -> float:
     _check_off_origin(s.x, s.y)
     q = p.mu * s.x * s.x + s.y * s.y
-    return -1.0 / math.hypot(s.x, s.y) - p.b / q ** (p.beta / 2.0)
+    try:
+        pull = p.b / q ** (p.beta / 2.0)
+    except OverflowError:  # a power above the floats is inf, as on numpy
+        pull = 0.0
+    return -1.0 / math.hypot(s.x, s.y) - pull
 
 
 def grad_potential(s: CartesianState, p: Params) -> tuple[float, float]:

@@ -58,9 +58,14 @@ _ANGLE_NAMES = ("0", "pi/2", "pi", "3pi/2")
 def delta(theta, mu, xp=np):
     """Anisotropy profile Delta(theta) = mu cos^2 + sin^2, in [1, mu] for mu >= 1;
     sine and cosine from the namespace xp (`math` on Python floats)."""
+    return _delta_and_half_sin2(theta, mu, xp)[0]
+
+
+def _delta_and_half_sin2(theta, mu, xp):
+    """Delta(theta) and sin(2 theta)/2 = sin * cos, from one sine-cosine pair."""
     c = xp.cos(theta)
     s = xp.sin(theta)
-    return mu * c * c + s * s
+    return mu * c * c + s * s, s * c
 
 
 @dataclass(frozen=True)
@@ -105,14 +110,18 @@ def from_mcgehee(m: McGeheeState, p: Params) -> CartesianState:
 
 def _field_arrays(xp, r, v, theta, u, p: Params):
     """The one definition of the field, with sines and cosines from the namespace
-    xp: `math` on Python floats for one state, `numpy` for equal-shape arrays."""
-    D = delta(theta, p.mu, xp)
+    xp: `math` on Python floats for one state, `numpy` for equal-shape arrays.
+
+    One sine-cosine pair, one power of r and one of Delta per call:
+    sin(2 theta)/2 = sin cos, r^beta = r^(beta-1) r and
+    Delta^((beta+2)/2) = Delta^(beta/2) Delta."""
+    D, sc = _delta_and_half_sin2(theta, p.mu, xp)
+    rb1 = r ** (p.beta - 1.0)
+    Db = D ** (p.beta / 2.0)
     dr = r * v
-    dv = (0.5 * (p.beta - 2.0) * v * v + r ** (p.beta - 1.0) + 2.0 * p.h * r ** p.beta
-          - p.b * (p.beta - 2.0) / D ** (p.beta / 2.0))
+    dv = 0.5 * (p.beta - 2.0) * v * v + rb1 + 2.0 * p.h * (rb1 * r) - p.b * (p.beta - 2.0) / Db
     dth = u
-    du = (0.5 * (p.beta - 2.0) * u * v
-          + p.b * p.beta * (p.mu - 1.0) * xp.sin(2.0 * theta) / (2.0 * D ** ((p.beta + 2.0) / 2.0)))
+    du = 0.5 * (p.beta - 2.0) * u * v + p.b * p.beta * (p.mu - 1.0) * sc / (Db * D)
     return dr, dv, dth, du
 
 
@@ -351,9 +360,11 @@ def basin_fraction(p: Params, n: int, horizon: float, box: BasinBox | None = Non
     Samples (r, theta, u) uniformly, closes v through the energy relation on the
     requested branch, and advances all on-level samples together as one system
     with the package's Dormand-Prince stepper at the default tolerances; the
-    field is analytic at r = 0, so no stiffness appears near collision.  A
-    sample has collided once r < COLLISION_RADIUS at an accepted step.
-    Deterministic for a fixed seed.
+    field is analytic at r = 0, so no stiffness appears near collision.  Each
+    field call over the (4, m) samples takes one sine-cosine pair, one power of
+    r and one of Delta per sample, and no other transcendental.  A sample has
+    collided once r < COLLISION_RADIUS at an accepted step.  Deterministic for a
+    fixed seed.
     """
     p.require_beta_above(2.0)
     if n < 1:

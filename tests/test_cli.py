@@ -226,7 +226,7 @@ class TestSimulateCommand:
         # the cube of |(x, y)| = 1e200 overflows the floats; the pull is 0
         out = tmp_path / "far.csv"
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error", RuntimeWarning)
             code = main(["simulate", "--coords", "cartesian", "--initial", "1e200,0,0,1",
                          "--out", str(out)])
         assert code == EXIT_OK
@@ -234,6 +234,15 @@ class TestSimulateCommand:
         assert len(rows) > 1 and float(rows[-1][0]) == 10.0
         assert all(math.isfinite(float(x)) for row in rows for x in row)
         assert all(float(r[2]) == pytest.approx(float(r[0])) for r in rows)  # y = t
+
+    def test_cartesian_collision_names_the_chart(self, tmp_path, capsys):
+        # the default orbit falls into the origin, which only McGehee's chart passes
+        out = tmp_path / "d.csv"
+        code = main(["simulate", "--coords", "cartesian", "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert not out.exists()
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert "collision at the origin" in message and "--coords mcgehee" in message
 
     def test_numerical_failure_exit_code(self, tmp_path):
         # collision orbit with beta = 2 in Cartesian coordinates stalls the stepper

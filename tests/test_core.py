@@ -62,6 +62,14 @@ class TestPotential:
         with pytest.raises(DomainError):
             potential(CartesianState(1e-13, 0, 0, 0), p)
 
+    def test_pull_beyond_the_float_range_is_zero(self):
+        # q^(beta/2) = 1.2e450 overflows a float power; numpy's power gives inf
+        p = Params(beta=3, mu=1.2, b=0.5)
+        far = CartesianState(1e150, 0.0, 0.0, 1.0)
+        assert potential(far, p) == -1e-150
+        with np.errstate(over="ignore"):
+            assert potential(CartesianState(*far.as_array()), p) == -1e-150
+
 
 class TestGradient:
     def test_even_symmetry_on_axes(self):

@@ -2,8 +2,10 @@
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -166,6 +168,69 @@ class TestFieldBatching:
             # 2 * 3^6, whose ulp is 2.3e-13, so allow a few ulp
             scalar = mcgehee_field(McGeheeState(*y[:, i]), p)
             assert np.max(np.abs(scalar - batch[:, i])) <= 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(p=st.builds(Params, beta=_reals(2.0, 6.0), mu=_reals(1.0, 4.0),
+                       b=_reals(0.01, 2.0), h=_reals(-1.0, 1.0)),
+           y=_state_batches())
+    def test_batch_within_8_eps_of_the_paper_formula(self, p, y):
+        # the paper's field, with sin 2 theta, r^beta and Delta^((beta+2)/2), at
+        # 40 digits on the same doubles; the error of each component stays below
+        # 8 eps times its largest term (plus 8 times the smallest subnormal, for
+        # a product that underflows)
+        batch = np.stack(_field_arrays(np, *y, p))
+        with mpmath.workdps(40):
+            beta, mu, b, h = (mpmath.mpf(x) for x in (p.beta, p.mu, p.b, p.h))
+            for i, (r, v, th, u) in enumerate(y.T.tolist()):
+                r, v, th, u = (mpmath.mpf(x) for x in (r, v, th, u))
+                D = mu * mpmath.cos(th) ** 2 + mpmath.sin(th) ** 2
+                terms = ([r * v],
+                         [(beta - 2) / 2 * v * v, r ** (beta - 1), 2 * h * r ** beta,
+                          -b * (beta - 2) / D ** (beta / 2)],
+                         [u],
+                         [(beta - 2) / 2 * u * v,
+                          b * beta * (mu - 1) * mpmath.sin(2 * th) / (2 * D ** ((beta + 2) / 2))])
+                for k, parts in enumerate(terms):
+                    err = abs(mpmath.mpf(float(batch[k, i])) - mpmath.fsum(parts))
+                    largest = max(abs(t) for t in parts)
+                    assert err <= 8 * (np.finfo(float).eps * largest + math.ulp(0.0))
+
+
+class _CountingNumpy:
+    """numpy as a namespace, counting the names taken from it."""
+
+    def __init__(self):
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        self.calls[name] += 1
+        return getattr(np, name)
+
+
+class _CountingArray(np.ndarray):
+    """An array counting the ufuncs applied to it and to every array made from it."""
+
+    calls = Counter()
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        _CountingArray.calls[ufunc.__name__] += 1
+        out = getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+        return out.view(_CountingArray)
+
+
+class TestFieldCost:
+    def test_one_sine_cosine_pair_and_two_powers_per_call(self):
+        # beta = 3.5 keeps numpy's ** on its general power ufunc (an exponent of
+        # 2 would take the square fast path)
+        p = Params(3.5, 1.7, 0.5, h=-0.25)
+        y = np.random.default_rng(0).uniform(0.1, 2.0, (4, 50))
+        xp = _CountingNumpy()
+        _CountingArray.calls = Counter()
+        batch = _field_arrays(xp, *y.view(_CountingArray), p)
+        assert xp.calls == {"cos": 1, "sin": 1}
+        calls = _CountingArray.calls
+        assert (calls["cos"], calls["sin"], calls["power"]) == (1, 1, 2)
+        assert np.array_equal(np.stack(batch), np.stack(_field_arrays(np, *y, p)))
 
 
 class TestEnergyResidual:
