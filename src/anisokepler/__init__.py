@@ -8,7 +8,7 @@ chaos indicator), integrate (shared numerics), cli (data-file front end).
 """
 
 from .core import CartesianState, DomainError, Params, SymmetryId
-from .core import apply_symmetry, cartesian_field, grad_potential, hamiltonian, potential
+from .core import apply_symmetry, hamiltonian, potential
 from .integrate import Event, IntegratorConfig, Trajectory, integrate
 from .mcgehee import (
     EquilibriumReport,
@@ -20,12 +20,11 @@ from .mcgehee import (
     energy_residual,
     equilibria,
     from_mcgehee,
-    mcgehee_field,
     spiral_threshold,
     to_mcgehee,
 )
 from .torus import ManifoldBranch, SplittingVerdict, TorusState, splitting_sign, trace_manifold
-from .infinity import InfinityState, i0_flow_closed_form, infinity_equilibria, infinity_field
+from .infinity import InfinityState, i0_flow_closed_form, infinity_equilibria
 from .beta2 import (
     HeteroclinicClass,
     HeteroclinicTarget,

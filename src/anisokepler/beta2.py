@@ -20,8 +20,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Params, _on_floats
-from .infinity import SQRT2, InfinityState
+from .core import Params, _jacobian, _on_floats
+from .infinity import SQRT2
 from .mcgehee import McGeheeState, delta, energy_residual, mcgehee_rhs
 
 __all__ = [
@@ -36,8 +36,6 @@ __all__ = [
     "beta2_energy_residual",
     "beta2_g",
     "zero_velocity_radius",
-    "beta2_infinity_g",
-    "rho_of_vbar",
     "classify_heteroclinic",
 ]
 
@@ -95,19 +93,18 @@ def integral_G(s: PolarState, p: Params) -> float:
 
 
 def poisson_bracket_H2_G(s: PolarState, p: Params) -> float:
-    """{H2, G} from the explicit partial derivatives; identically zero.
-
-    Only the theta / ptheta pair contributes since G carries no (r, pr)
-    dependence; the residual is returned for verification.
-    """
+    """{H2, G}, identically zero, from the theta and ptheta partials of
+    `polar_hamiltonian` and `integral_G` themselves by the complex step; G has
+    no (r, pr) dependence, so only that pair contributes."""
     p.require_beta_equal(2.0)
-    eps = p.mu - 1.0
-    D = delta(s.theta, p.mu)
-    dH_dtheta = -p.b * eps * math.sin(2.0 * s.theta) / (s.r * s.r * D * D)
-    dH_dptheta = s.ptheta / (s.r * s.r)
-    dG_dtheta = -p.b * eps * math.sin(2.0 * s.theta) / (D * D)
-    dG_dptheta = s.ptheta
-    return dH_dtheta * dG_dptheta - dH_dptheta * dG_dtheta
+
+    def partials(f):
+        return _jacobian(lambda xp, theta, ptheta, p: f(PolarState(s.r, theta, s.pr, ptheta), p),
+                         (s.theta, s.ptheta), p)
+
+    dH_dtheta, dH_dptheta = partials(polar_hamiltonian)
+    dG_dtheta, dG_dptheta = partials(integral_G)
+    return float(dH_dtheta * dG_dptheta - dH_dptheta * dG_dtheta)
 
 
 def beta2_mcgehee_rhs(p: Params):
@@ -141,23 +138,6 @@ def zero_velocity_radius(theta: float, p: Params) -> float:
         raise ValueError("the zero-velocity curve exists for h < 0 only")
     D = delta(theta, p.mu)
     return (-1.0 - math.sqrt(1.0 - 4.0 * p.h * p.b / D)) / (2.0 * p.h)
-
-
-def beta2_infinity_g(s: InfinityState, p: Params) -> float:
-    """g recovered from inverted variables: (ubar^2 - 2 b rho/Delta)/(2 rho)."""
-    p.require_beta_equal(2.0)
-    if s.rho <= 0.0:
-        raise ValueError("g is recovered from rho > 0 states only")
-    D = delta(s.theta, p.mu)
-    return (s.ubar * s.ubar - 2.0 * p.b * s.rho / D) / (2.0 * s.rho)
-
-
-def rho_of_vbar(rho0: float, vbar0: float, vbar) -> np.ndarray:
-    """Invariant (rho, vbar) relation rho = (rho0/(vbar0^2 - 2)) (vbar^2 - 2)."""
-    if vbar0 * vbar0 == 2.0:
-        raise ValueError("relation degenerates on vbar0 = +-sqrt2")
-    k = rho0 / (vbar0 * vbar0 - 2.0)
-    return k * (np.asarray(vbar) ** 2 - 2.0)
 
 
 class HeteroclinicTarget(Enum):

@@ -504,6 +504,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         ns = _parse(list(sys.argv[1:] if argv is None else argv))
         meta, cols, rows, drift = _RUNNERS[ns.command](ns)
+        for i, row in enumerate(rows, start=1):  # no NaN or inf reaches a CSV
+            for column, x in zip(cols, row):
+                if isinstance(x, float) and not math.isfinite(x):
+                    raise ArithmeticError(f"{ns.command}: {x} in column {column!r}, row {i}")
         write_csv(ns.out, meta, cols, rows)
         write_manifest(ns, drift)
     except SystemExit:  # --help printed the usage

@@ -7,6 +7,7 @@ unregularized Hamiltonian system and the discrete symmetry group of the flow.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -19,12 +20,9 @@ __all__ = [
     "CartesianState",
     "SymmetryId",
     "potential",
-    "grad_potential",
-    "cartesian_field",
     "cartesian_rhs",
     "hamiltonian",
     "apply_symmetry",
-    "compose_symmetries",
 ]
 
 ORIGIN_RADIUS = 1e-12  # states closer to collision than this are rejected
@@ -103,12 +101,6 @@ def potential(s: CartesianState, p: Params) -> float:
     return -1.0 / math.hypot(s.x, s.y) - pull
 
 
-def grad_potential(s: CartesianState, p: Params) -> tuple[float, float]:
-    """Gradient of the potential; agrees with central finite differences."""
-    _, _, fx, fy = _cartesian_arrays(math, s.x, s.y, s.px, s.py, p)
-    return -fx, -fy
-
-
 def _cartesian_arrays(xp, x, y, px, py, p: Params):
     """The one definition of (dx, dy, dpx, dpy) = (px, py, -dU/dx, -dU/dy), on
     Python floats or numpy scalars alike: math.hypot takes both (numpy's differs
@@ -121,11 +113,6 @@ def _cartesian_arrays(xp, x, y, px, py, p: Params):
     q = p.mu * x * x + y * y
     aniso = p.b * p.beta * q ** (-(p.beta + 2.0) / 2.0)
     return px, py, -(x / r3 + aniso * p.mu * x), -(y / r3 + aniso * y)
-
-
-def cartesian_field(s: CartesianState, p: Params) -> np.ndarray:
-    """(dx, dy, dpx, dpy) = (px, py, -dU/dx, -dU/dy)."""
-    return cartesian_rhs(p)(0.0, s.as_array())
 
 
 def cartesian_rhs(p: Params):
@@ -158,12 +145,34 @@ def _on_floats(field, y: np.ndarray, p: Params) -> np.ndarray:
     return np.array(field(np, *y, p))
 
 
+def _jacobian(field, y, p: Params) -> np.ndarray:
+    """d field(xp, *y, p) / dy by the complex step (Squire & Trapp 1998): column j
+    is Im field(y + i h e_j) / h with h = 2^-100, exact to roundoff for a field
+    analytic in y.  As in `_on_floats`: Python complex through `cmath`, numpy
+    complex scalars where that raises.  A scalar field gives its gradient; a
+    NaN or inf entry raises ArithmeticError."""
+    h = 2.0 ** -100
+    columns = []
+    for j in range(len(y)):
+        z = [complex(v) for v in y]
+        z[j] += h * 1j
+        try:
+            columns.append(field(cmath, *z, p))
+        except (ArithmeticError, ValueError):
+            columns.append(field(np, *map(np.complex128, z), p))
+    jac = np.array(columns, dtype=complex).imag.T / h
+    if not np.isfinite(jac).all():
+        raise ArithmeticError(f"complex-step derivative at {list(map(float, y))} not finite")
+    return jac
+
+
 def hamiltonian(s: CartesianState, p: Params) -> float:
     return 0.5 * (s.px * s.px + s.py * s.py) + potential(s, p)
 
 
 class SymmetryId(Enum):
-    """Sign actions on (x, y, px, py, t); the eight maps form a Z2 x Z2 x Z2 group."""
+    """Sign actions on (x, y, px, py, t); the eight maps form a Z2 x Z2 x Z2 group,
+    g1 after g2 being SymmetryId of the componentwise product of their values."""
 
     ID = (1, 1, 1, 1, 1)
     S0 = (1, 1, -1, -1, -1)
@@ -179,15 +188,6 @@ class SymmetryId(Enum):
         return self.value[4]
 
 
-_BY_SIGNS = {g.value: g for g in SymmetryId}
-
-
 def apply_symmetry(g: SymmetryId, s: CartesianState, t: float) -> tuple[CartesianState, float]:
     sx, sy, spx, spy, st = g.value
     return CartesianState(sx * s.x, sy * s.y, spx * s.px, spy * s.py), st * t
-
-
-def compose_symmetries(g1: SymmetryId, g2: SymmetryId) -> SymmetryId:
-    """g1 after g2; sign vectors multiply componentwise, so the set is closed."""
-    signs = tuple(a * b for a, b in zip(g1.value, g2.value))
-    return _BY_SIGNS[signs]

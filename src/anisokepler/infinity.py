@@ -30,14 +30,11 @@ __all__ = [
     "I0Curve",
     "to_infinity_coords",
     "from_infinity_coords",
-    "infinity_field",
     "infinity_rhs",
     "infinity_energy_residual",
     "infinity_equilibria",
-    "i0_rhs",
     "i0_flow_closed_form",
     "limit_circle",
-    "infinity_jacobian",
 ]
 
 SQRT2 = math.sqrt(2.0)
@@ -113,11 +110,6 @@ def infinity_rhs(p: Params):
     return rhs
 
 
-def infinity_field(s: InfinityState, p: Params) -> np.ndarray:
-    """Rescaled field near infinity; analytic at rho = 0, where drho/ds = 0."""
-    return infinity_rhs(p)(0.0, s.as_array())
-
-
 @dataclass(frozen=True)
 class EquilibriumCircle:
     """Circle of equilibria {rho = 0, vbar = v0, ubar = 0, theta free}."""
@@ -145,25 +137,6 @@ def infinity_equilibria(p: Params) -> InfinityReport:
         c_plus=EquilibriumCircle(SQRT2, (-SQRT2, 0.0, -SQRT2 / 2.0), True),
         c_minus=EquilibriumCircle(-SQRT2, (SQRT2, 0.0, SQRT2 / 2.0), False),
     )
-
-
-def infinity_jacobian(v0: float) -> np.ndarray:
-    """Linearization at a point of C+- restricted to the level set, in the
-    (rho, theta, ubar) basis: eigenvalues {-v0, 0, -v0/2}."""
-    return np.array([[-v0, 0.0, 0.0],
-                     [0.0, 0.0, 1.0],
-                     [0.0, 0.0, -v0 / 2.0]])
-
-
-def i0_rhs():
-    """Flow restricted to I0 in (vbar, theta, ubar): dvbar/ds = ubar^2/2,
-    dtheta/ds = ubar, dubar/ds = -ubar vbar / 2.  Independent of all parameters."""
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        vb, theta, ub = y.tolist()  # products only: no float operation can raise
-        return np.array([0.5 * ub * ub, ub, -0.5 * ub * vb])
-
-    return rhs
 
 
 @dataclass(frozen=True)

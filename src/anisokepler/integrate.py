@@ -188,7 +188,7 @@ class _DormandPrince:
 
         rejected = False
         while True:
-            if h_abs < min_step:
+            if not h_abs >= min_step:  # a NaN step size, from a NaN field, too
                 raise StepSizeUnderflow(
                     "Required step size is less than spacing between numbers.")
             t_new = t + h_abs * direction

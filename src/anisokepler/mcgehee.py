@@ -28,7 +28,6 @@ __all__ = [
     "EquilibriumReport",
     "to_mcgehee",
     "from_mcgehee",
-    "mcgehee_field",
     "mcgehee_rhs",
     "mcgehee_rhs_with_time",
     "energy_residual",
@@ -128,11 +127,6 @@ def _field_arrays(xp, r, v, theta, u, p: Params):
 def _field_with_time(xp, r, v, theta, u, t, p: Params):
     """The field extended by the physical time, dt/dtau = r^(beta/2+1)."""
     return (*_field_arrays(xp, r, v, theta, u, p), r ** (p.beta / 2.0 + 1.0))
-
-
-def mcgehee_field(m: McGeheeState, p: Params) -> np.ndarray:
-    """Regularized field (r', v', theta', u'); smooth up to and including r = 0."""
-    return mcgehee_rhs(p)(0.0, m.as_array())
 
 
 def mcgehee_rhs(p: Params):

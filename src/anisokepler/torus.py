@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Params, _on_floats
+from .core import Params, _jacobian, _on_floats
 from .integrate import Event, IntegrationError, IntegratorConfig, integrate
 from .mcgehee import McGeheeState, delta
 from .melnikov import _tanh_sinh
@@ -28,12 +28,8 @@ __all__ = [
     "TorusState",
     "ManifoldBranch",
     "SplittingVerdict",
-    "torus_field",
     "torus_rhs",
     "torus_to_collision",
-    "torus_jacobian",
-    "slope_field_F",
-    "slope_eps_rate",
     "is_split_beta",
     "zeta0",
     "zeta1",
@@ -89,10 +85,6 @@ def torus_to_collision(t: TorusState, p: Params) -> McGeheeState:
     return McGeheeState(0.0, g * math.cos(t.psi), t.theta % (2 * math.pi), g * math.sin(t.psi))
 
 
-def torus_field(t: TorusState, p: Params) -> np.ndarray:
-    return torus_rhs(p)(0.0, t.as_array())
-
-
 def _torus_arrays(xp, theta, psi, p: Params):
     """The one definition of the torus field, sines and cosines from xp."""
     beta, mu, b = p.beta, p.mu, p.b
@@ -119,32 +111,6 @@ def torus_rhs(p: Params):
         return _on_floats(_torus_arrays, y, p)
 
     return rhs
-
-
-def torus_jacobian(t: TorusState, p: Params) -> np.ndarray:
-    """Analytic Jacobian of the torus field at an equilibrium (sin psi = sin 2theta = 0)."""
-    D = delta(t.theta, p.mu)
-    g = math.sqrt(2.0 * p.b) / D ** (p.beta / 4.0)
-    c = math.cos(t.psi)
-    k2 = (0.5 * p.beta * (p.mu - 1.0) * math.sqrt(2.0 * p.b)
-          * math.cos(2.0 * t.theta) * c / D ** ((p.beta + 4.0) / 4.0))
-    return np.array([[0.0, g * c], [k2, 0.5 * (p.beta - 2.0) * g * c]])
-
-
-def slope_field_F(theta: float, psi: float, p: Params) -> float:
-    """dpsi/dtheta off the lines sin(psi) = 0; equals (beta-2)/2 at mu = 1."""
-    p.require_beta_above(2.0)
-    sp = math.sin(psi)
-    if sp == 0.0:
-        raise ZeroDivisionError("slope field is singular where sin(psi) = 0")
-    D = delta(theta, p.mu)
-    return (0.5 * (p.beta - 2.0)
-            + 0.25 * p.beta * (p.mu - 1.0) * math.sin(2.0 * theta) * math.cos(psi) / (sp * D))
-
-
-def slope_eps_rate(theta: float, psi: float, beta: float) -> float:
-    """d(slope)/d(epsilon) at epsilon = 0: (beta/2) cos(theta) sin(theta) cot(psi)."""
-    return 0.5 * beta * math.cos(theta) * math.sin(theta) * math.cos(psi) / math.sin(psi)
 
 
 def is_split_beta(beta: float) -> bool:
@@ -228,7 +194,7 @@ def trace_manifold(origin: TorusState, direction: str, p: Params,
     if not _is_torus_saddle(origin):
         raise ValueError("origin is not a saddle of the torus flow")
 
-    jac = torus_jacobian(origin, p)
+    jac = _jacobian(_torus_arrays, origin.as_array(), p)
     eigvals, eigvecs = np.linalg.eig(jac)
     want = np.argmax(eigvals.real) if direction == "unstable" else np.argmin(eigvals.real)
     vec = np.real(eigvecs[:, want])
@@ -248,9 +214,9 @@ def trace_manifold(origin: TorusState, direction: str, p: Params,
     capped = Event(lambda t, y: y[2] - ARC_LENGTH_CAP, "arc-cap", terminal=True)
     events = [hit, capped]
     if p.mu > 1.0:
-        # For mu > 1 the equilibria at theta = pi/2 (mod pi) attract: there
-        # torus_jacobian has a positive determinant and a trace with the sign of
-        # cos(psi), so they are sinks at psi = pi and sources (attracting in
+        # For mu > 1 the equilibria at theta = pi/2 (mod pi) attract: there the
+        # field's Jacobian has a positive determinant and a trace with the sign
+        # of cos(psi), so they are sinks at psi = pi and sources (attracting in
         # backward time) at psi = 0.  The arc-length cap cannot fire once the
         # branch settles into one, so the trace stops within SINK_RADIUS of it.
         psi_attractor = math.pi if sign > 0 else 0.0

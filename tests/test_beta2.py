@@ -6,30 +6,29 @@ import numpy as np
 import pytest
 
 from anisokepler.core import Params
+from anisokepler import beta2
 from anisokepler.integrate import Event, IntegratorConfig, integrate
 from anisokepler.beta2 import (
     HeteroclinicTarget,
     PolarState,
     beta2_energy_residual,
     beta2_g,
-    beta2_infinity_g,
     beta2_mcgehee_rhs,
     classify_heteroclinic,
     integral_G,
     poisson_bracket_H2_G,
     polar_hamiltonian,
     polar_rhs,
-    rho_of_vbar,
     zero_velocity_radius,
 )
 from anisokepler.infinity import (
     SQRT2,
     InfinityState,
+    from_infinity_coords,
     infinity_energy_residual,
-    infinity_field,
     infinity_rhs,
 )
-from anisokepler.mcgehee import McGeheeState, delta, level_through, mcgehee_field
+from anisokepler.mcgehee import McGeheeState, delta, level_through, mcgehee_rhs
 
 TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
 P = Params(beta=2, mu=1.5, b=0.5, h=0.0)
@@ -39,6 +38,11 @@ def random_polar(rng, n=1):
     out = [PolarState(rng.uniform(0.3, 4.0), rng.uniform(0, 2 * math.pi),
                       rng.normal(0, 1), rng.normal(0, 1.5)) for _ in range(n)]
     return out if n > 1 else out[0]
+
+
+def infinity_g(s, p):
+    """g of an inverted-chart state with rho > 0, through the McGehee chart."""
+    return beta2_g(from_infinity_coords(s, p), p)
 
 
 def fd_partial(f, s, idx, step=1e-6):
@@ -101,6 +105,18 @@ class TestPoissonBracket:
         for s in random_polar(rng, 20):
             assert poisson_bracket_H2_G(s, p) == 0.0
 
+    def test_wrong_integral_is_caught(self, monkeypatch):
+        # the bracket differentiates integral_G itself, so an integral that the
+        # flow does not conserve shows up where sin(2 theta) != 0
+        def wrong_G(s, p):
+            return 0.5 * s.ptheta * s.ptheta - p.b / delta(s.theta, p.mu) ** 2
+
+        p = Params(2, 1.5, 0.5)
+        s = PolarState(1.3, 0.6, -0.4, 1.1)
+        assert abs(poisson_bracket_H2_G(s, p)) <= 1e-14
+        monkeypatch.setattr(beta2, "integral_G", wrong_G)
+        assert abs(poisson_bracket_H2_G(s, p)) > 1e-3
+
     def test_partials_match_finite_differences(self):
         p = Params(2, 1.6, 0.8)
         s = PolarState(1.3, 0.9, -0.4, 1.1)
@@ -123,7 +139,7 @@ class TestRegularizedFlow:
         u0 = math.sqrt(2 * p.b / D) * 0.6
         v0 = math.sqrt(2 * p.b / D - u0 * u0)
         m = McGeheeState(0.0, v0, 1.0, u0)
-        f = mcgehee_field(m, p)
+        f = mcgehee_rhs(p)(0.0, m.as_array())
         assert f[0] == 0.0 and f[1] == 0.0  # r and v frozen on C
         traj = integrate(beta2_mcgehee_rhs(p), m.as_array(), (0.0, 20.0), TIGHT)
         assert np.all(traj.states[:, 0] == 0.0)
@@ -171,7 +187,7 @@ class TestSharedFieldsAtBetaTwo:
             m = McGeheeState(rng.uniform(0.0, 4.0), rng.normal(0, 2), rng.uniform(-7, 7),
                              rng.normal(0, 2))
             eps, D = p.mu - 1.0, delta(m.theta, p.mu)
-            f = mcgehee_field(m, p)
+            f = mcgehee_rhs(p)(0.0, m.as_array())
             assert close_to_closed_form(f[0], [m.r * m.v])
             assert close_to_closed_form(f[1], [2 * p.h * m.r ** 2, m.r])
             assert f[2] == m.u
@@ -187,7 +203,7 @@ class TestSharedFieldsAtBetaTwo:
             s = InfinityState(rng.uniform(0.0, 4.0), rng.normal(0, 2), rng.uniform(-7, 7),
                               rng.normal(0, 2))
             eps, D = p.mu - 1.0, delta(s.theta, p.mu)
-            f = infinity_field(s, p)
+            f = infinity_rhs(p)(0.0, s.as_array())
             assert close_to_closed_form(f[0], [-s.rho * s.vbar])
             assert close_to_closed_form(f[1], [1.0, -0.5 * s.vbar ** 2])
             assert f[2] == s.ubar
@@ -244,7 +260,7 @@ class TestInfinitySystem:
             ub = sign * math.sqrt(2 * p.b * rho0 / delta(th0, p.mu))
             s0 = InfinityState(rho0, vb, th0, ub)
             assert abs(infinity_energy_residual(s0, p)) < 1e-14
-            assert abs(beta2_infinity_g(s0, p)) < 1e-14  # this family has g = 0
+            assert abs(infinity_g(s0, p)) < 1e-14  # this family has g = 0
             traj = integrate(infinity_rhs(p), s0.as_array(), (0.0, 2.0), TIGHT)
             rho = traj.states[:, 0]
             assert np.allclose(rho, rho0 * np.exp(-sign * SQRT2 * traj.times), atol=1e-10)
@@ -259,7 +275,9 @@ class TestInfinitySystem:
         s0 = InfinityState(rho0, vb0, th0, ub0)
         traj = integrate(infinity_rhs(p), s0.as_array(), (0.0, 1.5), TIGHT)
         rho, vb = traj.states[:, 0], traj.states[:, 1]
-        assert np.max(np.abs(rho - rho_of_vbar(rho0, vb0, vb))) < 1e-6
+        # the invariant hyperbola rho = k (vbar^2 - 2) of the heteroclinic class
+        k = classify_heteroclinic(rho0, vb0, p).k
+        assert np.max(np.abs(rho - k * (vb ** 2 - 2))) < 1e-6
 
     def test_conserves_both_integrals(self):
         p = Params(2, 1.5, 0.5, h=0.0)
@@ -270,7 +288,7 @@ class TestInfinitySystem:
         traj = integrate(infinity_rhs(p), s0.as_array(), (0.0, 1.2), TIGHT,
                          monitors={"E": lambda t, y: infinity_energy_residual(
                              InfinityState(*y), p),
-                             "g": lambda t, y: beta2_infinity_g(InfinityState(*y), p)})
+                             "g": lambda t, y: infinity_g(InfinityState(*y), p)})
         assert traj.invariant_drift["E"] <= 1e-9
         assert traj.invariant_drift["g"] <= 1e-8
 
@@ -285,14 +303,14 @@ class TestInfinityManifoldSet:
             for th in np.linspace(0, 2 * math.pi, 25):
                 s = InfinityState(0.0, sign * SQRT2, th, 0.0)
                 assert abs(infinity_energy_residual(s, p)) < 1e-15
-                assert np.max(np.abs(infinity_field(s, p))) < 1e-14
+                assert np.max(np.abs(infinity_rhs(p)(0.0, s.as_array()))) < 1e-14
 
     def test_strict_subset_of_torus(self):
         # a torus point with ubar != 0 satisfies the energy relation but is not fixed
         p = Params(2, 1.4, 0.6, h=0.0)
         torus_point = InfinityState(0.0, 1.0, 0.3, 1.0)  # ubar^2 + vbar^2 = 2
         assert infinity_energy_residual(torus_point, p) == 0.0
-        f = infinity_field(torus_point, p)
+        f = infinity_rhs(p)(0.0, torus_point.as_array())
         assert f[0] == 0.0  # the torus is invariant
         assert f[1] == pytest.approx(0.5) and f[2] == 1.0
 
@@ -303,7 +321,7 @@ class TestInfinityManifoldSet:
         for rho in (1e-4, 1e-6, 1e-8):
             s = InfinityState(rho, SQRT2, 0.7,
                               math.sqrt(2 * p.b * rho / delta(0.7, p.mu)))
-            assert abs(beta2_infinity_g(s, p)) < 1e-12
+            assert abs(infinity_g(s, p)) < 1e-12
 
 
 class TestHeteroclinicClassification:

@@ -157,6 +157,15 @@ class TestEquilibriaCommand:
             assert len(lines) == 1
             assert json.loads(lines[0])["exit_code"] == EXIT_NUMERICAL
 
+    def test_tiny_coupling_keeps_the_closed_form_spectrum(self, tmp_path):
+        # linearize_at is the paper's closed form; a complex step of 2^-100 would
+        # underflow against b = 1e-300, which this spectrum still resolves
+        out = tmp_path / "eq.csv"
+        assert main(["equilibria", "--b", "1e-300", "--out", str(out)]) == EXIT_OK
+        _, cols, rows = read_rows(out)
+        assert len(rows) == 8
+        assert all(math.isfinite(float(x)) for r in rows for x in r[1:cols.index("stability")])
+
     def test_no_integrator_options(self, tmp_path):
         # equilibria integrates nothing, so it takes no --rtol, --atol or --max-steps
         out = tmp_path / "x.csv"
@@ -272,6 +281,19 @@ class TestCollisionFlowCommand:
         branch = [(float(r[1]), float(r[2])) for r in rows if r[0] == "branch-unstable"]
         worst = max(abs(-2 * ps + th + math.pi) for th, ps in branch)
         assert worst < 1e-6
+
+    def test_nan_field_is_numerical_failure(self, tmp_path, capsys):
+        # (mu - 1) b overflows to inf and meets sin(2 theta) = 0 or an infinite
+        # power: the dpsi cells are NaN, so nothing is written
+        out = tmp_path / "x.csv"
+        with np.errstate(all="ignore"):
+            code = main(["collision-flow", "--beta", "2.5", "--mu", "1e300", "--b", "1e300",
+                         "--grid", "3", "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert not out.exists()
+        assert not (tmp_path / "x.csv.manifest.json").exists()
+        record = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert record["message"] == "collision-flow: nan in column 'dpsi', row 1"
 
     def test_grid_validation(self, tmp_path):
         out = tmp_path / "x.csv"

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from anisokepler.beta2 import _polar_arrays, polar_rhs
 from anisokepler.core import Params, _cartesian_arrays, _on_floats, cartesian_rhs
-from anisokepler.infinity import _infinity_arrays, i0_rhs, infinity_rhs
+from anisokepler.infinity import _infinity_arrays, infinity_rhs
 from anisokepler.integrate import IntegratorConfig, integrate
 from anisokepler.mcgehee import (
     McGeheeState,
@@ -36,10 +36,6 @@ def _branch_rhs(p):
     return lambda t, y: _on_floats(_branch_arrays, y, p)
 
 
-def _i0_arrays(xp, vb, theta, ub, p):
-    return 0.5 * ub * ub, ub, -0.5 * ub * vb
-
-
 # (closure factory, its definition, state size, index of theta, chart): the
 # chart fixes beta or h where the closure requires it
 CLOSURES = {
@@ -48,7 +44,6 @@ CLOSURES = {
     "mcgehee_with_time": (mcgehee_rhs_with_time, _field_with_time, 5, 2, None),
     "collision": (collision_rhs, _collision_arrays, 3, 1, None),
     "infinity": (infinity_rhs, _infinity_arrays, 4, 2, "h=0"),
-    "i0": (lambda p: i0_rhs(), _i0_arrays, 3, 1, None),
     "polar": (polar_rhs, _polar_arrays, 4, 1, "beta=2"),
     "torus": (torus_rhs, _torus_arrays, 2, 0, None),
     "branch": (_branch_rhs, _branch_arrays, 3, 0, None),

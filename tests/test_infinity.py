@@ -5,18 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from anisokepler.core import Params
+from anisokepler.core import Params, _jacobian
 from anisokepler.integrate import IntegratorConfig, integrate
 from anisokepler.infinity import (
     SQRT2,
     InfinityState,
+    _infinity_arrays,
     from_infinity_coords,
     i0_flow_closed_form,
-    i0_rhs,
     infinity_energy_residual,
     infinity_equilibria,
-    infinity_field,
-    infinity_jacobian,
     infinity_rhs,
     limit_circle,
     to_infinity_coords,
@@ -31,6 +29,18 @@ def on_level_mcgehee(r, theta, phi, p):
     """h = 0 state with (u, v) on the circle fixed by the energy relation."""
     mag = math.sqrt(2 * r ** (p.beta - 1) + 2 * p.b / delta(theta, p.mu) ** (p.beta / 2))
     return McGeheeState(r, mag * math.cos(phi), theta, mag * math.sin(phi))
+
+
+def field(s, p):
+    """(rho', vbar', theta', ubar') at s: the integrator's closure."""
+    return infinity_rhs(p)(0.0, s.as_array())
+
+
+def level_block(v0, theta=1.3):
+    """The complex-step Jacobian at a point of C+- in the (rho, theta, ubar)
+    basis; vbar is the direction off the energy level."""
+    J = _jacobian(_infinity_arrays, [0.0, v0, theta, 0.0], P)
+    return J[np.ix_([0, 2, 3], [0, 2, 3])]
 
 
 def reduced_infinity_field(z, p, v_sign):
@@ -74,19 +84,19 @@ class TestField:
         rep = infinity_equilibria(P)
         for circle in (rep.c_plus, rep.c_minus):
             for th in np.linspace(0, 2 * math.pi, 100):
-                f = infinity_field(circle.point(th), P)
+                f = field(circle.point(th), P)
                 assert np.max(np.abs(f)) < 1e-14
 
     def test_boundary_invariance(self):
         s = InfinityState(0.0, 0.7, 2.0, 1.1)
-        assert infinity_field(s, P)[0] == 0.0
+        assert field(s, P)[0] == 0.0
         traj = integrate(infinity_rhs(P), s.as_array(), (0.0, 6.0))
         assert np.all(traj.states[:, 0] == 0.0)
 
     def test_vbar_rate_on_manifold(self):
         for psi in np.linspace(0.1, 2 * math.pi - 0.1, 17):
             s = InfinityState(0.0, SQRT2 * math.cos(psi), 0.8, SQRT2 * math.sin(psi))
-            f = infinity_field(s, P)
+            f = field(s, P)
             assert f[1] == pytest.approx(0.5 * s.ubar ** 2, abs=1e-14)
             assert f[1] >= -1e-15
 
@@ -99,6 +109,20 @@ class TestField:
                              InfinityState(*y), P)})
         assert traj.invariant_drift["E"] <= 1e-8
 
+    def test_jacobian_matches_central_differences(self):
+        # the complex-step Jacobian of the one inverted-chart definition against
+        # central differences of the field, off rho = 0 where the power is smooth
+        rng = np.random.default_rng(6)
+        step = 1e-6
+        for beta in (2.5, 3.0, 4.0):
+            p = Params(beta, rng.uniform(1.0, 2.0), rng.uniform(0.1, 1.5), h=0.0)
+            for _ in range(10):
+                y = np.array([rng.uniform(0.1, 2.0), rng.normal(), rng.uniform(0, 6), rng.normal()])
+                fd = np.column_stack([
+                    (field(InfinityState(*(y + step * e)), p)
+                     - field(InfinityState(*(y - step * e)), p)) / (2 * step) for e in np.eye(4)])
+                assert np.allclose(_jacobian(_infinity_arrays, y, p), fd, rtol=1e-7, atol=1e-8)
+
     def test_no_equilibria_off_manifold(self):
         rng = np.random.default_rng(5)
         worst = math.inf
@@ -108,7 +132,7 @@ class TestField:
             phi = rng.uniform(0, 2 * math.pi)
             mag = math.sqrt(2 + 2 * P.b / delta(th, P.mu) ** 1.5 * rho ** 2)
             s = InfinityState(rho, mag * math.cos(phi), th, mag * math.sin(phi))
-            worst = min(worst, float(np.linalg.norm(infinity_field(s, P))))
+            worst = min(worst, float(np.linalg.norm(field(s, P))))
         assert worst > 1e-4
 
 
@@ -126,9 +150,12 @@ class TestEquilibriumCircles:
         assert rep.c_plus.attracting and not rep.c_minus.attracting
 
     def test_jacobian_matrix_eigenvalues(self):
-        for v0 in (SQRT2, -SQRT2):
-            lam = sorted(z.real for z in np.linalg.eigvals(infinity_jacobian(v0)))
-            assert lam == pytest.approx(sorted([-v0, 0.0, -v0 / 2]), abs=1e-12)
+        # the linearization of the one inverted-chart definition on the level
+        # carries the eigenvalues infinity_equilibria states
+        rep = infinity_equilibria(P)
+        for circle in (rep.c_plus, rep.c_minus):
+            lam = sorted(z.real for z in np.linalg.eigvals(level_block(circle.vbar)))
+            assert lam == pytest.approx(sorted(circle.eigenvalues), abs=1e-12)
 
     def test_fd_jacobian_matches_analytic(self):
         # reduced (rho, theta, ubar) chart around a C+ point
@@ -149,7 +176,7 @@ class TestEquilibriumCircles:
                 zm[j] -= step
                 J[:, j] = (reduced_infinity_field(zp, P, +1)
                            - reduced_infinity_field(zm, P, +1)) / (2 * step)
-        assert np.allclose(J, infinity_jacobian(SQRT2), atol=1e-6)
+        assert np.allclose(J, level_block(SQRT2), atol=1e-6)
 
     def test_orbits_attracted_and_repelled(self):
         # forward flow near C+ converges to it; near C- it leaves
@@ -169,9 +196,10 @@ class TestI0Flow:
             th0 = rng.uniform(0, 2 * math.pi)
             ps0 = rng.uniform(0.2, math.pi - 0.2)
             curve = i0_flow_closed_form(th0, ps0)
-            y0 = [SQRT2 * math.cos(ps0), th0, SQRT2 * math.sin(ps0)]
-            traj = integrate(i0_rhs(), y0, (0.0, 8.0), TIGHT)
-            vb, th, ub = traj.states.T
+            y0 = [0.0, SQRT2 * math.cos(ps0), th0, SQRT2 * math.sin(ps0)]
+            traj = integrate(infinity_rhs(P), y0, (0.0, 8.0), TIGHT)
+            rho, vb, th, ub = traj.states.T
+            assert np.all(rho == 0.0)  # rho' = -rho vbar keeps the flow on I0
             assert np.max(np.abs(vb - curve.vbar_of_theta(th))) < 1e-8
             psi = np.unwrap(np.arctan2(ub / SQRT2, vb / SQRT2))
             # straight line in (theta, psi) with d theta / d psi = -2
@@ -179,9 +207,9 @@ class TestI0Flow:
             assert np.max(np.abs(psi - curve.psi_of_theta(th))) < 1e-8
 
     def test_gradient_like_vbar(self):
-        y0 = [SQRT2 * math.cos(2.6), 0.0, SQRT2 * math.sin(2.6)]
-        traj = integrate(i0_rhs(), y0, (0.0, 12.0), TIGHT)
-        assert np.all(np.diff(traj.states[:, 0]) > 0)
+        y0 = [0.0, SQRT2 * math.cos(2.6), 0.0, SQRT2 * math.sin(2.6)]
+        traj = integrate(infinity_rhs(P), y0, (0.0, 12.0), TIGHT)
+        assert np.all(np.diff(traj.states[:, 1]) > 0)
 
     def test_heteroclinic_foliation(self):
         # every nonequilibrium I0 orbit runs from C- to C+

@@ -140,6 +140,21 @@ def test_field_turning_nan_after_a_zero_start_underflows():
         integrate(field, [1.0, 1.0], (0.0, 1.0))
 
 
+def test_nan_field_underflows_instead_of_hanging():
+    # a field NaN from the start makes the first step size NaN, which no
+    # comparison with the smallest step catches unless NaN fails it; the child
+    # process turns a regression into a timeout instead of a hung suite
+    code = ("import math, numpy as np\n"
+            "from anisokepler.integrate import StepSizeUnderflow, integrate\n"
+            "try:\n"
+            "    integrate(lambda t, y: np.array([math.nan]), [1.0], (0, 1))\n"
+            "except StepSizeUnderflow:\n"
+            "    print('underflow')\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert proc.stdout.strip() == "underflow"
+
+
 def test_package_import_loads_no_scipy_subpackage():
     # the runtime needs no scipy at all; the import loads neither scipy nor any
     # of its subpackages

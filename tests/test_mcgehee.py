@@ -30,7 +30,6 @@ from anisokepler.mcgehee import (
     from_mcgehee,
     level_through,
     linearize_at,
-    mcgehee_field,
     mcgehee_rhs,
     mcgehee_rhs_with_time,
     min_field_norm_on_level,
@@ -41,6 +40,11 @@ from anisokepler.mcgehee import (
 from conftest import fd_jacobian_reduced
 
 TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
+
+
+def field(m, p):
+    """The regularized field (r', v', theta', u') at m: the integrator's closure."""
+    return mcgehee_rhs(p)(0.0, m.as_array())
 
 
 class TestDelta:
@@ -93,7 +97,7 @@ class TestField:
     def test_rest_point_on_axis(self):
         # r=0, u=0, v=0, theta=0: only v' survives, equal to -b(beta-2)/mu^(beta/2)
         p = Params(beta=3, mu=2, b=0.7)
-        f = mcgehee_field(McGeheeState(0, 0, 0, 0), p)
+        f = field(McGeheeState(0, 0, 0, 0), p)
         assert f[0] == 0.0
         assert f[1] == pytest.approx(-p.b * (p.beta - 2) / p.mu ** (p.beta / 2))
         assert f[2] == 0.0 and f[3] == 0.0
@@ -101,7 +105,7 @@ class TestField:
     def test_nonzero_v_adds_quadratic_term(self):
         p = Params(beta=3, mu=2, b=0.7)
         v0 = 0.4
-        f = mcgehee_field(McGeheeState(0, v0, 0, 0), p)
+        f = field(McGeheeState(0, v0, 0, 0), p)
         expected = 0.5 * (p.beta - 2) * v0 ** 2 - p.b * (p.beta - 2) / p.mu ** 1.5
         assert f[1] == pytest.approx(expected)
 
@@ -109,12 +113,10 @@ class TestField:
         p = Params(beta=3, mu=1.5, b=0.5, h=-0.2)
         eq = equilibrium_location(math.pi / 2, +1, p)
         assert eq.v == pytest.approx(math.sqrt(2 * p.b))
-        assert np.max(np.abs(mcgehee_field(eq, p))) < 1e-12
+        assert np.max(np.abs(field(eq, p))) < 1e-12
 
     def test_requires_beta_above_two(self):
         # the field serves beta >= 2 (beta = 2 is the integrable case)
-        with pytest.raises(ValueError):
-            mcgehee_field(McGeheeState(1, 0, 0, 0), Params(1.5, 1, 1))
         with pytest.raises(ValueError):
             mcgehee_rhs(Params(1.5, 1, 1))
 
@@ -166,7 +168,7 @@ class TestFieldBatching:
             # library's pow, as numpy's scalar power) may round the last bit
             # differently from numpy's vectorized one; terms stay below
             # 2 * 3^6, whose ulp is 2.3e-13, so allow a few ulp
-            scalar = mcgehee_field(McGeheeState(*y[:, i]), p)
+            scalar = field(McGeheeState(*y[:, i]), p)
             assert np.max(np.abs(scalar - batch[:, i])) <= 1e-12
 
     @settings(max_examples=150, deadline=None)
@@ -338,7 +340,7 @@ class TestEquilibria:
     def test_field_vanishes_at_all(self):
         p = Params(beta=2.6, mu=2.2, b=1.3, h=0.4)
         for e in equilibria(p):
-            assert np.max(np.abs(mcgehee_field(e.location, p))) < 1e-12
+            assert np.max(np.abs(field(e.location, p))) < 1e-12
 
     def test_overflowed_spectrum_is_not_classified(self):
         # Delta^(beta/2) overflows, so every eigenvalue underflows to 0

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from anisokepler.core import Params
+from anisokepler.core import Params, _jacobian
 from anisokepler.integrate import Event, IntegratorConfig, integrate
 from anisokepler.mcgehee import collision_rhs, delta, energy_residual
 from anisokepler.torus import (
@@ -15,13 +15,10 @@ from anisokepler.torus import (
     comparison_section,
     connection_beta,
     is_split_beta,
+    _torus_arrays,
     reversal_map,
-    slope_eps_rate,
-    slope_field_F,
     splitting_gap,
     splitting_sign,
-    torus_field,
-    torus_jacobian,
     torus_rhs,
     torus_to_collision,
     trace_manifold,
@@ -31,6 +28,17 @@ from anisokepler.torus import (
 )
 
 TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
+
+
+def field(t, p):
+    """(theta', psi') at t: the integrator's closure."""
+    return torus_rhs(p)(0.0, t.as_array())
+
+
+def slope(theta, psi, p):
+    """dpsi/dtheta of the torus field, off the lines sin(psi) = 0."""
+    dth, dps = field(TorusState(theta, psi), p)
+    return dps / dth
 
 
 class TestChart:
@@ -46,7 +54,7 @@ class TestChart:
     def test_isotropic_field_reduction(self):
         p = Params(beta=3, mu=1, b=0.5)
         t = TorusState(0.7, 1.1)
-        f = torus_field(t, p)
+        f = field(t, p)
         assert f[0] == pytest.approx(math.sqrt(2 * p.b) * math.sin(t.psi))
         assert f[1] == pytest.approx(0.5 * (p.beta - 2) * math.sqrt(2 * p.b) * math.sin(t.psi))
 
@@ -54,7 +62,21 @@ class TestChart:
         p = Params(beta=3, mu=1.5, b=0.5)
         for th in (0.0, math.pi / 2, math.pi, -math.pi / 2, -math.pi):
             for ps in (0.0, math.pi):
-                assert np.max(np.abs(torus_field(TorusState(th, ps), p))) < 1e-14
+                assert np.max(np.abs(field(TorusState(th, ps), p))) < 1e-14
+
+    def test_jacobian_matches_central_differences(self):
+        # the complex-step Jacobian of the one torus definition, which seeds
+        # trace_manifold, against central differences of the field
+        rng = np.random.default_rng(3)
+        step = 1e-6
+        for beta in (3.0, 3.4, 4.0):
+            for _ in range(10):
+                p = Params(beta, rng.uniform(1.0, 2.0), rng.uniform(0.1, 1.5))
+                y = rng.uniform(-math.pi, math.pi, 2)
+                fd = np.column_stack([
+                    (field(TorusState(*(y + step * e)), p) - field(TorusState(*(y - step * e)), p))
+                    / (2 * step) for e in np.eye(2)])
+                assert np.allclose(_jacobian(_torus_arrays, y, p), fd, rtol=1e-7, atol=1e-9)
 
     def test_pushforward_consistency_with_collision_flow(self):
         # integrating the 3d collision flow and mapping through the angle chart
@@ -78,28 +100,26 @@ class TestChart:
 
 class TestSlopeField:
     def test_isotropic_constant(self):
-        assert slope_field_F(0.3, 1.0, Params(3, 1, 0.7)) == pytest.approx(0.5)
-        assert slope_field_F(2.0, 2.0, Params(4, 1, 0.2)) == pytest.approx(1.0)
-
-    def test_singular_on_psi_axis(self):
-        with pytest.raises(ZeroDivisionError):
-            slope_field_F(0.3, 0.0, Params(3, 1.2, 0.5))
+        assert slope(0.3, 1.0, Params(3, 1, 0.7)) == pytest.approx(0.5)
+        assert slope(2.0, 2.0, Params(4, 1, 0.2)) == pytest.approx(1.0)
 
     def test_eps_derivative_matches_finite_difference(self):
+        # along the unperturbed connection psi = zeta0, d(slope)/d(epsilon) at
+        # epsilon = 0 is the integrand of zeta1, the theta-derivative of its quadrature
         beta, b = 3.0, 0.5
         for th in np.linspace(-3.0, 3.0, 7):
             ps = zeta0(3, th)
             if abs(math.sin(ps)) < 1e-3:
                 continue
-            eps = 1e-7
-            fd = (slope_field_F(th, ps, Params(beta, 1 + eps, b))
-                  - slope_field_F(th, ps, Params(beta, 1, b))) / eps
-            assert fd == pytest.approx(slope_eps_rate(th, ps, beta), rel=1e-5, abs=1e-7)
+            eps, dth = 1e-7, 1e-4
+            fd = (slope(th, ps, Params(beta, 1 + eps, b)) - slope(th, ps, Params(beta, 1, b))) / eps
+            rate = (zeta1_quadrature(3, th + dth) - zeta1_quadrature(3, th - dth)) / (2 * dth)
+            assert fd == pytest.approx(rate, rel=1e-5, abs=1e-7)
 
     def test_psi_derivative_vanishes_at_eps_zero(self):
         p = Params(3, 1, 0.5)
         dpsi = 1e-6
-        d = (slope_field_F(0.4, 1.0 + dpsi, p) - slope_field_F(0.4, 1.0 - dpsi, p)) / (2 * dpsi)
+        d = (slope(0.4, 1.0 + dpsi, p) - slope(0.4, 1.0 - dpsi, p)) / (2 * dpsi)
         assert abs(d) < 1e-12
 
 
@@ -169,7 +189,7 @@ class TestTrace:
         p = Params(beta, mu, 0.5)
         for k in range(4):
             for j in range(2):
-                eig = np.linalg.eigvals(torus_jacobian(TorusState(k * math.pi / 2, j * math.pi), p))
+                eig = np.linalg.eigvals(_jacobian(_torus_arrays, [k * math.pi / 2, j * math.pi], p))
                 assert np.all(eig.real < 0) == (k % 2 == 1 and j == 1)
                 assert np.all(eig.real > 0) == (k % 2 == 1 and j == 0)
 
@@ -181,6 +201,12 @@ class TestTrace:
         p = Params(3.0, 10.0, 0.5)
         with pytest.raises(TraceError, match="attracting equilibrium"):
             trace_manifold(TorusState(*origin), direction, p)
+
+    def test_seed_beyond_the_float_range_is_numerical_failure(self):
+        # Delta^((beta+4)/4) overflows on Python complex and turns NaN on numpy
+        # complex scalars: the trace stops instead of seeding along NaN
+        with np.errstate(all="ignore"), pytest.raises(ArithmeticError, match="not finite"):
+            trace_manifold(TorusState(-math.pi, 0.0), "unstable", Params(3.0, 1e300, 0.5))
 
     def test_rejects_non_saddle_origin(self):
         p = Params(3.0, 1.1, 0.5)
