@@ -21,6 +21,7 @@ from anisokepler.torus import (
     splitting_gap,
     splitting_sign,
     trace_manifold,
+    zeta0,
     zeta1,
     zeta1_quadrature,
 )
@@ -44,9 +45,8 @@ for beta in (3, 4):
 
     # unperturbed branch traces the connection line exactly
     p0 = Params(float(beta), 1.0, 0.5)
-    branch = trace_manifold(TorusState(-math.pi, 0.0), "unstable", p0)
-    th, ps = branch.samples.T
-    line = (th + math.pi) / 2 if beta == 3 else th + math.pi
+    th, ps = trace_manifold(TorusState(-math.pi, 0.0), "unstable", p0).T
+    line = zeta0(beta, th)
     print(f"  eps = 0: max distance from the connection line = "
           f"{np.max(np.abs(ps - line)):.2e};  verdict: "
           f"{splitting_sign(beta, p0).value}")

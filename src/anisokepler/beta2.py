@@ -34,7 +34,6 @@ __all__ = [
     "poisson_bracket_H2_G",
     "beta2_mcgehee_rhs",
     "beta2_energy_residual",
-    "beta2_g",
     "zero_velocity_radius",
     "classify_heteroclinic",
 ]
@@ -119,12 +118,6 @@ def beta2_energy_residual(m: McGeheeState, p: Params) -> float:
     """u^2 + v^2 - 2r - 2b/Delta - 2 h r^2; zero on the energy level."""
     p.require_beta_equal(2.0)
     return energy_residual(m, p)
-
-
-def beta2_g(m: McGeheeState, p: Params) -> float:
-    """The integral G in regularized variables: g = (u^2 - 2b/Delta)/2."""
-    p.require_beta_equal(2.0)
-    return 0.5 * (m.u * m.u - 2.0 * p.b / delta(m.theta, p.mu))
 
 
 def zero_velocity_radius(theta: float, p: Params) -> float:

@@ -49,11 +49,16 @@ from .torus import (
     zeta1,
     comparison_section,
 )
-from .infinity import SQRT2, InfinityState, i0_flow_closed_form, infinity_rhs
+from .infinity import (
+    SQRT2,
+    InfinityState,
+    i0_flow_closed_form,
+    infinity_energy_residual,
+    infinity_rhs,
+)
 from .beta2 import (
     PolarState,
     beta2_energy_residual,
-    beta2_g,
     beta2_mcgehee_rhs,
     integral_G,
     poisson_bracket_H2_G,
@@ -211,7 +216,7 @@ def _run_collision_flow(ns: argparse.Namespace):
             rows.append(("field", th, ps, f[0], f[1]))
     if is_split_beta(p.beta):
         branch = trace_manifold(TorusState(-math.pi, 0.0), "unstable", p, cfg=_integrator(ns))
-        for th, ps in branch.samples:
+        for th, ps in branch:
             rows.append(("branch-unstable", th, ps, 0.0, 0.0))
     meta = {"command": ns.command, "beta": p.beta, "mu": p.mu, "b": p.b,
             "epsilon": p.epsilon, "seed": ns.seed}
@@ -246,7 +251,7 @@ def _run_infinity_flow(ns: argparse.Namespace):
             psi_prev = psi
             line_resid = th - float(curve.theta_of_psi(psi))
             vbar_resid = vb - float(curve.vbar_of_theta(th))
-            energy_resid = ub * ub + vb * vb - 2.0
+            energy_resid = infinity_energy_residual(InfinityState(rho, vb, th, ub), p)
             energies.append(energy_resid)
             rows.append((i, s, rho, vb, th, ub, psi, energy_resid, line_resid, vbar_resid))
         drift[f"orbit{i}_energy_relation"] = max(abs(e - energies[0]) for e in energies)
@@ -301,7 +306,9 @@ def _run_beta2_verify(ns: argparse.Namespace):
     lvl = level_through(m0, p)
     traj = integrate(beta2_mcgehee_rhs(lvl), m0.as_array(), (0.0, ns.tau), icfg,
                      monitors={"E": lambda t, y: beta2_energy_residual(McGeheeState(*y), lvl),
-                               "g": lambda t, y: beta2_g(McGeheeState(*y), lvl)})
+                               # G in the polar chart: pr = v/r, ptheta = u at beta = 2
+                               "g": lambda t, y: integral_G(
+                                   PolarState(y[0], y[2], y[1] / y[0], y[3]), lvl)})
     checks = [
         ("poisson_bracket_max_abs", bracket_worst, 1e-10),
         ("H2_drift_max", h_drift, 1e-8),

@@ -134,7 +134,9 @@ def _on_floats(field, y: np.ndarray, p: Params) -> np.ndarray:
     operation raises instead (an overflowing power, a division by zero, the sine
     of inf) or turns complex (a negative base at a non-integral power, from a
     trial stage just past r = 0), the same definition is evaluated again on
-    numpy scalars, which give numpy's NaN or inf and its RuntimeWarning.
+    numpy scalars, which give numpy's NaN or inf without a RuntimeWarning: the
+    stepper rejects a non-finite trial stage, and the CLI exits 3 rather than
+    write a NaN or inf cell.
     """
     try:
         out = np.array(field(math, *y.tolist(), p))
@@ -142,7 +144,8 @@ def _on_floats(field, y: np.ndarray, p: Params) -> np.ndarray:
             return out
     except (ArithmeticError, ValueError):
         pass
-    return np.array(field(np, *y, p))
+    with np.errstate(all="ignore"):
+        return np.array(field(np, *y, p))
 
 
 def _jacobian(field, y, p: Params) -> np.ndarray:

@@ -190,6 +190,8 @@ class _DormandPrince:
         while True:
             if not h_abs >= min_step:  # a NaN step size, from a NaN field, too
                 raise StepSizeUnderflow(
+                    f"step size is NaN at t = {t}, y = {y.tolist()}: the field or the "
+                    "state is not finite there" if math.isnan(h_abs) else
                     "Required step size is less than spacing between numbers.")
             t_new = t + h_abs * direction
             if direction * (t_new - self.t_bound) > 0:

@@ -151,9 +151,19 @@ def mcgehee_rhs_with_time(p: Params):
 def energy_residual(m: McGeheeState, p: Params) -> float:
     """u^2 + v^2 - 2 r^(beta-1) - 2b/Delta^(beta/2) - 2 h r^beta; a first integral,
     zero on the energy level."""
-    D = delta(m.theta, p.mu)
-    return (m.u * m.u + m.v * m.v - 2.0 * m.r ** (p.beta - 1.0)
-            - 2.0 * p.b / D ** (p.beta / 2.0) - 2.0 * p.h * m.r ** p.beta)
+    return _residual(m.r, m.v, m.theta, m.u, p)
+
+
+def _residual(r, v, theta, u, p: Params):
+    """`energy_residual` on floats or equal-shape arrays."""
+    D = delta(theta, p.mu)
+    return (u * u + v * v - 2.0 * r ** (p.beta - 1.0)
+            - 2.0 * p.b / D ** (p.beta / 2.0) - 2.0 * p.h * r ** p.beta)
+
+
+def _v_squared(r, theta, u, p: Params):
+    """v^2 on the energy level: the residual at v = 0, negated (0.0 - x keeps a zero +0)."""
+    return 0.0 - _residual(r, 0.0, theta, u, p)
 
 
 def level_through(m: McGeheeState, p: Params) -> Params:
@@ -212,8 +222,7 @@ class EquilibriumReport:
 
 
 def equilibrium_location(theta: float, sign: int, p: Params) -> McGeheeState:
-    D = delta(theta, p.mu)
-    v = sign * math.sqrt(2.0 * p.b / D ** (p.beta / 2.0))
+    v = sign * math.sqrt(_v_squared(0.0, theta, 0.0, p))
     return McGeheeState(0.0, v, theta % TWO_PI, 0.0)
 
 
@@ -244,12 +253,6 @@ def linearize_at(eq: EquilibriumReport | McGeheeState, p: Params) -> np.ndarray:
     return np.array([[m.v, 0.0, 0.0],
                      [0.0, 0.0, 1.0],
                      [0.0, c, e]])
-
-
-def _v_squared(r, theta, u, p: Params):
-    """v^2 = 2 r^(beta-1) + 2b/Delta^(beta/2) + 2 h r^beta - u^2 on the energy level."""
-    return (2.0 * r ** (p.beta - 1.0) + 2.0 * p.b / delta(theta, p.mu) ** (p.beta / 2.0)
-            + 2.0 * p.h * r ** p.beta - u * u)
 
 
 def reduced_field(z: np.ndarray, p: Params, v_sign: int) -> np.ndarray:

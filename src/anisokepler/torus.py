@@ -21,15 +21,13 @@ import numpy as np
 
 from .core import Params, _jacobian, _on_floats
 from .integrate import Event, IntegrationError, IntegratorConfig, integrate
-from .mcgehee import McGeheeState, delta
+from .mcgehee import delta
 from .melnikov import _tanh_sinh
 
 __all__ = [
     "TorusState",
-    "ManifoldBranch",
     "SplittingVerdict",
     "torus_rhs",
-    "torus_to_collision",
     "is_split_beta",
     "zeta0",
     "zeta1",
@@ -65,24 +63,6 @@ class TorusState:
 class SplittingVerdict(Enum):
     BROKEN = "broken"
     CONNECTED = "connected-within-tolerance"
-
-
-@dataclass(frozen=True)
-class ManifoldBranch:
-    """Numerically continued branch of an invariant manifold of a torus saddle."""
-
-    samples: np.ndarray  # (n, 2) rows of (theta, psi)
-
-    @property
-    def section_psi(self) -> float:
-        return float(self.samples[-1, 1])
-
-
-def torus_to_collision(t: TorusState, p: Params) -> McGeheeState:
-    """Angle chart back to (r=0, v, theta, u); lands on the collision manifold."""
-    D = delta(t.theta, p.mu)
-    g = math.sqrt(2.0 * p.b) / D ** (p.beta / 4.0)
-    return McGeheeState(0.0, g * math.cos(t.psi), t.theta % (2 * math.pi), g * math.sin(t.psi))
 
 
 def _torus_arrays(xp, theta, psi, p: Params):
@@ -179,8 +159,9 @@ def _is_torus_saddle(t: TorusState) -> bool:
 
 
 def trace_manifold(origin: TorusState, direction: str, p: Params,
-                   cfg: IntegratorConfig | None = None) -> ManifoldBranch:
-    """Continue a manifold branch from a torus saddle to the comparison section.
+                   cfg: IntegratorConfig | None = None) -> np.ndarray:
+    """Continue a manifold branch from a torus saddle to the comparison section,
+    returned as its (n, 2) samples of (theta, psi); the last row is on the section.
 
     Seeds SEED_OFFSET along the stable/unstable eigenvector, toward the section,
     and integrates until theta reaches it.  Raises TraceError when the arc length
@@ -235,7 +216,7 @@ def trace_manifold(origin: TorusState, direction: str, p: Params,
                              f"before reaching theta = {section}")
         raise TraceError(f"branch from {origin} did not reach theta = {section} "
                          f"within arc length {ARC_LENGTH_CAP}")
-    return ManifoldBranch(traj.states[:, :2].copy())
+    return traj.states[:, :2].copy()
 
 
 def splitting_gap(beta: int, p: Params, cfg: IntegratorConfig | None = None
@@ -243,15 +224,14 @@ def splitting_gap(beta: int, p: Params, cfg: IntegratorConfig | None = None
     """(gap, psi_unstable, psi_stable) at the comparison section.
 
     The unstable branch out of (-pi, 0) is traced directly; the matching stable
-    branch is its image under the reversal symmetry, which fixes the section, so
-    psi_stable = pi - psi_unstable there.
+    branch is its image under `reversal_map`, which fixes the section.
     """
     if p.beta != beta:
         raise ValueError("beta argument must match p.beta")
-    branch = trace_manifold(TorusState(-math.pi, 0.0), "unstable", p, cfg=cfg)
-    psi_u = branch.section_psi
-    psi_s = math.pi - psi_u
-    return abs(psi_u - psi_s), psi_u, psi_s
+    samples = trace_manifold(TorusState(-math.pi, 0.0), "unstable", p, cfg=cfg)
+    end = TorusState(*samples[-1].tolist())
+    psi_s = reversal_map(beta, end).psi
+    return abs(end.psi - psi_s), end.psi, psi_s
 
 
 def splitting_verdict(gap: float, cfg: IntegratorConfig | None = None) -> SplittingVerdict:

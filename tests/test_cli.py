@@ -253,6 +253,18 @@ class TestSimulateCommand:
         message = json.loads(capsys.readouterr().err)["message"]
         assert "collision at the origin" in message and "--coords mcgehee" in message
 
+    def test_rejected_trial_stage_prints_no_warning(self, tmp_path):
+        # at beta = 2.5 a trial stage lands past r = 0, where r^(beta-1) is NaN
+        # on numpy scalars; the stepper rejects that stage, and no numpy
+        # RuntimeWarning reaches the output of the successful run
+        out = tmp_path / "r1.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["simulate", "--coords", "mcgehee", "--beta", "2.5",
+                         "--initial", "0.5,-0.8,1.4,0.1", "--t-final", "400", "--out", str(out)])
+        assert code == EXIT_OK
+        assert read_rows(out)[2]
+
     def test_numerical_failure_exit_code(self, tmp_path):
         # collision orbit with beta = 2 in Cartesian coordinates stalls the stepper
         out = tmp_path / "crash.csv"
@@ -314,6 +326,17 @@ class TestInfinityFlowCommand:
         i_vb = cols.index("vbar_closed_form_residual")
         assert max(abs(float(r[i_line])) for r in rows) < 1e-7
         assert max(abs(float(r[i_vb])) for r in rows) < 1e-7
+
+    def test_nan_field_names_the_nan(self, tmp_path, capsys):
+        # (mu - 1) b overflows, so ubar' is NaN at the start and so is the
+        # first step size: the record says so, with the time and the state
+        out = tmp_path / "h.csv"
+        code = main(["infinity-flow", "--b", "1e300", "--mu", "1e300", "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert not out.exists()
+        message = json.loads(capsys.readouterr().err.splitlines()[-1])["message"]
+        assert message.startswith("step size is NaN at t = 0.0, y = [0.0, ")
+        assert message.endswith("the field or the state is not finite there")
 
     def test_takes_no_energy_option(self, tmp_path, capsys):
         # the inverted chart covers h = 0 only, so there is no --h; it is not
@@ -452,8 +475,8 @@ class TestConfigAndErrors:
 
     def test_error_record_is_json(self, tmp_path, capsys):
         for argv in (["equilibria", "--beta", "2", "--mu", "1.2", "--b", "0.5"],
+                     ["splitting", "--beta", "5"],  # the torus gate rejects it
                      # bad flags are rejected by the parser and get the same record
-                     ["splitting", "--beta", "5"],
                      ["collision-flow", "--grid", "abc"],
                      ["simulate", "--coords", "polar"]):
             assert main(argv + ["--out", str(tmp_path / "x.csv")]) == EXIT_VALIDATION

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anisokepler.core import CartesianState, DomainError, Params, hamiltonian
+from anisokepler.core import CartesianState, DomainError, Params, cartesian_rhs, hamiltonian
 from anisokepler.integrate import Event, IntegratorConfig, integrate
 from anisokepler.mcgehee import (
     BasinBox,
@@ -196,6 +196,30 @@ class TestFieldBatching:
                     err = abs(mpmath.mpf(float(batch[k, i])) - mpmath.fsum(parts))
                     largest = max(abs(t) for t in parts)
                     assert err <= 8 * (np.finfo(float).eps * largest + math.ulp(0.0))
+
+
+class TestChartConjugacy:
+    """The McGehee field is the push-forward of the Cartesian field through
+    `to_mcgehee`, times dt/dtau = r^(beta/2+1), on the level h = hamiltonian(s)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(beta=_reals(2.0, 6.0), mu=_reals(1.0, 4.0), b=_reals(0.05, 2.0),
+           r=_reals(0.2, 3.0), theta=_reals(0.1, 2 * math.pi - 0.1),
+           px=_reals(-2.0, 2.0), py=_reals(-2.0, 2.0))
+    def test_mcgehee_field_is_the_rescaled_pushforward(self, beta, mu, b, r, theta, px, py):
+        # theta stays off the 0/2pi cut of to_mcgehee, so the difference is smooth
+        s = CartesianState(r * math.cos(theta), r * math.sin(theta), px, py)
+        p = Params(beta, mu, b, h=hamiltonian(s, Params(beta, mu, b)))
+        y = s.as_array()
+        f = cartesian_rhs(p)(0.0, y)
+        # a displacement of 1e-4 r along the flow: at the corners of these
+        # ranges the central difference stays within 3e-8 (1 + |field|)
+        step = 1e-4 * r / np.linalg.norm(f)
+        ahead, behind = (to_mcgehee(CartesianState(*(y + sign * step * f)), p).as_array()
+                         for sign in (1.0, -1.0))
+        pushed = r ** (beta / 2 + 1) * (ahead - behind) / (2 * step)
+        want = field(to_mcgehee(s, p), p)
+        assert np.all(np.abs(pushed - want) <= 1e-6 * (1.0 + np.abs(want)))
 
 
 class _CountingNumpy:

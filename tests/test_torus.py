@@ -7,7 +7,7 @@ import pytest
 
 from anisokepler.core import Params, _jacobian
 from anisokepler.integrate import Event, IntegratorConfig, integrate
-from anisokepler.mcgehee import collision_rhs, delta, energy_residual
+from anisokepler.mcgehee import McGeheeState, collision_rhs, delta, energy_residual
 from anisokepler.torus import (
     SplittingVerdict,
     TorusState,
@@ -20,7 +20,6 @@ from anisokepler.torus import (
     splitting_gap,
     splitting_sign,
     torus_rhs,
-    torus_to_collision,
     trace_manifold,
     zeta0,
     zeta1,
@@ -35,6 +34,13 @@ def field(t, p):
     return torus_rhs(p)(0.0, t.as_array())
 
 
+def to_collision(t, p):
+    """(r = 0, v, theta, u) of a torus point: u = g sin(psi), v = g cos(psi),
+    with the amplitude g = theta' at psi = pi/2 of the torus field."""
+    g = field(TorusState(t.theta, math.pi / 2), p)[0]
+    return McGeheeState(0.0, g * math.cos(t.psi), t.theta % (2 * math.pi), g * math.sin(t.psi))
+
+
 def slope(theta, psi, p):
     """dpsi/dtheta of the torus field, off the lines sin(psi) = 0."""
     dth, dps = field(TorusState(theta, psi), p)
@@ -47,7 +53,7 @@ class TestChart:
         rng = np.random.default_rng(0)
         for _ in range(50):
             t = TorusState(rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
-            m = torus_to_collision(t, p)
+            m = to_collision(t, p)
             assert m.r == 0.0
             assert abs(energy_residual(m, p)) < 1e-14
 
@@ -83,7 +89,7 @@ class TestChart:
         # reproduces the 2d torus flow
         p = Params(beta=3, mu=1.4, b=0.5)
         th0, ps0 = -2.0, 0.9
-        m0 = torus_to_collision(TorusState(th0, ps0), p)
+        m0 = to_collision(TorusState(th0, ps0), p)
         tau = 4.0
         c3 = integrate(collision_rhs(p), [m0.v, m0.theta, m0.u], (0.0, tau), TIGHT)
         t2 = integrate(torus_rhs(p), [th0, ps0], (0.0, tau), TIGHT)
@@ -151,26 +157,23 @@ class TestZeta:
 class TestTrace:
     def test_unperturbed_branch_on_connection_line_beta3(self):
         p = Params(3.0, 1.0, 0.5)
-        branch = trace_manifold(TorusState(-math.pi, 0.0), "unstable", p, cfg=TIGHT)
-        th, ps = branch.samples.T
+        th, ps = trace_manifold(TorusState(-math.pi, 0.0), "unstable", p, cfg=TIGHT).T
         assert np.max(np.abs(-2 * ps + th + math.pi)) < 1e-6
 
     def test_unperturbed_branch_on_connection_line_beta4(self):
         p = Params(4.0, 1.0, 0.5)
-        branch = trace_manifold(TorusState(-math.pi, 0.0), "unstable", p, cfg=TIGHT)
-        th, ps = branch.samples.T
+        th, ps = trace_manifold(TorusState(-math.pi, 0.0), "unstable", p, cfg=TIGHT).T
         assert np.max(np.abs(-2 * ps + 2 * th + 2 * math.pi)) < 1e-6
 
     def test_seed_offset_invariant(self):
         p = Params(3.0, 1.002, 0.5)
         branch = trace_manifold(TorusState(-math.pi, 0.0), "unstable", p, cfg=TIGHT)
-        d0 = np.linalg.norm(branch.samples[0] - [-math.pi, 0.0])
+        d0 = np.linalg.norm(branch[0] - [-math.pi, 0.0])
         assert d0 == pytest.approx(1e-6, rel=1e-9)
 
     def test_perturbed_deviation_rate_beta3(self):
         p = Params(3.0, 1.001, 0.5)
-        branch = trace_manifold(TorusState(-math.pi, 0.0), "unstable", p, cfg=TIGHT)
-        psi_end = branch.section_psi
+        psi_end = trace_manifold(TorusState(-math.pi, 0.0), "unstable", p, cfg=TIGHT)[-1, 1]
         assert psi_end > math.pi / 2
         assert (psi_end - math.pi / 2) / 0.001 == pytest.approx(0.75 * math.pi, rel=0.02)
 
@@ -179,7 +182,7 @@ class TestTrace:
         p = Params(3.0, 1.002, 0.5)
         stable = trace_manifold(TorusState(math.pi, math.pi), "stable", p, cfg=TIGHT)
         unst = trace_manifold(TorusState(-math.pi, 0.0), "unstable", p, cfg=TIGHT)
-        assert stable.section_psi == pytest.approx(math.pi - unst.section_psi, abs=1e-9)
+        assert stable[-1, 1] == pytest.approx(math.pi - unst[-1, 1], abs=1e-9)
 
     @pytest.mark.parametrize("beta", [3.0, 4.0])
     @pytest.mark.parametrize("mu", [1.001, 1.5, 10.0])
