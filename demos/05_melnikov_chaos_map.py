@@ -12,18 +12,19 @@ import math
 
 import numpy as np
 
-from anisokepler import Params, ParabolicOrbit, chaos_verdict, melnikov_analysis
-from anisokepler.melnikov import i2_amplitude, i2_beta_roots, i2_closed_form, i2_quadrature
-
-orbit = ParabolicOrbit(p_param=1.0)
+from anisokepler import ChaosVerdict, chaos_verdict
+from anisokepler.melnikov import (i1_parity_check, i2_amplitude, i2_beta_roots, i2_closed_form,
+                                  i2_quadrature)
 
 print("verdicts along the exponent axis (p = 1):")
 for beta in (1.75, 2.0, 2.5, 3.0, 4.0, 5.0):
-    res = melnikov_analysis(orbit, Params(beta=beta, mu=1.1, b=0.01))
-    zeros = ("theta0 in {0, pi/2, pi, 3pi/2}" if res.theta0_zeros else "none")
-    print(f"  beta = {beta:4}: I2 = {res.i2_closed_form:+.8f} "
-          f"(quadrature {res.i2_quadrature:+.8f}, |I1| = {abs(res.i1):.1e}); "
-          f"M2 zeros: {zeros};  {chaos_verdict(beta).value}")
+    verdict = chaos_verdict(beta)
+    zeros = ("theta0 in {0, pi/2, pi, 3pi/2}" if verdict is ChaosVerdict.SIMPLE_ZEROS
+             else "none")
+    print(f"  beta = {beta:4}: I2 = {i2_closed_form(1.0, beta):+.8f} "
+          f"(quadrature {i2_quadrature(1.0, beta):+.8f}, "
+          f"|I1| = {abs(i1_parity_check(1.0, beta)):.1e}); "
+          f"M2 zeros: {zeros};  {verdict.value}")
 
 roots = i2_beta_roots()
 print(f"\nroots of I2 on (3/2, 10], Brent-refined: "
@@ -32,8 +33,10 @@ print(f"I2(p=1, beta=4) = {i2_closed_form(1.0, 4.0):.15f}  (pi = {math.pi:.15f})
 
 # the profile data: same rows the `anisokepler melnikov` command emits
 grid = np.arange(1.6, 5.0 + 1e-9, 0.02)
-rows = [(b, i2_quadrature(1.0, b), i2_closed_form(1.0, b),
-         i2_closed_form(1.0, b) / i2_amplitude(1.0, b)) for b in grid]
+rows = []
+for b in grid:
+    i2 = i2_closed_form(1.0, b)
+    rows.append((b, i2_quadrature(1.0, b), i2, i2 / i2_amplitude(1.0, b)))
 path = "melnikov_profile.csv"
 with open(path, "w", encoding="utf-8") as f:
     f.write("# columns: beta,i2_quadrature,i2_closed_form,i2_over_A\n")

@@ -36,13 +36,10 @@ from .beta2 import (
 )
 from .melnikov import (
     ChaosVerdict,
-    MelnikovResult,
-    ParabolicOrbit,
     chaos_verdict,
     i2_closed_form,
     i2_quadrature,
     melnikov_M2,
-    melnikov_analysis,
 )
 
 __version__ = "0.1.0"

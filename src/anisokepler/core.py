@@ -37,8 +37,8 @@ class Params:
     """Problem constants: exponent beta, anisotropy mu, coupling b, energy level h.
 
     mu >= 1 and b > 0 are enforced here; bounds on beta differ between the
-    regularized analyses (beta > 2 or beta = 2) and the perturbative one
-    (beta > 3/2), so each operation checks the bound it needs.
+    regularized analyses (beta > 2, beta >= 2 or beta = 2), so each operation
+    checks the bound it needs.
     """
 
     beta: float
@@ -146,6 +146,18 @@ def _on_floats(field, y: np.ndarray, p: Params) -> np.ndarray:
         pass
     with np.errstate(all="ignore"):
         return np.array(field(np, *y, p))
+
+
+def _scalar_on_floats(field, y, p: Params) -> float:
+    """A scalar field(math, *y, p) on Python floats; where that raises, as in
+    `_on_floats`, the same definition on numpy scalars, whose inf or NaN comes
+    without a RuntimeWarning."""
+    y = [float(v) for v in y]
+    try:
+        return field(math, *y, p)
+    except (ArithmeticError, ValueError):
+        with np.errstate(all="ignore"):
+            return float(field(np, *map(np.float64, y), p))
 
 
 def _jacobian(field, y, p: Params) -> np.ndarray:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, Params, _on_floats
+from .core import DomainError, Params, _on_floats, _scalar_on_floats
 from .mcgehee import McGeheeState, delta
 
 __all__ = [
@@ -83,9 +83,12 @@ def from_infinity_coords(s: InfinityState, p: Params) -> McGeheeState:
 
 def infinity_energy_residual(s: InfinityState, p: Params) -> float:
     """ubar^2 + vbar^2 - 2 - (2b/Delta^(beta/2)) rho^(beta-1); zero on the h = 0 level."""
-    D = delta(s.theta, p.mu)
-    return (s.ubar * s.ubar + s.vbar * s.vbar - 2.0
-            - 2.0 * p.b / D ** (p.beta / 2.0) * s.rho ** (p.beta - 1.0))
+    return _scalar_on_floats(_infinity_residual, (s.rho, s.vbar, s.theta, s.ubar), p)
+
+
+def _infinity_residual(xp, rho, vb, theta, ub, p: Params):
+    D = delta(theta, p.mu, xp)
+    return ub * ub + vb * vb - 2.0 - 2.0 * p.b / D ** (p.beta / 2.0) * rho ** (p.beta - 1.0)
 
 
 def _infinity_arrays(xp, rho, vb, theta, ub, p: Params):

@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import CartesianState, DomainError, Params, _on_floats
+from .core import CartesianState, DomainError, Params, _on_floats, _scalar_on_floats
 from .integrate import IntegratorConfig, StepSizeUnderflow, _DormandPrince
 
 __all__ = [
@@ -151,19 +151,19 @@ def mcgehee_rhs_with_time(p: Params):
 def energy_residual(m: McGeheeState, p: Params) -> float:
     """u^2 + v^2 - 2 r^(beta-1) - 2b/Delta^(beta/2) - 2 h r^beta; a first integral,
     zero on the energy level."""
-    return _residual(m.r, m.v, m.theta, m.u, p)
+    return _scalar_on_floats(_residual, (m.r, m.v, m.theta, m.u), p)
 
 
-def _residual(r, v, theta, u, p: Params):
-    """`energy_residual` on floats or equal-shape arrays."""
-    D = delta(theta, p.mu)
+def _residual(xp, r, v, theta, u, p: Params):
+    """`energy_residual` on floats or equal-shape arrays, sines and cosines from xp."""
+    D = delta(theta, p.mu, xp)
     return (u * u + v * v - 2.0 * r ** (p.beta - 1.0)
             - 2.0 * p.b / D ** (p.beta / 2.0) - 2.0 * p.h * r ** p.beta)
 
 
 def _v_squared(r, theta, u, p: Params):
     """v^2 on the energy level: the residual at v = 0, negated (0.0 - x keeps a zero +0)."""
-    return 0.0 - _residual(r, 0.0, theta, u, p)
+    return 0.0 - _residual(np, r, 0.0, theta, u, p)
 
 
 def level_through(m: McGeheeState, p: Params) -> Params:

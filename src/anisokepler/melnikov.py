@@ -2,11 +2,13 @@
 
 The anisotropic part of the potential acts as the perturbation
 W2(r, theta) = beta cos^2(theta) / (2 r^beta) (profile only; callers scale by
-eps*b).  Along the parabolic family r = (p/2)(1 + eta^2), eta = tan(theta/2),
-the splitting of the asymptotic manifolds of the point at infinity is governed
-by M2(theta0) = I2 sin(2 theta0): simple zeros of M2 indicate transversal
-intersections, hence chaotic dynamics, whenever I2 != 0.  I2 vanishes exactly
-at beta = 2 and beta = 3 (the factor (beta-2)(beta-3) of the closed form).
+eps*b).  Along the parabolic family r = (p/2)(1 + eta^2), eta = tan(phi/2) with
+phi the angle from the perihelion, the splitting of the asymptotic manifolds of
+the point at infinity is governed by M2(theta0) = I2 sin(2 theta0): simple
+zeros of M2 indicate transversal intersections, hence chaotic dynamics,
+whenever I2 != 0.  I2 vanishes exactly at beta = 2 and beta = 3 (the factor
+(beta-2)(beta-3) of the closed form).
+Every function takes the orbit parameter p and the exponent beta as floats.
 I2(p, beta) = p^(3/2 - beta) I2(1, beta), as is M2: every route evaluates at
 p = 1, where the Gamma forms are compared, and scales once, raising where the
 scale p^(3/2 - beta) overflows or, on a nonzero value, falls below the normal
@@ -29,17 +31,13 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .core import Params
 from .integrate import _brentq
 
 __all__ = [
-    "ParabolicOrbit",
-    "MelnikovResult",
     "ChaosVerdict",
     "parabolic_rt",
     "parabolic_velocities",
@@ -54,7 +52,6 @@ __all__ = [
     "i2_amplitude",
     "i2_beta_roots",
     "chaos_verdict",
-    "melnikov_analysis",
     "THETA_NORMALIZATION_OFFSET",
 ]
 
@@ -79,63 +76,41 @@ def _require_orbit_param(p_param: float) -> None:
         raise ValueError(f"orbit parameter p must be positive and finite, got {p_param}")
 
 
-@dataclass(frozen=True)
-class ParabolicOrbit:
-    """Zero-energy Kepler orbit with parameter p = k^2 (k the angular momentum)."""
-
-    p_param: float
-
-    def __post_init__(self):
-        _require_orbit_param(self.p_param)
-
-    @property
-    def k(self) -> float:
-        return math.sqrt(self.p_param)
-
-    @property
-    def r_min(self) -> float:
-        return self.p_param / 2.0
-
-
-def parabolic_rt(eta: float, orbit: ParabolicOrbit, normalized: bool = False
-                 ) -> tuple[float, float, float]:
-    """(r, t, theta) on the parabolic orbit at parameter eta = tan(theta/2);
+def parabolic_rt(eta: float, p_param: float) -> tuple[float, float, float]:
+    """(r, t, theta) on the zero-energy Kepler orbit with parameter p = k^2 (k the
+    angular momentum) at eta = tan(phi/2), phi the angle from the perihelion;
     elementwise on an array of eta.
 
-    r is even and t odd in eta; theta lies on the branch (-pi, pi), shifted by
-    pi when ``normalized`` to place the perihelion angle at pi.
+    r is even and t odd in eta; theta = phi + THETA_NORMALIZATION_OFFSET lies on
+    (0, 2 pi), with the perihelion r = p/2 at theta = pi.
     """
-    p = orbit.p_param
-    r = 0.5 * p * (1.0 + eta * eta)
-    t = 0.5 * p ** 1.5 * eta * (1.0 + eta * eta / 3.0)
-    theta = 2.0 * np.arctan(eta)
-    if normalized:
-        theta += THETA_NORMALIZATION_OFFSET
-    return r, t, theta
+    _require_orbit_param(p_param)
+    r = 0.5 * p_param * (1.0 + eta * eta)
+    t = 0.5 * p_param ** 1.5 * eta * (1.0 + eta * eta / 3.0)
+    return r, t, 2.0 * np.arctan(eta) + THETA_NORMALIZATION_OFFSET
 
 
-def parabolic_velocities(eta: float, orbit: ParabolicOrbit) -> tuple[float, float]:
+def parabolic_velocities(eta: float, p_param: float) -> tuple[float, float]:
     """(dr/dt, dtheta/dt) along the orbit; matches dr/dt = +-sqrt(2r - k^2)/r
     and dtheta/dt = k/r^2 with the sign carried by eta."""
-    p = orbit.p_param
+    _require_orbit_param(p_param)
     one = 1.0 + eta * eta
-    return 2.0 * eta / (math.sqrt(p) * one), 4.0 / (p ** 1.5 * one * one)
+    return 2.0 * eta / (math.sqrt(p_param) * one), 4.0 / (p_param ** 1.5 * one * one)
 
 
-def perturbation_W2(r: float, theta: float, p: Params) -> float:
+def perturbation_W2(r: float, theta: float, beta: float) -> float:
     """Anisotropy profile beta cos^2(theta) / (2 r^beta); vanishes as r -> infinity."""
-    _require_melnikov_beta(p.beta)
+    _require_melnikov_beta(beta)
     if not r > 0.0:
         raise ValueError("W2 requires r > 0")
     c = math.cos(theta)
-    return p.beta * c * c / (2.0 * r ** p.beta)
+    return beta * c * c / (2.0 * r ** beta)
 
 
-def perturbation_W2_partials(r: float, theta: float, p: Params) -> tuple[float, float]:
+def perturbation_W2_partials(r: float, theta: float, beta: float) -> tuple[float, float]:
     """(dW2/dr, dW2/dtheta); elementwise on arrays of r and theta."""
-    _require_melnikov_beta(p.beta)
+    _require_melnikov_beta(beta)
     c = np.cos(theta)
-    beta = p.beta
     return (-(beta * beta) * c * c / (2.0 * r ** (beta + 1.0)),
             -beta * np.sin(2.0 * theta) / (2.0 * r ** beta))
 
@@ -225,64 +200,62 @@ def _at_p(p_param: float, beta: float, unit: float) -> float:
                           f"leaves the float range (magnitude {bound})")
 
 
-def melnikov_M2(theta0: float, orbit: ParabolicOrbit, p: Params) -> float:
+def melnikov_M2(theta0: float, p_param: float, beta: float) -> float:
     """M2(theta0) = (beta/2) int sin[2(Theta(t) + theta0)] / R(t)^beta dt.
 
     Quadrature in w = theta/2 (eta = tan w); equals I2 sin(2 theta0) since the
     cos-component I1 is suppressed by parity.
     """
-    _require_melnikov_beta(p.beta)
+    _require_melnikov_beta(beta)
     phase = 2.0 * theta0 + 2.0 * THETA_NORMALIZATION_OFFSET
-    return _at_p(orbit.p_param, p.beta,
-                 _unit_orbit_integral(p.beta, lambda w: np.sin(4.0 * w + phase)))
+    return _at_p(p_param, beta, _unit_orbit_integral(beta, lambda w: np.sin(4.0 * w + phase)))
 
 
-def i1_integrand_eta(eta: float, orbit: ParabolicOrbit, p: Params) -> float:
+def i1_integrand_eta(eta: float, p_param: float, beta: float) -> float:
     """Integrand of I1 in the eta parameter (including dt/deta); odd in eta;
     elementwise on an array of eta."""
-    r, _, theta = parabolic_rt(eta, orbit, normalized=True)
-    dt_deta = 0.5 * orbit.p_param ** 1.5 * (1.0 + eta * eta)
-    return 0.5 * p.beta * np.sin(2.0 * theta) / r ** p.beta * dt_deta
+    r, _, theta = parabolic_rt(eta, p_param)
+    dt_deta = 0.5 * p_param ** 1.5 * (1.0 + eta * eta)
+    return 0.5 * beta * np.sin(2.0 * theta) / r ** beta * dt_deta
 
 
-def i1_parity_check(orbit: ParabolicOrbit, p: Params) -> float:
+def i1_parity_check(p_param: float, beta: float) -> float:
     """Quadrature of I1 = (beta/2) int sin(2 Theta)/R^beta dt; zero by parity.
 
     Integrates `i1_integrand_eta` in w = arctan(eta), split at w = 0.3 so that
     no node has its mirror image about w = 0: on mirrored nodes any odd
     integrand cancels to roundoff, and the check could not fail.
     """
-    _require_melnikov_beta(p.beta)
+    _require_melnikov_beta(beta)
 
     def integrand(w: np.ndarray) -> np.ndarray:
         eta = np.tan(w)
         # r^beta overflows only at nodes next to w = +-pi/2, where the
         # integrand is 0 to working precision
         with np.errstate(over="ignore"):
-            return i1_integrand_eta(eta, orbit, p) * (1.0 + eta * eta)
+            return i1_integrand_eta(eta, p_param, beta) * (1.0 + eta * eta)
 
     return _tanh_sinh(integrand, -math.pi / 2, 0.3) + _tanh_sinh(integrand, 0.3, math.pi / 2)
 
 
-def m1_direct_quadrature(orbit: ParabolicOrbit, p: Params, theta0: float) -> float:
+def m1_direct_quadrature(p_param: float, beta: float, theta0: float) -> float:
     """M1 as the quadrature of Rdot dW2/dr + Thetadot dW2/dtheta along the orbit.
 
     M1 integrates the total time derivative of W2, so it vanishes with W2 at
     both ends.  At theta0 = 0 the integrand is odd and cancels on the mirrored
     nodes whatever W2 is, so theta0 has no default: a check needs theta0 != 0.
     """
-    _require_melnikov_beta(p.beta)
-    p_par = orbit.p_param
+    _require_melnikov_beta(beta)
 
     def integrand(w: np.ndarray) -> np.ndarray:
         eta = np.tan(w)
-        r, _, theta = parabolic_rt(eta, orbit, normalized=True)
-        rdot, thdot = parabolic_velocities(eta, orbit)
+        r, _, theta = parabolic_rt(eta, p_param)
+        rdot, thdot = parabolic_velocities(eta, p_param)
         # r^beta overflows only at nodes next to w = +-pi/2, where the partials
         # of W2 are 0 to working precision
         with np.errstate(over="ignore"):
-            wr, wth = perturbation_W2_partials(r, theta + theta0, p)
-        dt_dw = 0.5 * p_par ** 1.5 * (1.0 + eta * eta) ** 2
+            wr, wth = perturbation_W2_partials(r, theta + theta0, beta)
+        dt_dw = 0.5 * p_param ** 1.5 * (1.0 + eta * eta) ** 2
         return (rdot * wr + thdot * wth) * dt_dw
 
     return _tanh_sinh(integrand, -math.pi / 2, math.pi / 2)
@@ -363,23 +336,3 @@ def chaos_verdict(beta: float) -> ChaosVerdict:
     if abs((beta - 2.0) * (beta - 3.0)) <= 1e-9:
         return ChaosVerdict.ZERO_M2
     return ChaosVerdict.SIMPLE_ZEROS
-
-
-@dataclass(frozen=True)
-class MelnikovResult:
-    i1: float
-    i2_quadrature: float
-    i2_closed_form: float
-    theta0_zeros: tuple[float, ...]
-
-
-def melnikov_analysis(orbit: ParabolicOrbit, p: Params) -> MelnikovResult:
-    """I1, I2 (both routes) and the zeros of M2 on [0, 2 pi) when I2 != 0."""
-    i1 = i1_parity_check(orbit, p)
-    i2q = i2_quadrature(orbit.p_param, p.beta)
-    i2c = i2_closed_form(orbit.p_param, p.beta)
-    if chaos_verdict(p.beta) is ChaosVerdict.SIMPLE_ZEROS:
-        zeros = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
-    else:
-        zeros = ()
-    return MelnikovResult(i1, i2q, i2c, zeros)

@@ -12,11 +12,12 @@ import pytest
 from conftest import criterion, fd_jacobian_reduced
 
 from anisokepler.cli import EXIT_OK, main
-from anisokepler.core import Params
+from anisokepler.core import Params, _jacobian
 from anisokepler.integrate import IntegratorConfig, integrate
 from anisokepler.infinity import (
     SQRT2,
     InfinityState,
+    _infinity_arrays,
     i0_flow_closed_form,
     infinity_equilibria,
     infinity_rhs,
@@ -43,7 +44,6 @@ from anisokepler.mcgehee import (
     spiral_threshold,
 )
 from anisokepler.melnikov import (
-    ParabolicOrbit,
     i1_parity_check,
     i2_beta_roots,
     i2_closed_form,
@@ -141,14 +141,21 @@ def test_criterion_4_splitting():
 def test_criterion_5_infinity_manifold():
     with criterion(5, "C+- eigenvalues and I0 heteroclinics: theta-theta0 = -2(psi-psi0), "
                       "vbar = sqrt2 sin((theta+k)/2)", 10.0):
-        rep = infinity_equilibria(Params(3.0, 1.4, 0.5, h=0.0))
+        p = Params(3.0, 1.4, 0.5, h=0.0)
+        rep = infinity_equilibria(p)
         assert np.allclose(sorted(rep.c_plus.eigenvalues),
                            sorted([-SQRT2, -SQRT2 / 2, 0.0]), atol=1e-9)
         assert np.allclose(sorted(rep.c_minus.eigenvalues),
                            sorted([SQRT2, SQRT2 / 2, 0.0]), atol=1e-9)
+        # the same spectrum from the field: its complex-step Jacobian on the
+        # (rho, theta, ubar) block, vbar being the direction off the level
+        for circle in (rep.c_plus, rep.c_minus):
+            for th in np.linspace(0.0, 2 * math.pi, 8, endpoint=False):
+                J = _jacobian(_infinity_arrays, [0.0, circle.vbar, float(th), 0.0], p)
+                lam = np.sort_complex(np.linalg.eigvals(J[np.ix_([0, 2, 3], [0, 2, 3])]))
+                assert np.allclose(lam, sorted(circle.eigenvalues), atol=1e-9)
 
         rng = np.random.default_rng(42)
-        p = Params(3.0, 1.4, 0.5, h=0.0)
         for _ in range(20):
             th0 = float(rng.uniform(0, 2 * math.pi))
             ps0 = float(rng.uniform(0.3, math.pi - 0.3))
@@ -245,12 +252,10 @@ def test_criterion_8_melnikov_integrals():
                 q = i2_quadrature(p_par, beta)
                 c = i2_closed_form(p_par, beta)
                 assert abs(q - c) <= 1e-6 * max(1.0, abs(c))
-                pp = Params(beta=beta, mu=1.1, b=0.01)
-                orb = ParabolicOrbit(p_par)
-                assert abs(i1_parity_check(orb, pp)) <= 1e-10
+                assert abs(i1_parity_check(p_par, beta)) <= 1e-10
                 # theta0 != 0: at theta0 = 0 the M1 integrand is odd and cancels
                 # on the mirrored quadrature nodes whatever W2 is
-                assert abs(m1_direct_quadrature(orb, pp, 0.4)) <= 1e-10
+                assert abs(m1_direct_quadrature(p_par, beta, 0.4)) <= 1e-10
         assert abs(i2_closed_form(1.0, 4.0) - math.pi) <= 1e-8
         roots = i2_beta_roots()
         assert len(roots) == 2

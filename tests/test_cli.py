@@ -534,6 +534,20 @@ class TestConfigAndErrors:
         assert out.exists()
 
 
+def test_overflowing_anisotropy_power_prints_no_warning(tmp_path):
+    # at mu = 1e300, Delta^(beta/2) exceeds the floats in the energy residual
+    # columns; it is inf there, as on numpy, and no RuntimeWarning is printed
+    out = tmp_path / "x.csv"
+    for argv in (["infinity-flow", "--mu", "1e300"],
+                 ["infinity-flow", "--beta", "4", "--mu", "1e300"],
+                 ["simulate", "--coords", "mcgehee", "--mu", "1e300"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv + ["--out", str(out)]) == EXIT_OK, argv
+        _, _, rows = read_rows(out)
+        assert rows and all(math.isfinite(float(x)) for row in rows for x in row), argv
+
+
 # every command at a small size, plus the one quadrature outside the CLI, in an
 # interpreter where importing scipy fails
 NO_SCIPY_RUN = """

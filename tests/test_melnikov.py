@@ -9,10 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import anisokepler.melnikov as melnikov
-from anisokepler.core import Params
 from anisokepler.melnikov import (
     ChaosVerdict,
-    ParabolicOrbit,
     chaos_verdict,
     i1_integrand_eta,
     i1_parity_check,
@@ -22,7 +20,6 @@ from anisokepler.melnikov import (
     i2_quadrature,
     m1_direct_quadrature,
     melnikov_M2,
-    melnikov_analysis,
     parabolic_rt,
     parabolic_velocities,
     perturbation_W2,
@@ -51,107 +48,108 @@ def i2_exact(p_par, beta):
 
 class TestParabolicOrbit:
     def test_perihelion(self):
-        orb = ParabolicOrbit(1.3)
-        r, t, theta = parabolic_rt(0.0, orb)
-        assert r == pytest.approx(orb.r_min) == pytest.approx(orb.k ** 2 / 2)
-        assert t == 0.0 and theta == 0.0
-        r_n, _, theta_n = parabolic_rt(0.0, orb, normalized=True)
-        assert theta_n == pytest.approx(math.pi)
+        # r = k^2/2 = p/2 at the perihelion angle theta = pi
+        r, t, theta = parabolic_rt(0.0, 1.3)
+        assert r == 0.65
+        assert t == 0.0 and theta == math.pi
 
     def test_parity(self):
-        orb = ParabolicOrbit(0.8)
+        # r even, t odd, theta - pi odd in eta
         for eta in (0.3, 1.0, 4.7):
-            rp, tp, thp = parabolic_rt(eta, orb)
-            rm, tm, thm = parabolic_rt(-eta, orb)
-            assert rp == rm and tp == -tm and thp == -thm
+            rp, tp, thp = parabolic_rt(eta, 0.8)
+            rm, tm, thm = parabolic_rt(-eta, 0.8)
+            assert rp == rm and tp == -tm
+            assert thp - math.pi == pytest.approx(math.pi - thm, abs=1e-15)
 
     def test_defining_odes_by_finite_differences(self):
         # oracle: differentiate the parametric triple in eta and compare with
         # dr/dt = +-sqrt(2r - k^2)/r and dtheta/dt = k/r^2
-        orb = ParabolicOrbit(1.7)
-        k = orb.k
+        p_par = 1.7
+        k = math.sqrt(p_par)
         d = 1e-6
         for eta in (-2.0, -0.5, 0.4, 1.5, 3.0):
-            r, _, _ = parabolic_rt(eta, orb)
-            rp, tp, _ = parabolic_rt(eta + d, orb)
-            rm, tm, _ = parabolic_rt(eta - d, orb)
-            _, _, thp = parabolic_rt(eta + d, orb)
-            _, _, thm = parabolic_rt(eta - d, orb)
+            r, _, _ = parabolic_rt(eta, p_par)
+            rp, tp, thp = parabolic_rt(eta + d, p_par)
+            rm, tm, thm = parabolic_rt(eta - d, p_par)
             dt = tp - tm
             rdot_fd = (rp - rm) / dt
             thdot_fd = (thp - thm) / dt
             expect_r = math.copysign(math.sqrt(2 * r - k * k), eta) / r
             assert rdot_fd == pytest.approx(expect_r, rel=1e-6, abs=1e-8)
             assert thdot_fd == pytest.approx(k / r ** 2, rel=1e-6)
-            vr, vth = parabolic_velocities(eta, orb)
+            vr, vth = parabolic_velocities(eta, p_par)
             assert vr == pytest.approx(expect_r, rel=1e-12, abs=1e-15)
             assert vth == pytest.approx(k / r ** 2, rel=1e-12)
 
     def test_positive_parameter_required(self):
-        with pytest.raises(ValueError):
-            ParabolicOrbit(0.0)
+        # every function that takes p checks it (the I2 routes in TestI2)
+        routes = (lambda p_par: parabolic_rt(0.3, p_par),
+                  lambda p_par: parabolic_velocities(0.3, p_par),
+                  lambda p_par: i1_integrand_eta(0.3, p_par, 2.5),
+                  lambda p_par: i1_parity_check(p_par, 2.5),
+                  lambda p_par: m1_direct_quadrature(p_par, 2.5, 0.4),
+                  lambda p_par: melnikov_M2(0.4, p_par, 2.5))
+        for route in routes:
+            for p_par in (-1.0, 0.0, math.nan, math.inf):
+                with pytest.raises(ValueError, match="orbit parameter"):
+                    route(p_par)
 
 
 class TestPerturbation:
-    P = Params(beta=2.5, mu=1.1, b=0.01)
+    BETA = 2.5
 
     def test_vanishes_on_vertical_axis(self):
-        assert perturbation_W2(2.0, math.pi / 2, self.P) == pytest.approx(0.0, abs=1e-16)
+        assert perturbation_W2(2.0, math.pi / 2, self.BETA) == pytest.approx(0.0, abs=1e-16)
 
     def test_decay(self):
-        vals = [perturbation_W2(r, 0.0, self.P) for r in (1.0, 10.0, 100.0)]
+        vals = [perturbation_W2(r, 0.0, self.BETA) for r in (1.0, 10.0, 100.0)]
         assert vals[0] > vals[1] > vals[2]
-        assert vals[2] == pytest.approx(self.P.beta / (2 * 100.0 ** self.P.beta))
+        assert vals[2] == pytest.approx(self.BETA / (2 * 100.0 ** self.BETA))
 
     def test_partials_match_finite_differences(self):
         d = 1e-6
         for (r, th) in ((1.2, 0.4), (3.0, 2.2), (0.7, -1.0)):
-            wr, wth = perturbation_W2_partials(r, th, self.P)
-            fr = (perturbation_W2(r + d, th, self.P) - perturbation_W2(r - d, th, self.P)) / (2 * d)
-            fth = (perturbation_W2(r, th + d, self.P) - perturbation_W2(r, th - d, self.P)) / (2 * d)
+            wr, wth = perturbation_W2_partials(r, th, self.BETA)
+            fr = (perturbation_W2(r + d, th, self.BETA)
+                  - perturbation_W2(r - d, th, self.BETA)) / (2 * d)
+            fth = (perturbation_W2(r, th + d, self.BETA)
+                   - perturbation_W2(r, th - d, self.BETA)) / (2 * d)
             assert wr == pytest.approx(fr, rel=1e-6, abs=1e-10)
             assert wth == pytest.approx(fth, rel=1e-6, abs=1e-10)
 
     def test_theta_partial_is_minus_m2_integrand_profile(self):
         # dW2/dtheta = -(beta/2) sin(2 theta)/r^beta, the integrand of M2 up to sign
-        p = self.P
+        beta = self.BETA
         for (r, th) in ((1.5, 0.3), (2.5, 1.9)):
-            _, wth = perturbation_W2_partials(r, th, p)
-            assert -wth == pytest.approx(0.5 * p.beta * math.sin(2 * th) / r ** p.beta)
+            _, wth = perturbation_W2_partials(r, th, beta)
+            assert -wth == pytest.approx(0.5 * beta * math.sin(2 * th) / r ** beta)
 
     def test_beta_bound(self):
         with pytest.raises(ValueError):
-            perturbation_W2(1.0, 0.0, Params(beta=1.4, mu=1.1, b=0.01))
+            perturbation_W2(1.0, 0.0, 1.4)
 
 
 class TestM2:
     def test_zero_at_theta0_zero(self):
-        p = Params(beta=2.5, mu=1.1, b=0.01)
-        assert abs(melnikov_M2(0.0, ParabolicOrbit(1.0), p)) < 1e-12
+        assert abs(melnikov_M2(0.0, 1.0, 2.5)) < 1e-12
 
     def test_equals_i2_at_quarter(self):
-        p = Params(beta=2.5, mu=1.1, b=0.01)
-        m2 = melnikov_M2(math.pi / 4, ParabolicOrbit(1.3), p)
+        m2 = melnikov_M2(math.pi / 4, 1.3, 2.5)
         assert m2 == pytest.approx(i2_quadrature(1.3, 2.5), rel=1e-10)
 
     def test_beta4_unit_p_value_pi(self):
-        p = Params(beta=4, mu=1.1, b=0.01)
-        assert melnikov_M2(math.pi / 4, ParabolicOrbit(1.0), p) == pytest.approx(math.pi, abs=1e-10)
+        assert melnikov_M2(math.pi / 4, 1.0, 4.0) == pytest.approx(math.pi, abs=1e-10)
 
     def test_sinusoidal_profile(self):
-        p = Params(beta=3.4, mu=1.1, b=0.01)
-        orb = ParabolicOrbit(0.9)
         i2 = i2_quadrature(0.9, 3.4)
         for th0 in np.linspace(0, 2 * math.pi, 9):
-            assert melnikov_M2(th0, orb, p) == pytest.approx(i2 * math.sin(2 * th0), abs=1e-10)
+            assert melnikov_M2(th0, 0.9, 3.4) == pytest.approx(i2 * math.sin(2 * th0), abs=1e-10)
 
     @pytest.mark.parametrize("beta", [1.502, 1.75, 2.5, 3.0, 4.0, 7.5])
     def test_matches_exact_i2_times_sin(self, beta):
-        p = Params(beta=beta, mu=1.1, b=0.01)
-        orb = ParabolicOrbit(0.8)
         i2 = i2_exact(0.8, beta)
         for th0 in np.linspace(0, 2 * math.pi, 13):
-            assert melnikov_M2(th0, orb, p) == pytest.approx(
+            assert melnikov_M2(th0, 0.8, beta) == pytest.approx(
                 i2 * math.sin(2 * th0), abs=1e-13 * max(1.0, abs(i2)))
 
     def test_normalization_offset_invariance(self):
@@ -170,57 +168,48 @@ class TestM2:
 class TestI1AndM1:
     @pytest.mark.parametrize("beta,p_par", [(3.0, 1.0), (2.5, 2.0)])
     def test_i1_below_tolerance(self, beta, p_par):
-        p = Params(beta=beta, mu=1.1, b=0.01)
-        assert abs(i1_parity_check(ParabolicOrbit(p_par), p)) <= 1e-10
+        assert abs(i1_parity_check(p_par, beta)) <= 1e-10
 
     def test_i1_check_fails_off_the_symmetric_phase(self, monkeypatch):
         # with the perihelion angle moved off pi, I1 is not zero; a quadrature
         # on nodes mirrored about the perihelion would still return 0
         monkeypatch.setattr(melnikov, "THETA_NORMALIZATION_OFFSET", math.pi / 3)
-        p = Params(beta=2.5, mu=1.1, b=0.01)
-        assert abs(i1_parity_check(ParabolicOrbit(1.0), p)) > 1e-3
+        assert abs(i1_parity_check(1.0, 2.5)) > 1e-3
 
     def test_i1_integrand_odd_pointwise(self):
-        p = Params(beta=2.5, mu=1.1, b=0.01)
-        orb = ParabolicOrbit(1.4)
         for eta in (0.2, 0.9, 3.3, 10.0):
-            a = i1_integrand_eta(eta, orb, p)
-            b = i1_integrand_eta(-eta, orb, p)
+            a = i1_integrand_eta(eta, 1.4, 2.5)
+            b = i1_integrand_eta(-eta, 1.4, 2.5)
             assert a == pytest.approx(-b, rel=1e-12, abs=1e-15)
 
     @pytest.mark.parametrize("beta", BETAS)
     @pytest.mark.parametrize("p_par", PS)
     def test_m1_residual_small(self, beta, p_par):
-        p = Params(beta=beta, mu=1.1, b=0.01)
-        assert abs(m1_direct_quadrature(ParabolicOrbit(p_par), p, 0.4)) <= 1e-10
+        assert abs(m1_direct_quadrature(p_par, beta, 0.4)) <= 1e-10
 
     def test_m1_check_fails_on_a_wrong_r_partial(self, monkeypatch):
         # dW2/dr scaled by r^0.1 is no longer the partial of a function that
         # vanishes at both ends, so the integral of the "total derivative" is not 0
         partials = melnikov.perturbation_W2_partials
 
-        def wrong(r, theta, p):
-            wr, wth = partials(r, theta, p)
+        def wrong(r, theta, beta):
+            wr, wth = partials(r, theta, beta)
             return wr * r ** 0.1, wth
 
         monkeypatch.setattr(melnikov, "perturbation_W2_partials", wrong)
-        p = Params(beta=2.5, mu=1.1, b=0.01)
-        assert abs(m1_direct_quadrature(ParabolicOrbit(1.0), p, 0.4)) > 1e-3
+        assert abs(m1_direct_quadrature(1.0, 2.5, 0.4)) > 1e-3
 
     def test_endpoint_decay_rate(self):
-        p = Params(beta=2.5, mu=1.1, b=0.01)
-        orb = ParabolicOrbit(1.0)
+        beta = 2.5
         for eta in (10.0, 30.0, 100.0):
-            r, _, th = parabolic_rt(eta, orb, normalized=True)
-            assert perturbation_W2(r, th, p) <= p.beta / (2 * r ** p.beta) + 1e-18
+            r, _, th = parabolic_rt(eta, 1.0)
+            assert perturbation_W2(r, th, beta) <= beta / (2 * r ** beta) + 1e-18
 
     def test_two_melnikov_forms_agree(self):
         # direct form versus the bracket form built from finite differences of
         # the Kepler Hamiltonian in polar phase space
-        p = Params(beta=2.5, mu=1.1, b=0.01)
-        orb = ParabolicOrbit(1.2)
-        theta0 = 0.4
-        direct = m1_direct_quadrature(orb, p, theta0)
+        beta, p_par, theta0 = 2.5, 1.2, 0.4
+        direct = m1_direct_quadrature(p_par, beta, theta0)
         assert abs(direct) <= 1e-10
 
         def h0(r, th, pr, pth):
@@ -229,20 +218,20 @@ class TestI1AndM1:
         def bracket_integrand(eta):
             # {W2, H0} = dH0/dpr * dW2/dr + dH0/dptheta * dW2/dtheta, with the
             # momentum partials of H0 taken by finite differences
-            r, _, th = parabolic_rt(eta, orb, normalized=True)
-            pr, _ = parabolic_velocities(eta, orb)
-            pth = orb.k
+            r, _, th = parabolic_rt(eta, p_par)
+            pr, _ = parabolic_velocities(eta, p_par)
+            pth = math.sqrt(p_par)
             d = 1e-6
             dH_dpr = (h0(r, th, pr + d, pth) - h0(r, th, pr - d, pth)) / (2 * d)
             dH_dpth = (h0(r, th, pr, pth + d) - h0(r, th, pr, pth - d)) / (2 * d)
-            wr, wth = perturbation_W2_partials(r, th + theta0, p)
+            wr, wth = perturbation_W2_partials(r, th + theta0, beta)
             return dH_dpr * wr + dH_dpth * wth
 
         # pointwise agreement of the two integrands
         for eta in (-2.0, -0.5, 0.3, 1.7):
-            r, _, th = parabolic_rt(eta, orb, normalized=True)
-            rdot, thdot = parabolic_velocities(eta, orb)
-            wr, wth = perturbation_W2_partials(r, th + theta0, p)
+            r, _, th = parabolic_rt(eta, p_par)
+            rdot, thdot = parabolic_velocities(eta, p_par)
+            wr, wth = perturbation_W2_partials(r, th + theta0, beta)
             assert bracket_integrand(eta) == pytest.approx(rdot * wr + thdot * wth,
                                                            rel=1e-5, abs=1e-10)
 
@@ -326,10 +315,8 @@ class TestI2:
             assert got == 0.0
 
     def test_scaled_value_outside_the_float_range_raises(self):
-        orb = ParabolicOrbit(1e-300)
-        p = Params(beta=5.0, mu=1.1, b=0.01)
         for call in (lambda: i2_closed_form(1e-300, 5.0), lambda: i2_quadrature(1e-300, 5.0),
-                     lambda: i2_amplitude(1e-300, 5.0), lambda: melnikov_M2(0.4, orb, p)):
+                     lambda: i2_amplitude(1e-300, 5.0), lambda: melnikov_M2(0.4, 1e-300, 5.0)):
             with pytest.raises(ArithmeticError,
                                match=r"p = 1e-300, beta = 5\.0 leaves the float range"):
                 call()
@@ -340,10 +327,8 @@ class TestI2:
     def test_scale_below_the_normal_floats_raises(self):
         # p^(3/2 - beta) = 1e-310 is subnormal: a nonzero value scaled by it
         # would keep few digits, or none
-        orb = ParabolicOrbit(1e200)
-        p = Params(beta=3.05, mu=1.1, b=0.01)
         for call in (lambda: i2_closed_form(1e200, 3.05), lambda: i2_quadrature(1e200, 3.05),
-                     lambda: i2_amplitude(1e200, 3.05), lambda: melnikov_M2(0.4, orb, p)):
+                     lambda: i2_amplitude(1e200, 3.05), lambda: melnikov_M2(0.4, 1e200, 3.05)):
             with pytest.raises(ArithmeticError, match=r"p = 1e\+200, beta = 3\.05 leaves the "
                                                       r"float range \(magnitude below 2\.2e-308\)"):
                 call()
@@ -370,11 +355,3 @@ class TestVerdict:
         assert chaos_verdict(2.0) is ChaosVerdict.ZERO_M2
         assert chaos_verdict(4.0) is ChaosVerdict.SIMPLE_ZEROS
 
-    def test_analysis_bundle(self):
-        p = Params(beta=2.5, mu=1.1, b=0.01)
-        res = melnikov_analysis(ParabolicOrbit(1.0), p)
-        assert abs(res.i1) <= 1e-10
-        assert res.i2_quadrature == pytest.approx(res.i2_closed_form, rel=1e-8)
-        assert res.theta0_zeros == (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
-        res3 = melnikov_analysis(ParabolicOrbit(1.0), Params(beta=3, mu=1.1, b=0.01))
-        assert res3.theta0_zeros == ()
