@@ -19,7 +19,7 @@ from anisokepler.torus import (
     comparison_section,
     connection_beta,
     splitting_gap,
-    splitting_sign,
+    splitting_verdict,
     trace_manifold,
     zeta0,
     zeta1,
@@ -49,11 +49,11 @@ for beta in (3, 4):
     line = zeta0(beta, th)
     print(f"  eps = 0: max distance from the connection line = "
           f"{np.max(np.abs(ps - line)):.2e};  verdict: "
-          f"{splitting_sign(beta, p0).value}")
+          f"{splitting_verdict(splitting_gap(beta, p0)[0]).value}")
 
     for eps in (1e-3, 2e-3, 4e-3):
         p = Params(float(beta), 1.0 + eps, 0.5)
         gap, psi_u, psi_s = splitting_gap(beta, p)
         print(f"  eps = {eps:.0e}: psi_u = {psi_u:.8f}, psi_s = {psi_s:.8f}, "
               f"gap = {gap:.6e} = {gap / eps:.4f} * eps;  verdict: "
-              f"{splitting_sign(beta, p).value}")
+              f"{splitting_verdict(gap).value}")

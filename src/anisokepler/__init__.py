@@ -23,7 +23,7 @@ from .mcgehee import (
     spiral_threshold,
     to_mcgehee,
 )
-from .torus import SplittingVerdict, TorusState, splitting_sign, trace_manifold
+from .torus import SplittingVerdict, TorusState, trace_manifold
 from .infinity import InfinityState, i0_flow_closed_form, infinity_equilibria
 from .beta2 import (
     HeteroclinicClass,

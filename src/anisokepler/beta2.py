@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .core import Params, _jacobian, _on_floats
-from .infinity import SQRT2
+from .infinity import SQRT2, _require_zero_energy
 from .mcgehee import McGeheeState, delta, energy_residual, mcgehee_rhs
 
 __all__ = [
@@ -156,8 +156,7 @@ def classify_heteroclinic(rho0: float, vbar0: float, p: Params) -> HeteroclinicC
     the axes and the diagonals respectively.
     """
     p.require_beta_equal(2.0)
-    if p.h != 0.0:
-        raise ValueError("heteroclinic classification is restricted to h = 0")
+    _require_zero_energy(p)
     if rho0 <= 0.0:
         raise ValueError("classification requires rho0 > 0")
     if abs(vbar0) == SQRT2:

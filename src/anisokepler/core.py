@@ -125,7 +125,8 @@ def cartesian_rhs(p: Params):
 
 
 def _on_floats(field, y: np.ndarray, p: Params) -> np.ndarray:
-    """field(math, *y, p) as an array, with y unpacked once into Python floats.
+    """field(math, *y, p) as an array (0-d for a scalar field), with y unpacked
+    once into Python floats.
 
     `field` takes the namespace (`math` or `numpy`) its sines and cosines come
     from.  Float arithmetic and `math` give the doubles numpy's scalar
@@ -146,18 +147,6 @@ def _on_floats(field, y: np.ndarray, p: Params) -> np.ndarray:
         pass
     with np.errstate(all="ignore"):
         return np.array(field(np, *y, p))
-
-
-def _scalar_on_floats(field, y, p: Params) -> float:
-    """A scalar field(math, *y, p) on Python floats; where that raises, as in
-    `_on_floats`, the same definition on numpy scalars, whose inf or NaN comes
-    without a RuntimeWarning."""
-    y = [float(v) for v in y]
-    try:
-        return field(math, *y, p)
-    except (ArithmeticError, ValueError):
-        with np.errstate(all="ignore"):
-            return float(field(np, *map(np.float64, y), p))
 
 
 def _jacobian(field, y, p: Params) -> np.ndarray:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, Params, _on_floats, _scalar_on_floats
+from .core import DomainError, Params, _on_floats
 from .mcgehee import McGeheeState, delta
 
 __all__ = [
@@ -83,7 +83,8 @@ def from_infinity_coords(s: InfinityState, p: Params) -> McGeheeState:
 
 def infinity_energy_residual(s: InfinityState, p: Params) -> float:
     """ubar^2 + vbar^2 - 2 - (2b/Delta^(beta/2)) rho^(beta-1); zero on the h = 0 level."""
-    return _scalar_on_floats(_infinity_residual, (s.rho, s.vbar, s.theta, s.ubar), p)
+    y = np.array((s.rho, s.vbar, s.theta, s.ubar), dtype=float)
+    return float(_on_floats(_infinity_residual, y, p))
 
 
 def _infinity_residual(xp, rho, vb, theta, ub, p: Params):

@@ -12,10 +12,10 @@ output by Brent's method, a line-for-line port of ``scipy.optimize.brentq``
 that agrees with it bit for bit as well.  The test suite checks both against
 scipy.
 
-Around the stepper the driver adds the bookkeeping the rest of the package
-relies on: a hard step-count limit, detection of sign changes of event
-functions with root refinement, and the drift of first integrals over the
-accepted samples.
+The stepper enforces the hard step-count limit itself, so every driver stops
+there.  Around it the driver adds the bookkeeping the rest of the package
+relies on: detection of sign changes of event functions with root refinement,
+and the drift of first integrals over the accepted samples.
 """
 
 from __future__ import annotations
@@ -138,13 +138,15 @@ def _rms_norm(x: np.ndarray) -> float:
 
 
 class _DormandPrince:
-    """State of one trajectory: the current point, its field value and the next step size."""
+    """State of one trajectory: the current point, its field value, the next step
+    size and the accepted steps taken, at most ``cfg.max_steps``."""
 
     def __init__(self, fun, t0: float, y0: np.ndarray, t_bound: float, cfg: IntegratorConfig):
         self.fun = fun
         self.t_bound = t_bound
         self.direction = 1.0 if t_bound > t0 else -1.0
         self.rtol, self.atol = cfg.rel_tol, cfg.abs_tol
+        self.max_steps, self.n_steps = cfg.max_steps, 0
         self.t, self.y = t0, y0
         self.t_old = self.y_old = None
         self.f = np.asarray(fun(t0, y0), dtype=float)
@@ -181,7 +183,11 @@ class _DormandPrince:
         return self.t == self.t_bound
 
     def step(self) -> None:
-        """Take one accepted step, shrinking the step size after each rejection."""
+        """Take one accepted step, shrinking the step size after each rejection;
+        raise MaxStepsExceeded in place of the step past ``max_steps``."""
+        self.n_steps += 1
+        if self.n_steps > self.max_steps:
+            raise MaxStepsExceeded(f"exceeded {self.max_steps} steps at t={self.t}")
         fun, t, y, K, direction = self.fun, self.t, self.y, self.K, self.direction
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs = max(self.h_abs, min_step)
@@ -336,11 +342,7 @@ def integrate(
     g_old = [ev.fn(t0, y0) for ev in events]
     direction = stepper.direction
 
-    n_steps = 0
     while not stepper.finished:
-        n_steps += 1
-        if n_steps > cfg.max_steps:
-            raise MaxStepsExceeded(f"exceeded {cfg.max_steps} steps at t={stepper.t}")
         stepper.step()
 
         t_new, y_new = stepper.t, stepper.y

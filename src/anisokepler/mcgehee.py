@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import CartesianState, DomainError, Params, _on_floats, _scalar_on_floats
+from .core import CartesianState, DomainError, Params, _check_off_origin, _on_floats
 from .integrate import IntegratorConfig, StepSizeUnderflow, _DormandPrince
 
 __all__ = [
@@ -85,9 +85,8 @@ class McGeheeState:
 def to_mcgehee(s: CartesianState, p: Params) -> McGeheeState:
     """Regularizing transform; inverts under from_mcgehee and lands on the
     energy relation for h = hamiltonian(s)."""
+    _check_off_origin(s.x, s.y)
     r = math.hypot(s.x, s.y)
-    if r < 1e-12:
-        raise DomainError("collision point has no Cartesian preimage data")
     theta = math.atan2(s.y, s.x) % TWO_PI
     scale = r ** ((p.beta - 2.0) / 2.0)
     v = scale * (s.x * s.px + s.y * s.py)
@@ -151,7 +150,8 @@ def mcgehee_rhs_with_time(p: Params):
 def energy_residual(m: McGeheeState, p: Params) -> float:
     """u^2 + v^2 - 2 r^(beta-1) - 2b/Delta^(beta/2) - 2 h r^beta; a first integral,
     zero on the energy level."""
-    return _scalar_on_floats(_residual, (m.r, m.v, m.theta, m.u), p)
+    y = np.array((m.r, m.v, m.theta, m.u), dtype=float)
+    return float(_on_floats(_residual, y, p))
 
 
 def _residual(xp, r, v, theta, u, p: Params):
@@ -170,7 +170,12 @@ def level_through(m: McGeheeState, p: Params) -> Params:
     """p with h moved to the level through m: the residual has slope -2 r^beta in h."""
     if not m.r > 0.0:
         raise DomainError("every energy level passes through r = 0")
-    return replace(p, h=p.h + energy_residual(m, p) / (2.0 * m.r ** p.beta))
+    try:
+        slope = 2.0 * m.r ** p.beta
+    except OverflowError:
+        raise ArithmeticError(f"the energy level through r = {m.r} is out of the float "
+                              f"range: r^beta overflows at beta = {p.beta}") from None
+    return replace(p, h=p.h + energy_residual(m, p) / slope)
 
 
 def collision_flow(m: McGeheeState, p: Params) -> np.ndarray:
@@ -360,8 +365,9 @@ def basin_fraction(p: Params, n: int, horizon: float, box: BasinBox | None = Non
     field is analytic at r = 0, so no stiffness appears near collision.  Each
     field call over the (4, m) samples takes one sine-cosine pair, one power of
     r and one of Delta per sample, and no other transcendental.  A sample has
-    collided once r < COLLISION_RADIUS at an accepted step.  Deterministic for a
-    fixed seed.
+    collided once r < COLLISION_RADIUS at an accepted step.  The stepper's step
+    limit binds the shared step: past it, MaxStepsExceeded.  Deterministic for
+    a fixed seed.
     """
     p.require_beta_above(2.0)
     if n < 1:
@@ -373,22 +379,23 @@ def basin_fraction(p: Params, n: int, horizon: float, box: BasinBox | None = Non
     r = rng.uniform(*box.r, n)
     theta = rng.uniform(*box.theta, n)
     u = rng.uniform(*box.u, n)
-    s2 = _v_squared(r, theta, u, p)
-    valid = s2 > 0.0
-    if not np.any(valid):
-        raise ValueError("sampling box does not intersect the energy level")
-    v = box.v_sign * np.sqrt(np.where(valid, s2, np.nan))
-
-    y0 = np.stack([r, v, theta, u])[:, valid]
-    m = y0.shape[1]
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return np.concatenate(_field_arrays(np, *y.reshape(4, m), p))
-
-    collided = np.zeros(m, dtype=bool)
-    # an escaping sample overflows and stalls the shared step; that is reported
-    # once below instead of as numpy warnings at every stage
+    # a sample beyond the float range overflows the energy relation and is off
+    # the level; an escaping one overflows and stalls the shared step, which is
+    # reported once below: neither prints numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
+        s2 = _v_squared(r, theta, u, p)
+        valid = s2 > 0.0
+        if not np.any(valid):
+            raise ValueError("sampling box does not intersect the energy level")
+        v = box.v_sign * np.sqrt(np.where(valid, s2, np.nan))
+
+        y0 = np.stack([r, v, theta, u])[:, valid]
+        m = y0.shape[1]
+
+        def rhs(t: float, y: np.ndarray) -> np.ndarray:
+            return np.concatenate(_field_arrays(np, *y.reshape(4, m), p))
+
+        collided = np.zeros(m, dtype=bool)
         stepper = _DormandPrince(rhs, 0.0, y0.ravel(), horizon, IntegratorConfig())
         try:
             while not (stepper.finished or collided.all()):

@@ -37,7 +37,6 @@ __all__ = [
     "trace_manifold",
     "splitting_gap",
     "splitting_verdict",
-    "splitting_sign",
     "connection_beta",
 ]
 
@@ -239,11 +238,6 @@ def splitting_verdict(gap: float, cfg: IntegratorConfig | None = None) -> Splitt
     cfg = cfg or IntegratorConfig()
     tol = 10.0 * max(cfg.rel_tol, cfg.abs_tol)
     return SplittingVerdict.BROKEN if gap > tol else SplittingVerdict.CONNECTED
-
-
-def splitting_sign(beta: int, p: Params, cfg: IntegratorConfig | None = None) -> SplittingVerdict:
-    """Verdict on the gap that `splitting_gap` traces for these parameters."""
-    return splitting_verdict(splitting_gap(beta, p, cfg)[0], cfg)
 
 
 def connection_beta(family: str, k: int) -> float:

@@ -54,7 +54,7 @@ from anisokepler.torus import (
     SplittingVerdict,
     comparison_section,
     splitting_gap,
-    splitting_sign,
+    splitting_verdict,
     zeta1,
     zeta1_quadrature,
 )
@@ -126,13 +126,14 @@ def test_criterion_4_splitting():
             p0 = Params(float(beta), 1.0, 0.5)
             gap0, _, _ = splitting_gap(beta, p0, cfg)
             assert gap0 <= 10 * max(cfg.rel_tol, cfg.abs_tol)
-            assert splitting_sign(beta, p0, cfg) is SplittingVerdict.CONNECTED
+            assert splitting_verdict(gap0, cfg) is SplittingVerdict.CONNECTED
             eps_grid = np.array([1e-3, 2e-3, 4e-3])
             gaps = []
             for eps in eps_grid:
                 p = Params(float(beta), 1.0 + float(eps), 0.5)
-                assert splitting_sign(beta, p, cfg) is SplittingVerdict.BROKEN
-                gaps.append(splitting_gap(beta, p, cfg)[0])
+                gap, _, _ = splitting_gap(beta, p, cfg)
+                assert splitting_verdict(gap, cfg) is SplittingVerdict.BROKEN
+                gaps.append(gap)
             slope = float(np.dot(eps_grid, gaps) / np.dot(eps_grid, eps_grid))
             predicted = 2.0 * zeta1(beta, comparison_section(beta))
             assert abs(slope - predicted) <= 0.05 * predicted

@@ -6,11 +6,12 @@ import subprocess
 import sys
 import time
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 
-from anisokepler import cli
+from anisokepler import cli, mcgehee
 from anisokepler.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from anisokepler.integrate import IntegratorConfig
 
@@ -279,6 +280,17 @@ class TestSimulateCommand:
                      "--max-steps", "5", "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_NUMERICAL
 
+    def test_level_beyond_the_float_range_is_numerical_failure(self, tmp_path, capsys):
+        # r^beta overflows, so no float h puts the start on an energy level
+        out = tmp_path / "x.csv"
+        code = main(["simulate", "--coords", "mcgehee", "--initial", "1e200,-1,0,0",
+                     "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert not out.exists()
+        record = json.loads(capsys.readouterr().err)
+        assert record["message"] == ("the energy level through r = 1e+200 is out of the "
+                                     "float range: r^beta overflows at beta = 3.0")
+
 
 class TestCollisionFlowCommand:
     def test_field_and_branch_rows(self, tmp_path):
@@ -423,6 +435,31 @@ class TestBasinCommand:
             assert main(["basin", "--n", "10", "--box", box, "--out", str(out)]) \
                 == EXIT_VALIDATION
         assert not out.exists()
+
+    def test_box_beyond_the_float_range_prints_one_record(self, tmp_path, capsys):
+        # the energy relation overflows there: the samples are off the level,
+        # and the JSON record is all of stderr
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["basin", "--box", "1e200,1e201,0,1,0,0.1", "--n", "10",
+                         "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert not out.exists()
+        record = json.loads(capsys.readouterr().err)
+        assert record["message"] == "sampling box does not intersect the energy level"
+
+    def test_step_limit_binds_the_ensemble(self, tmp_path, capsys, monkeypatch):
+        # a bounded mu = 1 orbit that never collides runs to the step limit
+        monkeypatch.setattr(mcgehee, "IntegratorConfig", partial(IntegratorConfig, max_steps=500))
+        out = tmp_path / "x.csv"
+        code = main(["basin", "--mu", "1", "--h", "-0.1", "--n", "1", "--horizon", "40",
+                     "--box", "3.58,3.5801,0.05,0.0501,3.7,3.7001", "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert not out.exists()
+        record = json.loads(capsys.readouterr().err)
+        assert record["exit_code"] == EXIT_NUMERICAL
+        assert record["message"].startswith("exceeded 500 steps at t=")
 
     def test_sample_count_checked_by_the_parser(self, tmp_path, capsys):
         out = tmp_path / "x.csv"

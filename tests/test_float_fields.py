@@ -1,9 +1,10 @@
 """Single-state fields on Python floats against numpy-scalar evaluation.
 
-Every closure the package hands to `integrate` evaluates its chart's one field
-definition on Python floats through `math`.  These tests hold each one to the
-numpy-scalar evaluation of the same definition, bit for bit and NaN for NaN,
-including the states where a float operation would raise or turn complex.
+Every closure the package hands to `integrate`, and each energy residual,
+evaluates its chart's one definition on Python floats through `math`.  These
+tests hold each one to the numpy-scalar evaluation of the same definition, bit
+for bit and NaN for NaN, including the states where a float operation would
+raise or turn complex.
 """
 
 import math
@@ -16,14 +17,22 @@ from hypothesis import strategies as st
 
 from anisokepler.beta2 import _polar_arrays, polar_rhs
 from anisokepler.core import Params, _cartesian_arrays, _on_floats, cartesian_rhs
-from anisokepler.infinity import _infinity_arrays, infinity_rhs
+from anisokepler.infinity import (
+    InfinityState,
+    _infinity_arrays,
+    _infinity_residual,
+    infinity_energy_residual,
+    infinity_rhs,
+)
 from anisokepler.integrate import IntegratorConfig, integrate
 from anisokepler.mcgehee import (
     McGeheeState,
     _collision_arrays,
     _field_arrays,
     _field_with_time,
+    _residual,
     collision_rhs,
+    energy_residual,
     level_through,
     mcgehee_rhs,
     mcgehee_rhs_with_time,
@@ -34,6 +43,16 @@ from anisokepler.torus import _branch_arrays, _torus_arrays, torus_rhs
 def _branch_rhs(p):
     """The closure `trace_manifold` integrates: the torus field and the arc length."""
     return lambda t, y: _on_floats(_branch_arrays, y, p)
+
+
+def _residual_entry(residual, state, definition):
+    """(closure factory, definition) of a first integral the CLI evaluates on a
+    state object, as a 0-d array.  The state refuses a negative leading radius,
+    so both sides take the size of the leading entry."""
+    def on_size(xp, lead, *rest):
+        return definition(xp, abs(lead), *rest)
+
+    return (lambda p: lambda t, y: np.array(residual(state(abs(y[0]), *y[1:]), p)), on_size)
 
 
 # (closure factory, its definition, state size, index of theta, chart): the
@@ -47,6 +66,9 @@ CLOSURES = {
     "polar": (polar_rhs, _polar_arrays, 4, 1, "beta=2"),
     "torus": (torus_rhs, _torus_arrays, 2, 0, None),
     "branch": (_branch_rhs, _branch_arrays, 3, 0, None),
+    "energy_residual": (*_residual_entry(energy_residual, McGeheeState, _residual), 4, 2, None),
+    "infinity_energy_residual": (*_residual_entry(infinity_energy_residual, InfinityState,
+                                                  _infinity_residual), 4, 2, "h=0"),
 }
 
 

@@ -1,6 +1,7 @@
 """Shared integrator."""
 
 import math
+import re
 import subprocess
 import sys
 
@@ -17,6 +18,7 @@ from anisokepler.integrate import (
     IntegratorConfig,
     MaxStepsExceeded,
     StepSizeUnderflow,
+    _DormandPrince,
     _brentq,
     integrate,
 )
@@ -98,6 +100,19 @@ def test_max_steps_exceeded():
     cfg = IntegratorConfig(max_steps=3)
     with pytest.raises(MaxStepsExceeded):
         integrate(harmonic, [1.0, 0.0], (0.0, 100.0), cfg)
+    # exactly max_steps accepted steps are allowed; the next one raises at the
+    # time the run stopped, in integrate() as in the bare stepper
+    n = len(integrate(harmonic, [1.0, 0.0], (0.0, 10.0)).times) - 1
+    integrate(harmonic, [1.0, 0.0], (0.0, 10.0), IntegratorConfig(max_steps=n))
+    stepper = _DormandPrince(harmonic, 0.0, np.array([1.0, 0.0]), 10.0,
+                             IntegratorConfig(max_steps=n - 1))
+    for _ in range(n - 1):
+        stepper.step()
+    message = f"exceeded {n - 1} steps at t={stepper.t}"
+    with pytest.raises(MaxStepsExceeded, match=f"^{re.escape(message)}$"):
+        stepper.step()
+    with pytest.raises(MaxStepsExceeded, match=f"^{re.escape(message)}$"):
+        integrate(harmonic, [1.0, 0.0], (0.0, 10.0), IntegratorConfig(max_steps=n - 1))
 
 
 def test_backward_integration():

@@ -4,6 +4,7 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -11,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anisokepler import mcgehee
 from anisokepler.core import CartesianState, DomainError, Params, cartesian_rhs, hamiltonian
-from anisokepler.integrate import Event, IntegratorConfig, integrate
+from anisokepler.integrate import Event, IntegratorConfig, MaxStepsExceeded, integrate
 from anisokepler.mcgehee import (
     BasinBox,
     McGeheeState,
@@ -519,6 +521,15 @@ class TestBasin:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ArithmeticError, match="escape orbits"):
                 basin_fraction(p, 200, 40.0, box=box, seed=1)
+
+    def test_step_limit_binds_the_shared_step(self, monkeypatch):
+        # at mu = 1 this sample is a bounded orbit that never collides, so only
+        # the horizon or the step limit ends the run
+        monkeypatch.setattr(mcgehee, "IntegratorConfig", partial(IntegratorConfig, max_steps=500))
+        p = Params(3.0, 1.0, 0.5, h=-0.1)
+        box = BasinBox(r=(3.58, 3.5801), theta=(0.05, 0.0501), u=(3.7, 3.7001))
+        with pytest.raises(MaxStepsExceeded, match="exceeded 500 steps"):
+            basin_fraction(p, 1, 40.0, box=box)
 
     def test_box_rejects_non_finite_bounds_and_bad_sign(self):
         for bound in (math.nan, math.inf, -math.inf):

@@ -18,7 +18,7 @@ from anisokepler.torus import (
     _torus_arrays,
     reversal_map,
     splitting_gap,
-    splitting_sign,
+    splitting_verdict,
     torus_rhs,
     trace_manifold,
     zeta0,
@@ -287,7 +287,7 @@ class TestSplitting:
     @pytest.mark.parametrize("beta", [3, 4])
     def test_connected_at_eps_zero(self, beta):
         p = Params(float(beta), 1.0, 0.5)
-        assert splitting_sign(beta, p) is SplittingVerdict.CONNECTED
+        assert splitting_verdict(splitting_gap(beta, p)[0]) is SplittingVerdict.CONNECTED
 
     @pytest.mark.parametrize("beta,zeta1_at_section", [(3, 0.75 * math.pi), (4, math.pi / 2)])
     def test_gap_linear_in_eps(self, beta, zeta1_at_section):
@@ -296,8 +296,9 @@ class TestSplitting:
         gaps = []
         for eps in eps_grid:
             p = Params(float(beta), 1.0 + eps, 0.5)
-            assert splitting_sign(beta, p) is SplittingVerdict.BROKEN
-            gaps.append(splitting_gap(beta, p)[0])
+            gap, _, _ = splitting_gap(beta, p)
+            assert splitting_verdict(gap) is SplittingVerdict.BROKEN
+            gaps.append(gap)
         slope = float(np.dot(eps_grid, gaps) / np.dot(eps_grid, eps_grid))
         assert slope == pytest.approx(2 * zeta1_at_section, rel=0.05)
 
