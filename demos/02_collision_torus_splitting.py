@@ -2,11 +2,13 @@
 
 In angle variables (theta, psi) with u = sqrt(2b)/Delta^(beta/4) sin(psi),
 v = sqrt(2b)/Delta^(beta/4) cos(psi), the isotropic flow (mu = 1) has constant
-slope dpsi/dtheta = (beta-2)/2, so saddle-to-saddle connections close up
-exactly when that slope is 1/(1+2k) or 1/(2(1+k)) -- in particular at beta = 3
-and beta = 4.  Switching on a small anisotropy eps = mu - 1 shifts the branch
-by eps * zeta1(theta) at first order, and the unstable/stable pair at the
-comparison section misses by 2 * zeta1 * eps: the connection breaks.
+slope dpsi/dtheta = (beta-2)/2, so the branch out of the saddle (-pi, 0) is the
+line psi = (theta+pi)/j with j = 2/(beta-2); it reaches another saddle exactly
+when j is a positive integer, the family beta = 2 + 2/j (beta = 4 is j = 1,
+beta = 3 is j = 2).  Switching on a small anisotropy eps = mu - 1 shifts the
+branch by eps * zeta1(theta) at first order, and the unstable/stable pair at
+the comparison section misses by 2 * zeta1 * eps = (j+1) pi/2 * eps: the
+connection breaks.
 """
 
 import math
@@ -23,21 +25,16 @@ from anisokepler.torus import (
     trace_manifold,
     zeta0,
     zeta1,
-    zeta1_quadrature,
 )
 
-print("exponent families with unperturbed connections:")
-for k in range(3):
-    print(f"  k={k}:  2+2/(1+2k) = {connection_beta('a', k):.4f}   "
-          f"2+1/(1+k) = {connection_beta('b', k):.4f}")
+print("exponents with unperturbed connections, and zeta1 at the section:")
+for j in range(1, 7):
+    beta = connection_beta(j)
+    z1 = zeta1(beta, comparison_section(beta))
+    print(f"  j={j}:  beta = 2+2/j = {beta:.4f}   zeta1 = {z1:.12f}"
+          f"   ((j+1) pi/4 = {(j + 1) * math.pi / 4:.12f})")
 
-print("\nfirst-order branch shift at the section (closed form vs quadrature):")
-print(f"  beta=3, theta=0:      {zeta1(3, 0.0):.12f}  vs  {zeta1_quadrature(3, 0.0):.12f}"
-      f"   (3 pi/4 = {0.75 * math.pi:.12f})")
-print(f"  beta=4, theta=-pi/2:  {zeta1(4, -math.pi/2):.12f}  vs  "
-      f"{zeta1_quadrature(4, -math.pi/2):.12f}   (pi/2 = {math.pi/2:.12f})")
-
-for beta in (3, 4):
+for beta in (3, 4, 2.5):
     section = comparison_section(beta)
     predicted_slope = 2 * zeta1(beta, section)
     print(f"\nbeta = {beta} (section theta = {section:+.4f}, "

@@ -41,13 +41,11 @@ from .mcgehee import (
 )
 from .torus import (
     TorusState,
-    is_split_beta,
+    connection_index,
     splitting_gap,
     splitting_verdict,
     torus_rhs,
     trace_manifold,
-    zeta1,
-    comparison_section,
 )
 from .infinity import (
     SQRT2,
@@ -113,6 +111,14 @@ def _count(text: str) -> int:
 
 def _integrator(ns: argparse.Namespace) -> IntegratorConfig:
     return IntegratorConfig(rel_tol=ns.rtol, abs_tol=ns.atol, max_steps=ns.max_steps)
+
+
+def _require_finite(command: str, columns: list[str], rows) -> None:
+    """No NaN or inf reaches a CSV: raises ArithmeticError naming the first."""
+    for i, row in enumerate(rows, start=1):
+        for column, x in zip(columns, row):
+            if isinstance(x, float) and not math.isfinite(x):
+                raise ArithmeticError(f"{command}: {x} in column {column!r}, row {i}")
 
 
 def write_csv(path: str, meta: dict, columns: list[str], rows) -> None:
@@ -209,18 +215,24 @@ def _run_equilibria(ns: argparse.Namespace):
 def _run_collision_flow(ns: argparse.Namespace):
     p = Params(ns.beta, ns.mu, ns.b)
     rhs = torus_rhs(p)
+    cols = ["kind", "theta", "psi", "dtheta", "dpsi"]
     rows = []
     for th in np.linspace(-math.pi, math.pi, ns.grid, endpoint=False):
         for ps in np.linspace(0.0, 2 * math.pi, ns.grid, endpoint=False):
             f = rhs(0.0, np.array([th, ps]))
             rows.append(("field", th, ps, f[0], f[1]))
-    if is_split_beta(p.beta):
+    _require_finite(ns.command, cols, rows)  # a field that is not finite has no branch
+    try:
+        connection_index(p.beta)
+    except ValueError:  # no saddle connection to trace at this exponent
+        pass
+    else:
         branch = trace_manifold(TorusState(-math.pi, 0.0), "unstable", p, cfg=_integrator(ns))
         for th, ps in branch:
             rows.append(("branch-unstable", th, ps, 0.0, 0.0))
     meta = {"command": ns.command, "beta": p.beta, "mu": p.mu, "b": p.b,
             "epsilon": p.epsilon, "seed": ns.seed}
-    return meta, ["kind", "theta", "psi", "dtheta", "dpsi"], rows, {}
+    return meta, cols, rows, {}
 
 
 def _run_infinity_flow(ns: argparse.Namespace):
@@ -266,15 +278,15 @@ def _run_infinity_flow(ns: argparse.Namespace):
 def _run_splitting(ns: argparse.Namespace):
     eps_list = [float(t) for t in ns.eps_list.split(",")]
     icfg = _integrator(ns)
-    z1 = zeta1(ns.beta, comparison_section(ns.beta))
+    z1 = (connection_index(ns.beta) + 1) * math.pi / 4  # zeta1 at the section
     rows = []
     for eps in eps_list:
-        p = Params(float(ns.beta), 1.0 + eps, ns.b)
+        p = Params(ns.beta, 1.0 + eps, ns.b)
         gap, psi_u, psi_s = splitting_gap(ns.beta, p, icfg)
         verdict = splitting_verdict(gap, icfg)
         rows.append((ns.beta, eps, psi_u, psi_s, gap,
                      gap / eps if eps else 0.0, 2 * z1 * eps, verdict.value))
-    meta = {"command": ns.command, "beta": ns.beta, "b": ns.b,
+    meta = {"command": ns.command, "beta": _fmt(ns.beta), "b": ns.b,  # as in its column
             "two_zeta1": 2 * z1, "seed": ns.seed}
     cols = ["beta", "epsilon", "psi_unstable", "psi_stable", "gap",
             "gap_over_eps", "predicted_gap", "verdict"]
@@ -438,8 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s-final", type=float, default=25.0)
 
     sp = sub.add_parser("splitting", help="saddle-connection splitting vs anisotropy")
-    common(sp, integrates=True)
-    sp.add_argument("--beta", type=int, default=3, help="3 or 4")
+    common(sp, beta_default=3.0, integrates=True)
     sp.add_argument("--b", type=float, default=0.5)
     sp.add_argument("--eps-list", default="0,1e-3,2e-3,4e-3")
 
@@ -511,10 +522,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         ns = _parse(list(sys.argv[1:] if argv is None else argv))
         meta, cols, rows, drift = _RUNNERS[ns.command](ns)
-        for i, row in enumerate(rows, start=1):  # no NaN or inf reaches a CSV
-            for column, x in zip(cols, row):
-                if isinstance(x, float) and not math.isfinite(x):
-                    raise ArithmeticError(f"{ns.command}: {x} in column {column!r}, row {i}")
+        _require_finite(ns.command, cols, rows)
         write_csv(ns.out, meta, cols, rows)
         write_manifest(ns, drift)
     except SystemExit:  # --help printed the usage

@@ -170,12 +170,15 @@ def level_through(m: McGeheeState, p: Params) -> Params:
     """p with h moved to the level through m: the residual has slope -2 r^beta in h."""
     if not m.r > 0.0:
         raise DomainError("every energy level passes through r = 0")
+    out_of_range = f"the energy level through r = {m.r} is out of the float range"
     try:
         slope = 2.0 * m.r ** p.beta
     except OverflowError:
-        raise ArithmeticError(f"the energy level through r = {m.r} is out of the float "
-                              f"range: r^beta overflows at beta = {p.beta}") from None
-    return replace(p, h=p.h + energy_residual(m, p) / slope)
+        raise ArithmeticError(f"{out_of_range}: r^beta overflows at beta = {p.beta}") from None
+    h = p.h + energy_residual(m, p) / slope
+    if not math.isfinite(h):
+        raise ArithmeticError(f"{out_of_range}: the energy residual overflows to h = {h}")
+    return replace(p, h=h)
 
 
 def collision_flow(m: McGeheeState, p: Params) -> np.ndarray:

@@ -19,7 +19,7 @@ which compactifies the line to (-pi/2, pi/2) with no truncation error (a
 truncated eta-range cannot reach high accuracy for beta near 3/2, where the
 integrand decays only like |eta|^(2 - 2 beta)).
 
-Every quadrature here, and `torus.zeta1_quadrature`, uses one rule: tanh-sinh
+Every quadrature here, and `torus.zeta1`, uses one rule: tanh-sinh
 (Takahasi & Mori 1974, Publ. RIMS 9:721), refined by halving the step until
 two levels agree.  The Gamma closed forms use `math.gamma`.  The checks that
 I1 and M1 vanish avoid nodes mirrored about the perihelion, on which an odd

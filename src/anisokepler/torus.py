@@ -3,12 +3,12 @@
 On the collision manifold, u = sqrt(2b)/Delta^(beta/4) sin(psi) and
 v = sqrt(2b)/Delta^(beta/4) cos(psi) turn the flow into a two-dimensional
 system on the (theta, psi) torus.  At mu = 1 the slope dpsi/dtheta is the
-constant (beta-2)/2 and heteroclinic connections between saddles close up for
-the exponent families beta = 2 + 2/(1+2k) and beta = 2 + 1/(1+k); for small
-anisotropy epsilon = mu - 1 > 0 the connections split, and the splitting is
-measured here for beta = 3 and beta = 4, from the line psi = (beta-2)(theta+pi)/2
-of the connection out of (-pi, 0): the section is where it crosses psi = pi/2,
-the reversal reflects about the section, and `is_split_beta` gates beta.
+constant (beta-2)/2, so the branch out of the saddle (-pi, 0) is the line
+psi = (theta+pi)/j, j = 2/(beta-2), which reaches the saddle (-pi + j pi, pi)
+exactly when j is a positive integer: the connection family beta = 2 + 2/j,
+gated by `connection_index`.  For small anisotropy epsilon = mu - 1 > 0 the
+connection splits, and the splitting is measured where the line crosses
+psi = pi/2, at theta = -pi + j pi/2; the reversal reflects about that section.
 """
 
 from __future__ import annotations
@@ -28,10 +28,9 @@ __all__ = [
     "TorusState",
     "SplittingVerdict",
     "torus_rhs",
-    "is_split_beta",
+    "connection_index",
     "zeta0",
     "zeta1",
-    "zeta1_quadrature",
     "comparison_section",
     "reversal_map",
     "trace_manifold",
@@ -92,61 +91,44 @@ def torus_rhs(p: Params):
     return rhs
 
 
-def is_split_beta(beta: float) -> bool:
-    """Whether the splitting is measured at this exponent: beta in {3, 4}."""
-    return beta in (3, 4)
+def connection_index(beta: float) -> int:
+    """j of a connection exponent beta = 2 + 2/j, j = 1, 2, ...: the connection
+    out of (-pi, 0) spans j pi in theta.  Raises ValueError for any other beta.
+    2/(beta-2) counts as j within 1e-9 of it, relative: the float 2 + 2/3 gives
+    3.000000000000001."""
+    span = 2.0 / (beta - 2.0) if beta > 2.0 else 0.0
+    j = round(span)
+    if j < 1 or abs(span - j) > 1e-9 * j:
+        raise ValueError("saddle connections exist at beta = 2 + 2/j for a positive "
+                         f"integer j only, got {float(beta)!r}")
+    return j
 
 
-def _require_split_beta(beta: float) -> None:
-    if not is_split_beta(beta):
-        raise ValueError(f"connection geometry covers beta in {{3, 4}} only, got {float(beta)!r}")
-
-
-def zeta0(beta: int, theta: float) -> float:
+def zeta0(beta: float, theta: float) -> float:
     """psi-coordinate of the unperturbed connection branch out of (-pi, 0)."""
-    _require_split_beta(beta)
-    return 0.5 * (beta - 2) * (theta + math.pi)
+    return (theta + math.pi) / connection_index(beta)
 
 
-def zeta1(beta: int, theta: float) -> float:
-    """First-order displacement of the connection branch in epsilon (closed form)."""
-    _require_split_beta(beta)
-    if beta == 3:
-        ch, sh = math.cos(theta / 2), math.sin(theta / 2)
-        return -4.5 * ch * sh + 0.75 * theta + 3.0 * ch ** 3 * sh + 0.75 * math.pi
-    return math.cos(theta) * math.sin(theta) + theta + math.pi
+def zeta1(beta: float, theta: float) -> float:
+    """First-order displacement of the connection branch in epsilon:
+    (beta/2) int_0^(theta+pi) sin x cos x / tan(x/j) dx, the epsilon-derivative
+    of the slope integrated along psi = zeta0.  At the section it is (j+1) pi/4."""
+    j = connection_index(beta)
+
+    def integrand(x: np.ndarray) -> np.ndarray:
+        t = np.tan(x / j)
+        zero = t == 0.0  # x = 0, where the integrand tends to j
+        return np.where(zero, j, np.sin(x) * np.cos(x) / np.where(zero, 1.0, t))
+
+    return 0.5 * beta * _tanh_sinh(integrand, 0.0, theta + math.pi)
 
 
-def zeta1_quadrature(beta: int, theta: float) -> float:
-    """Defining integral (beta/2) int_{-pi}^theta cos sin cos(zeta0)/sin(zeta0);
-    cross-checks the closed form."""
-    _require_split_beta(beta)
-    slope0 = (beta - 2) / 2  # d zeta0 / d theta
-
-    def integrand(eta: np.ndarray) -> np.ndarray:
-        # sin and cos of zeta0 = eta/2 + pi/2 (beta = 3) or eta + pi (beta = 4)
-        # by exact quarter-turn identities, so sin(zeta0) keeps full relative
-        # precision next to its zeros, which are zeros of sin(eta) as well
-        if beta == 3:
-            s, c = np.cos(0.5 * eta), -np.sin(0.5 * eta)
-        else:
-            s, c = -np.sin(eta), -np.cos(eta)
-        zero = s == 0.0
-        # where both vanish the ratio sin(eta)/sin(zeta0) has the finite limit
-        # cos(eta)/(slope0 cos(zeta0))
-        return np.where(zero, 0.5 * beta * np.cos(eta) ** 2 / slope0,
-                        0.5 * beta * np.cos(eta) * np.sin(eta) * c / np.where(zero, 1.0, s))
-
-    return _tanh_sinh(integrand, -math.pi, theta)
-
-
-def comparison_section(beta: int) -> float:
+def comparison_section(beta: float) -> float:
     """theta at which the connection line zeta0 crosses psi = pi/2."""
-    _require_split_beta(beta)
-    return math.pi / (beta - 2) - math.pi
+    return -math.pi + connection_index(beta) * math.pi / 2
 
 
-def reversal_map(beta: int, t: TorusState) -> TorusState:
+def reversal_map(beta: float, t: TorusState) -> TorusState:
     """Time reversal carrying unstable onto stable branches: reflection about the section."""
     section = comparison_section(beta)
     return TorusState(2.0 * section - t.theta, math.pi - t.psi)
@@ -218,7 +200,7 @@ def trace_manifold(origin: TorusState, direction: str, p: Params,
     return traj.states[:, :2].copy()
 
 
-def splitting_gap(beta: int, p: Params, cfg: IntegratorConfig | None = None
+def splitting_gap(beta: float, p: Params, cfg: IntegratorConfig | None = None
                   ) -> tuple[float, float, float]:
     """(gap, psi_unstable, psi_stable) at the comparison section.
 
@@ -240,14 +222,8 @@ def splitting_verdict(gap: float, cfg: IntegratorConfig | None = None) -> Splitt
     return SplittingVerdict.BROKEN if gap > tol else SplittingVerdict.CONNECTED
 
 
-def connection_beta(family: str, k: int) -> float:
-    """Exponents with unperturbed saddle connections: family 'a' gives
-    beta = 2 + 2/(1+2k) (odd theta-span in pi), family 'b' gives
-    beta = 2 + 1/(1+k) (even span)."""
-    if k == -1:
-        raise ValueError("k = -1 is excluded")
-    if family == "a":
-        return 2.0 + 2.0 / (1.0 + 2.0 * k)
-    if family == "b":
-        return 2.0 + 1.0 / (1.0 + k)
-    raise ValueError("family must be 'a' or 'b'")
+def connection_beta(j: int) -> float:
+    """The exponent 2 + 2/j whose connection out of (-pi, 0) spans j pi in theta."""
+    if not j >= 1:
+        raise ValueError(f"j must be a positive integer, got {j!r}")
+    return 2.0 + 2.0 / j

@@ -1,5 +1,6 @@
-"""Shared test helpers: finite-difference oracles and acceptance reporting."""
+"""Shared test helpers: finite-difference and closed-form oracles, acceptance reporting."""
 
+import math
 import time
 from contextlib import contextmanager
 
@@ -31,6 +32,16 @@ def fd_jacobian_reduced(z0, p, v_sign, step=1e-6):
         zm[j] -= step
         J[:, j] = (reduced_field(zp, p, v_sign) - reduced_field(zm, p, v_sign)) / (2 * step)
     return J
+
+
+def zeta1_trig(beta, theta):
+    """Closed forms of `torus.zeta1` at beta = 3 (j = 2) and beta = 4 (j = 1)."""
+    if beta == 3:
+        ch, sh = math.cos(theta / 2), math.sin(theta / 2)
+        return -4.5 * ch * sh + 0.75 * theta + 3.0 * ch ** 3 * sh + 0.75 * math.pi
+    if beta == 4:
+        return math.cos(theta) * math.sin(theta) + theta + math.pi
+    raise ValueError(f"no closed form at beta = {beta}")
 
 
 @contextmanager

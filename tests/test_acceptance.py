@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import criterion, fd_jacobian_reduced
+from conftest import criterion, fd_jacobian_reduced, zeta1_trig
 
 from anisokepler.cli import EXIT_OK, main
 from anisokepler.core import Params, _jacobian
@@ -53,10 +53,10 @@ from anisokepler.melnikov import (
 from anisokepler.torus import (
     SplittingVerdict,
     comparison_section,
+    connection_beta,
     splitting_gap,
     splitting_verdict,
     zeta1,
-    zeta1_quadrature,
 )
 from anisokepler.integrate import Event
 
@@ -112,11 +112,11 @@ def test_criterion_2_spiral_threshold():
 
 def test_criterion_3_connection_shift_constants():
     with criterion(3, "quadrature of the branch-shift integral: 3pi/4 and pi/2", 1.0):
-        assert abs(zeta1_quadrature(3, 0.0) - 0.75 * math.pi) <= 1e-8
-        assert abs(zeta1_quadrature(4, -math.pi / 2) - math.pi / 2) <= 1e-8
+        assert abs(zeta1(3, 0.0) - 0.75 * math.pi) <= 1e-8
+        assert abs(zeta1(4, -math.pi / 2) - math.pi / 2) <= 1e-8
         for beta in (3, 4):
             for th in np.linspace(-math.pi, math.pi, 50):
-                assert abs(zeta1_quadrature(beta, float(th)) - zeta1(beta, float(th))) <= 1e-8
+                assert abs(zeta1(beta, float(th)) - zeta1_trig(beta, float(th))) <= 1e-8
 
 
 def test_criterion_4_splitting():
@@ -299,3 +299,20 @@ def test_criterion_10_melnikov_cli_profile(tmp_path):
         assert np.all(ratio[beta <= 1.99] > 0)
         assert np.all(ratio[(beta >= 2.01) & (beta <= 2.99)] < 0)
         assert np.all(ratio[beta >= 3.01] > 0)
+
+
+def test_criterion_11_splitting_family():
+    with criterion(11, "beta = 2 + 2/j, j = 1..6: connected at mu = 1; gap slope (j+1)pi/2 "
+                       "(2e-3)", 10.0):
+        eps_grid = np.array([1e-4, 2e-4, 4e-4, 8e-4])
+        for j in range(1, 7):
+            beta = connection_beta(j)
+            gap0, _, _ = splitting_gap(beta, Params(beta, 1.0, 0.5), TIGHT)
+            assert splitting_verdict(gap0, TIGHT) is SplittingVerdict.CONNECTED
+            gaps = [splitting_gap(beta, Params(beta, 1.0 + float(eps), 0.5), TIGHT)[0]
+                    for eps in eps_grid]
+            # least squares a eps + c eps^2: the eps^2 term grows like j^2.5
+            (a, _), *_ = np.linalg.lstsq(np.column_stack((eps_grid, eps_grid ** 2)), gaps,
+                                         rcond=None)
+            predicted = (j + 1) * math.pi / 2
+            assert abs(a - predicted) <= 2e-3 * predicted, (j, a / predicted - 1.0)

@@ -291,6 +291,19 @@ class TestSimulateCommand:
         assert record["message"] == ("the energy level through r = 1e+200 is out of the "
                                      "float range: r^beta overflows at beta = 3.0")
 
+    def test_residual_beyond_the_float_range_is_numerical_failure(self, tmp_path, capsys):
+        # v^2 overflows while r^beta does not: h = inf is no float level either
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["simulate", "--coords", "mcgehee", "--initial", "1,1e200,0,0",
+                         "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert not out.exists()
+        record = json.loads(capsys.readouterr().err)
+        assert record["message"] == ("the energy level through r = 1.0 is out of the float "
+                                     "range: the energy residual overflows to h = inf")
+
 
 class TestCollisionFlowCommand:
     def test_field_and_branch_rows(self, tmp_path):
@@ -305,6 +318,15 @@ class TestCollisionFlowCommand:
         branch = [(float(r[1]), float(r[2])) for r in rows if r[0] == "branch-unstable"]
         worst = max(abs(-2 * ps + th + math.pi) for th, ps in branch)
         assert worst < 1e-6
+
+    def test_branch_of_every_family_member(self, tmp_path):
+        # beta = 2.5 is j = 4 of the family beta = 2 + 2/j: its section is theta = pi
+        out = tmp_path / "cf.csv"
+        assert main(["collision-flow", "--beta", "2.5", "--mu", "1", "--grid", "2",
+                     "--out", str(out)]) == EXIT_OK
+        _, _, rows = read_rows(out)
+        branch = [r for r in rows if r[0] == "branch-unstable"]
+        assert branch and abs(float(branch[-1][1]) - math.pi) < 1e-9
 
     def test_nan_field_is_numerical_failure(self, tmp_path, capsys):
         # (mu - 1) b overflows to inf and meets sin(2 theta) = 0 or an infinite
@@ -372,18 +394,20 @@ class TestInfinityFlowCommand:
 class TestSplittingCommand:
     def test_rows(self, tmp_path):
         out = tmp_path / "sp.csv"
-        code = main(["splitting", "--beta", "3", "--b", "0.5",
-                     "--eps-list", "0,1e-3", "--out", str(out)])
-        assert code == EXIT_OK
-        _, cols, rows = read_rows(out)
-        assert rows[0][cols.index("verdict")] == "connected-within-tolerance"
-        assert rows[1][cols.index("verdict")] == "broken"
+        for beta in ("3", "2.5"):  # j = 2 and j = 4 of beta = 2 + 2/j
+            code = main(["splitting", "--beta", beta, "--b", "0.5",
+                         "--eps-list", "0,1e-3", "--out", str(out)])
+            assert code == EXIT_OK
+            _, cols, rows = read_rows(out)
+            assert rows[0][cols.index("verdict")] == "connected-within-tolerance"
+            assert rows[1][cols.index("verdict")] == "broken"
 
     def test_beta_outside_the_torus_gate(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert main(["splitting", "--beta", "5", "--out", str(out)]) == EXIT_VALIDATION
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert record["message"] == "connection geometry covers beta in {3, 4} only, got 5.0"
+        assert record["message"] == ("saddle connections exist at beta = 2 + 2/j for a "
+                                     "positive integer j only, got 5.0")
         assert not out.exists()
 
 
@@ -588,10 +612,11 @@ def test_overflowing_anisotropy_power_prints_no_warning(tmp_path):
 # every command at a small size, plus the one quadrature outside the CLI, in an
 # interpreter where importing scipy fails
 NO_SCIPY_RUN = """
+import math
 import sys
 sys.modules["scipy"] = None
 from anisokepler.cli import main
-from anisokepler.torus import zeta1, zeta1_quadrature
+from anisokepler.torus import zeta1
 out = sys.argv[1]
 runs = [
     ["simulate", "--t-final", "1"],
@@ -604,7 +629,7 @@ runs = [
     ["basin", "--n", "50"],
 ]
 print([main(argv + ["--out", out]) for argv in runs])
-print(abs(zeta1_quadrature(3, 0.5) - zeta1(3, 0.5)) < 1e-12)
+print(abs(zeta1(3, 0.0) - 0.75 * math.pi) < 1e-12)
 """
 
 

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import zeta1_trig
+
 from anisokepler.core import Params, _jacobian
 from anisokepler.integrate import Event, IntegratorConfig, integrate
 from anisokepler.mcgehee import McGeheeState, collision_rhs, delta, energy_residual
@@ -14,7 +16,7 @@ from anisokepler.torus import (
     TraceError,
     comparison_section,
     connection_beta,
-    is_split_beta,
+    connection_index,
     _torus_arrays,
     reversal_map,
     splitting_gap,
@@ -23,7 +25,6 @@ from anisokepler.torus import (
     trace_manifold,
     zeta0,
     zeta1,
-    zeta1_quadrature,
 )
 
 TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
@@ -119,7 +120,7 @@ class TestSlopeField:
                 continue
             eps, dth = 1e-7, 1e-4
             fd = (slope(th, ps, Params(beta, 1 + eps, b)) - slope(th, ps, Params(beta, 1, b))) / eps
-            rate = (zeta1_quadrature(3, th + dth) - zeta1_quadrature(3, th - dth)) / (2 * dth)
+            rate = (zeta1(3, th + dth) - zeta1(3, th - dth)) / (2 * dth)
             assert fd == pytest.approx(rate, rel=1e-5, abs=1e-7)
 
     def test_psi_derivative_vanishes_at_eps_zero(self):
@@ -142,16 +143,24 @@ class TestZeta:
         assert zeta1(4, -math.pi / 2) == pytest.approx(math.pi / 2, abs=1e-14)
 
     def test_zeta1_vanishes_at_lower_limit(self):
-        assert zeta1(3, -math.pi) == pytest.approx(0.0, abs=1e-12)
-        assert zeta1(4, -math.pi) == pytest.approx(0.0, abs=1e-12)
-        assert zeta1_quadrature(3, -math.pi) == 0.0
+        assert zeta1_trig(3, -math.pi) == pytest.approx(0.0, abs=1e-12)
+        assert zeta1_trig(4, -math.pi) == pytest.approx(0.0, abs=1e-12)
+        assert zeta1(3, -math.pi) == 0.0
+        assert zeta1(4, -math.pi) == 0.0
 
     @pytest.mark.parametrize("beta", [3, 4])
     def test_quadrature_matches_closed_form(self, beta):
-        # the grid includes theta = pi, where the beta = 4 integrand has its
-        # removable singularity at the midpoint eta = 0 of the interval
+        # the grid includes theta = pi, where the beta = 4 integrand
+        # sin x cos x / tan x has its removable singularity at the midpoint
+        # x = pi of the interval
         for th in np.linspace(-math.pi, math.pi, 201):
-            assert zeta1_quadrature(beta, th) == pytest.approx(zeta1(beta, th), abs=1e-12)
+            assert zeta1(beta, th) == pytest.approx(zeta1_trig(beta, th), abs=1e-12)
+
+    @pytest.mark.parametrize("j", range(1, 9))
+    def test_zeta1_at_the_section(self, j):
+        beta = connection_beta(j)
+        assert zeta1(beta, comparison_section(beta)) == pytest.approx((j + 1) * math.pi / 4,
+                                                                      abs=1e-14)
 
 
 class TestTrace:
@@ -237,7 +246,7 @@ class TestReversal:
 
 class TestConnectionGeometry:
     """zeta0, the section and the reversal all come from the line
-    psi = (beta - 2)(theta + pi)/2; pinned against per-beta literal tables."""
+    psi = (theta + pi)/j, beta = 2 + 2/j; pinned against per-beta literal tables."""
 
     THETAS = [-math.pi, -2.0, -math.pi / 2, -0.3, 0.0, 0.7, 1.0, math.pi / 2, 2.5, math.pi]
     ZETA0 = {
@@ -268,7 +277,7 @@ class TestConnectionGeometry:
         assert all(t.psi == 2.741592653589793 for t in reversed_states)
 
     def test_one_gate_for_every_beta_specific_function(self):
-        calls = [lambda: zeta0(5, 0.0), lambda: zeta1(5, 0.0), lambda: zeta1_quadrature(5, 0.0),
+        calls = [lambda: connection_index(5), lambda: zeta0(5, 0.0), lambda: zeta1(5, 0.0),
                  lambda: comparison_section(5),
                  lambda: reversal_map(5, TorusState(0.0, 1.0)),
                  lambda: trace_manifold(TorusState(-math.pi, 0.0), "unstable",
@@ -278,9 +287,16 @@ class TestConnectionGeometry:
             with pytest.raises(ValueError) as info:
                 call()
             messages.add(str(info.value))
-        assert messages == {"connection geometry covers beta in {3, 4} only, got 5.0"}
-        assert [is_split_beta(b) for b in (3, 4, 3.0, 4.0, 2, 2.5, 3.5, 5, 4.000001)] \
-            == [True] * 4 + [False] * 5
+        assert messages == {"saddle connections exist at beta = 2 + 2/j for a positive "
+                            "integer j only, got 5.0"}
+        assert [connection_index(b) for b in (3, 4, 3.0, 4.0, 2.5)] == [2, 1, 2, 1, 4]
+        for beta in (2, 3.5, 5, 4.000001):
+            with pytest.raises(ValueError):
+                connection_index(beta)
+
+    def test_gate_accepts_the_whole_family(self):
+        # the float 2 + 2/3 gives 2/(beta - 2) = 3.000000000000001
+        assert [connection_index(connection_beta(j)) for j in range(1, 13)] == list(range(1, 13))
 
 
 class TestSplitting:
@@ -309,19 +325,20 @@ class TestSplitting:
 
 class TestConnectionFamilies:
     def test_family_values(self):
-        assert connection_beta("a", 0) == 4.0
-        assert connection_beta("b", 0) == 3.0
-        assert connection_beta("b", 1) == 2.5
-        with pytest.raises(ValueError):
-            connection_beta("a", -1)
+        assert connection_beta(1) == 4.0
+        assert connection_beta(2) == 3.0
+        assert connection_beta(4) == 2.5
+        for j in (0, -1):
+            with pytest.raises(ValueError):
+                connection_beta(j)
 
     @pytest.mark.parametrize("family,parity", [("a", 1), ("b", 0)])
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_integer_winding_closure(self, family, parity, k):
-        # at mu = 1 the slope is (beta-2)/2, so a psi-span of pi sweeps
-        # theta by 2 pi/(beta-2): an odd multiple of pi for family a,
-        # even for family b -- both land the branch on another saddle
-        beta = connection_beta(family, k)
+        # at mu = 1 the slope is (beta-2)/2 = 1/j, so a psi-span of pi sweeps
+        # theta by j pi: odd j = 1 + 2k (family a) and even j = 2 + 2k
+        # (family b) both land the branch on another saddle
+        beta = connection_beta(1 + 2 * k if family == "a" else 2 + 2 * k)
         span = 2.0 / (beta - 2.0)
         assert span == pytest.approx(round(span))
         assert round(span) % 2 == parity
