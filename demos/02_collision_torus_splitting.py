@@ -17,7 +17,6 @@ import numpy as np
 
 from anisokepler import Params
 from anisokepler.torus import (
-    TorusState,
     comparison_section,
     connection_beta,
     splitting_gap,
@@ -42,7 +41,7 @@ for beta in (3, 4, 2.5):
 
     # unperturbed branch traces the connection line exactly
     p0 = Params(float(beta), 1.0, 0.5)
-    th, ps = trace_manifold(TorusState(-math.pi, 0.0), "unstable", p0).T
+    th, ps = trace_manifold(p0).T
     line = zeta0(beta, th)
     print(f"  eps = 0: max distance from the connection line = "
           f"{np.max(np.abs(ps - line)):.2e};  verdict: "

@@ -15,8 +15,6 @@ from .mcgehee import (
     McGeheeState,
     Stability,
     basin_fraction,
-    classify,
-    collision_flow,
     energy_residual,
     equilibria,
     from_mcgehee,

@@ -40,7 +40,6 @@ from .mcgehee import (
     spiral_threshold,
 )
 from .torus import (
-    TorusState,
     connection_index,
     splitting_gap,
     splitting_verdict,
@@ -92,6 +91,8 @@ def _parse_grid(text: str) -> np.ndarray:
         start, stop, step = (float(t) for t in text.split(":"))
     except ValueError as exc:
         raise ValidationError(f"grid must be start:stop:step, got {text!r}") from exc
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValidationError(f"grid start, stop and step must be finite, got {text!r}")
     if step <= 0 or stop < start:
         raise ValidationError("grid requires step > 0 and stop >= start")
     n = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -227,7 +228,7 @@ def _run_collision_flow(ns: argparse.Namespace):
     except ValueError:  # no saddle connection to trace at this exponent
         pass
     else:
-        branch = trace_manifold(TorusState(-math.pi, 0.0), "unstable", p, cfg=_integrator(ns))
+        branch = trace_manifold(p, _integrator(ns))
         for th, ps in branch:
             rows.append(("branch-unstable", th, ps, 0.0, 0.0))
     meta = {"command": ns.command, "beta": p.beta, "mu": p.mu, "b": p.b,
@@ -529,7 +530,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
     except (ValueError, OSError) as exc:  # bad input, an unwritable --out included
         return _error_record("validation", str(exc), EXIT_VALIDATION)
-    except (IntegrationError, ArithmeticError) as exc:
+    except (IntegrationError, ArithmeticError, MemoryError) as exc:
         return _error_record("numerical", str(exc), EXIT_NUMERICAL)
     return EXIT_OK
 

@@ -153,8 +153,8 @@ def _jacobian(field, y, p: Params) -> np.ndarray:
     """d field(xp, *y, p) / dy by the complex step (Squire & Trapp 1998): column j
     is Im field(y + i h e_j) / h with h = 2^-100, exact to roundoff for a field
     analytic in y.  As in `_on_floats`: Python complex through `cmath`, numpy
-    complex scalars where that raises.  A scalar field gives its gradient; a
-    NaN or inf entry raises ArithmeticError."""
+    complex scalars without a RuntimeWarning where that raises.  A scalar field
+    gives its gradient; a NaN or inf entry raises ArithmeticError."""
     h = 2.0 ** -100
     columns = []
     for j in range(len(y)):
@@ -163,7 +163,8 @@ def _jacobian(field, y, p: Params) -> np.ndarray:
         try:
             columns.append(field(cmath, *z, p))
         except (ArithmeticError, ValueError):
-            columns.append(field(np, *map(np.complex128, z), p))
+            with np.errstate(all="ignore"):
+                columns.append(field(np, *map(np.complex128, z), p))
     jac = np.array(columns, dtype=complex).imag.T / h
     if not np.isfinite(jac).all():
         raise ArithmeticError(f"complex-step derivative at {list(map(float, y))} not finite")

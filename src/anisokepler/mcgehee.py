@@ -32,14 +32,12 @@ __all__ = [
     "mcgehee_rhs_with_time",
     "energy_residual",
     "level_through",
-    "collision_flow",
     "collision_rhs",
     "equilibria",
     "equilibrium_location",
     "equilibrium_eigenvalues",
     "linearize_at",
     "reduced_field",
-    "classify",
     "spiral_threshold",
     "BasinBox",
     "basin_fraction",
@@ -48,7 +46,6 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 COLLISION_RADIUS = 1e-6  # collision detection threshold in rescaled coordinates
-_ON_C_TOL = 1e-9
 
 EQUILIBRIUM_ANGLES = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
 _ANGLE_NAMES = ("0", "pi/2", "pi", "3pi/2")
@@ -181,19 +178,6 @@ def level_through(m: McGeheeState, p: Params) -> Params:
     return replace(p, h=h)
 
 
-def collision_flow(m: McGeheeState, p: Params) -> np.ndarray:
-    """Three-dimensional field (v', theta', u') on the collision manifold.
-
-    v' = (beta-2)/2 * (-u^2) <= 0 always, so the flow is gradient-like in -v.
-    """
-    if m.r != 0.0:
-        raise ValueError("collision flow is defined on r = 0 only")
-    resid = energy_residual(m, p)
-    if abs(resid) > _ON_C_TOL:
-        raise ValueError(f"state is off the collision manifold (residual {resid:.3e})")
-    return collision_rhs(p)(0.0, np.array([m.v, m.theta, m.u]))
-
-
 def collision_rhs(p: Params):
     """(v, theta, u) field on C for the integrator, without per-call membership checks."""
     p.require_beta_above(2.0)
@@ -226,7 +210,10 @@ class EquilibriumReport:
     location: McGeheeState
     eigenvalues: tuple[complex, complex, complex]
     stability: Stability | None
-    spiraling: bool
+
+    @property
+    def spiraling(self) -> bool:
+        return self.stability in (Stability.SPIRAL_SOURCE, Stability.SPIRAL_SINK)
 
 
 def equilibrium_location(theta: float, sign: int, p: Params) -> McGeheeState:
@@ -246,7 +233,7 @@ def equilibrium_eigenvalues(theta: float, sign: int, p: Params) -> tuple[complex
     return (complex(vstar), complex(e / 2.0) + root, complex(e / 2.0) - root)
 
 
-def linearize_at(eq: EquilibriumReport | McGeheeState, p: Params) -> np.ndarray:
+def linearize_at(m: McGeheeState, p: Params) -> np.ndarray:
     """Linearization on the energy level in the (r, theta, u) basis: v on the
     diagonal, then the (theta, u) block [[0, 1], [c, e]] with e = (beta-2) v/2
     and c = b beta (mu-1) cos(2 theta) / Delta^((beta+2)/2).
@@ -254,7 +241,6 @@ def linearize_at(eq: EquilibriumReport | McGeheeState, p: Params) -> np.ndarray:
     Matches the finite-difference Jacobian of the reduced field at the
     equilibrium (the v-direction is transverse to the level set and drops out).
     """
-    m = eq.location if isinstance(eq, EquilibriumReport) else eq
     D = delta(m.theta, p.mu)
     e = 0.5 * (p.beta - 2.0) * m.v
     c = p.b * p.beta * (p.mu - 1.0) * math.cos(2.0 * m.theta) / D ** ((p.beta + 2.0) / 2.0)
@@ -275,7 +261,7 @@ def reduced_field(z: np.ndarray, p: Params, v_sign: int) -> np.ndarray:
     return np.array([dr, dth, du])
 
 
-def _classify_from_eigenvalues(eigs) -> tuple[Stability, bool]:
+def _classify_from_eigenvalues(eigs) -> Stability:
     re = [lam.real for lam in eigs]
     # for mu > 1 no exact eigenvalue has a zero real part: a zero one means the
     # closed form under- or overflowed
@@ -284,17 +270,19 @@ def _classify_from_eigenvalues(eigs) -> tuple[Stability, bool]:
                               "real part; the closed form under- or overflowed")
     spiral = any(abs(lam.imag) > 1e-12 for lam in eigs)
     if all(x > 0 for x in re):
-        return (Stability.SPIRAL_SOURCE if spiral else Stability.SOURCE), spiral
+        return Stability.SPIRAL_SOURCE if spiral else Stability.SOURCE
     if all(x < 0 for x in re):
-        return (Stability.SPIRAL_SINK if spiral else Stability.SINK), spiral
-    return Stability.SADDLE, spiral
+        return Stability.SPIRAL_SINK if spiral else Stability.SINK
+    return Stability.SADDLE
 
 
 def equilibria(p: Params) -> list[EquilibriumReport]:
     """The eight collision-manifold equilibria A^+-_(0, pi/2, pi, 3pi/2).
 
-    Each has r = 0, u = 0, v = +-sqrt(2b/Delta^(beta/2)).  For mu = 1 the
-    pi/2-family is degenerate (a zero eigenvalue) and stability is left None.
+    Each has r = 0, u = 0, v = +-sqrt(2b/Delta^(beta/2)).  For mu > 1, A_(0,pi)
+    are saddles, A^+_(pi/2,3pi/2) sources and A^-_(pi/2,3pi/2) sinks, spiraling
+    exactly when mu > (beta+2)^2/(8 beta).  For mu = 1 the pi/2-family is
+    degenerate (a zero eigenvalue) and stability is left None.
     """
     p.require_beta_above(2.0)
     reports = []
@@ -309,23 +297,9 @@ def equilibria(p: Params) -> list[EquilibriumReport]:
                 raise ArithmeticError(
                     f"equilibrium A{tag}_{name} overflowed: v = {float(loc.v)}, eigenvalues "
                     f"{[complex(lam) for lam in eigs]}")
-            if p.mu > 1.0:
-                stab, spiral = _classify_from_eigenvalues(eigs)
-            else:
-                stab, spiral = None, False
-            reports.append(EquilibriumReport(f"A{tag}_{name}", loc, eigs, stab, spiral))
+            stab = _classify_from_eigenvalues(eigs) if p.mu > 1.0 else None
+            reports.append(EquilibriumReport(f"A{tag}_{name}", loc, eigs, stab))
     return reports
-
-
-def classify(p: Params) -> list[EquilibriumReport]:
-    """Stability classification of the eight equilibria (requires mu > 1).
-
-    A_(0,pi) are saddles; A^+_(pi/2,3pi/2) sources and A^-_(pi/2,3pi/2) sinks,
-    spiraling exactly when mu > (beta+2)^2/(8 beta).
-    """
-    if p.mu <= 1.0:
-        raise ValueError("classification requires mu > 1 (mu = 1 is degenerate)")
-    return equilibria(p)
 
 
 def spiral_threshold(beta: float) -> float:

@@ -8,7 +8,9 @@ psi = (theta+pi)/j, j = 2/(beta-2), which reaches the saddle (-pi + j pi, pi)
 exactly when j is a positive integer: the connection family beta = 2 + 2/j,
 gated by `connection_index`.  For small anisotropy epsilon = mu - 1 > 0 the
 connection splits, and the splitting is measured where the line crosses
-psi = pi/2, at theta = -pi + j pi/2; the reversal reflects about that section.
+psi = pi/2, at theta = -pi + j pi/2.  `trace_manifold` integrates the branch
+out of (-pi, 0) only: the reversal, a reflection about the section, carries it
+onto its stable partner into (-pi + j pi, pi).
 """
 
 from __future__ import annotations
@@ -129,45 +131,32 @@ def comparison_section(beta: float) -> float:
 
 
 def reversal_map(beta: float, t: TorusState) -> TorusState:
-    """Time reversal carrying unstable onto stable branches: reflection about the section."""
+    """Time reversal, the reflection about the section: carries the branch out of
+    (-pi, 0) onto its stable partner into (-pi + j pi, pi)."""
     section = comparison_section(beta)
     return TorusState(2.0 * section - t.theta, math.pi - t.psi)
 
 
-def _is_torus_saddle(t: TorusState) -> bool:
-    return (abs(math.sin(t.psi)) < 1e-12 and abs(math.sin(2.0 * t.theta)) < 1e-12
-            and math.cos(2.0 * t.theta) > 0.0)
+def trace_manifold(p: Params, cfg: IntegratorConfig | None = None) -> np.ndarray:
+    """Continue the unstable branch of the saddle (-pi, 0) to the comparison
+    section, returned as its (n, 2) samples of (theta, psi); the last row is on
+    the section.  `reversal_map` carries it onto its stable partner, the branch
+    into the saddle (-pi + j pi, pi).
 
-
-def trace_manifold(origin: TorusState, direction: str, p: Params,
-                   cfg: IntegratorConfig | None = None) -> np.ndarray:
-    """Continue a manifold branch from a torus saddle to the comparison section,
-    returned as its (n, 2) samples of (theta, psi); the last row is on the section.
-
-    Seeds SEED_OFFSET along the stable/unstable eigenvector, toward the section,
-    and integrates until theta reaches it.  Raises TraceError when the arc length
-    exceeds ARC_LENGTH_CAP first, or when the branch comes within SINK_RADIUS of
-    an equilibrium that attracts in the direction of tracing.  At mu = 1 the
-    branch leaves along the limit eigendirection, of slope (beta-2)/2.
+    Seeds SEED_OFFSET along the unstable eigenvector, toward larger theta, where
+    the section -pi + j pi/2 lies, and integrates until theta reaches it.  Raises
+    TraceError when the arc length exceeds ARC_LENGTH_CAP first, or when the
+    branch comes within SINK_RADIUS of a sink.  At mu = 1 the branch leaves
+    along the limit eigendirection, of slope (beta-2)/2.
     """
     section = comparison_section(p.beta)
-    if direction not in ("stable", "unstable"):
-        raise ValueError("direction must be 'stable' or 'unstable'")
-    if not _is_torus_saddle(origin):
-        raise ValueError("origin is not a saddle of the torus flow")
-
-    jac = _jacobian(_torus_arrays, origin.as_array(), p)
-    eigvals, eigvecs = np.linalg.eig(jac)
-    want = np.argmax(eigvals.real) if direction == "unstable" else np.argmin(eigvals.real)
-    vec = np.real(eigvecs[:, want])
+    origin = TorusState(-math.pi, 0.0)
+    eigvals, eigvecs = np.linalg.eig(_jacobian(_torus_arrays, origin.as_array(), p))
+    vec = np.real(eigvecs[:, np.argmax(eigvals.real)])
     vec = vec / np.linalg.norm(vec)
-    # seed the branch that heads toward the comparison section
-    toward = 1.0 if section >= origin.theta else -1.0
-    if vec[0] * toward < 0.0:
+    if vec[0] < 0.0:
         vec = -vec
-
     y0 = origin.as_array() + SEED_OFFSET * vec
-    sign = 1.0 if direction == "unstable" else -1.0
 
     def rhs(tau: float, y: np.ndarray) -> np.ndarray:
         return _on_floats(_branch_arrays, y, p)
@@ -176,20 +165,16 @@ def trace_manifold(origin: TorusState, direction: str, p: Params,
     capped = Event(lambda t, y: y[2] - ARC_LENGTH_CAP, "arc-cap", terminal=True)
     events = [hit, capped]
     if p.mu > 1.0:
-        # For mu > 1 the equilibria at theta = pi/2 (mod pi) attract: there the
-        # field's Jacobian has a positive determinant and a trace with the sign
-        # of cos(psi), so they are sinks at psi = pi and sources (attracting in
-        # backward time) at psi = 0.  The arc-length cap cannot fire once the
-        # branch settles into one, so the trace stops within SINK_RADIUS of it.
-        psi_attractor = math.pi if sign > 0 else 0.0
-
+        # For mu > 1 the equilibria at theta = pi/2 (mod pi), psi = pi are sinks:
+        # there the field's Jacobian has a positive determinant and a trace with
+        # the sign of cos(psi).  The arc-length cap cannot fire once the branch
+        # settles into one, so the trace stops within SINK_RADIUS of it.
         def sink_gap(t: float, y: np.ndarray) -> float:
             return math.hypot(math.remainder(y[0] - 0.5 * math.pi, math.pi),
-                              math.remainder(y[1] - psi_attractor, 2 * math.pi)) - SINK_RADIUS
+                              math.remainder(y[1] - math.pi, 2 * math.pi)) - SINK_RADIUS
 
         events.append(Event(sink_gap, "sink", terminal=True))
-    tau_max = sign * 1e5
-    traj = integrate(rhs, np.append(y0, 0.0), (0.0, tau_max), cfg, events=events)
+    traj = integrate(rhs, np.append(y0, 0.0), (0.0, 1e5), cfg, events=events)
     if not traj.event_times("section"):
         if traj.event_times("sink"):
             raise TraceError(f"branch from {origin} fell into an attracting equilibrium at "
@@ -209,7 +194,7 @@ def splitting_gap(beta: float, p: Params, cfg: IntegratorConfig | None = None
     """
     if p.beta != beta:
         raise ValueError("beta argument must match p.beta")
-    samples = trace_manifold(TorusState(-math.pi, 0.0), "unstable", p, cfg=cfg)
+    samples = trace_manifold(p, cfg)
     end = TorusState(*samples[-1].tolist())
     psi_s = reversal_map(beta, end).psi
     return abs(end.psi - psi_s), end.psi, psi_s

@@ -38,8 +38,8 @@ from anisokepler.mcgehee import (
     McGeheeState,
     Stability,
     basin_fraction,
-    classify,
     delta,
+    equilibria,
     linearize_at,
     spiral_threshold,
 )
@@ -69,7 +69,7 @@ def test_criterion_1_eigenvalue_table():
             for b in (0.5, 1.0):
                 for mu in (1.01, 1.2, 2.0):
                     p = Params(beta, mu, b, h=-0.25)
-                    reports = classify(p)
+                    reports = equilibria(p)
                     kinds = [e.stability for e in reports]
                     assert sum(k is Stability.SADDLE for k in kinds) == 4
                     assert sum(k in (Stability.SOURCE, Stability.SPIRAL_SOURCE)

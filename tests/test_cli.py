@@ -61,11 +61,29 @@ class TestMelnikovCommand:
         assert "numpy" in manifest["versions"] and "anisokepler" in manifest["versions"]
         assert "invariant_drift" in manifest
 
-    def test_grid_validation(self, tmp_path):
+    def test_grid_validation(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert main(["melnikov", "--beta-grid", "1.2:5:0.1", "--out", str(out)]) \
             == EXIT_VALIDATION
         assert main(["melnikov", "--beta-grid", "oops", "--out", str(out)]) == EXIT_VALIDATION
+        capsys.readouterr()
+        for grid in ("1.6:inf:0.1", "nan:5:0.1"):
+            assert main(["melnikov", "--beta-grid", grid, "--out", str(out)]) \
+                == EXIT_VALIDATION
+            record = json.loads(capsys.readouterr().err)
+            assert record["message"] == ("grid start, stop and step must be finite, "
+                                         f"got {grid!r}")
+        assert not out.exists()
+
+    def test_grid_beyond_any_memory_is_numerical_failure(self, tmp_path, capsys):
+        # 1e15 points, 7.1 PiB: beyond a 48-bit address space, so the allocation
+        # fails at once on any machine
+        out = tmp_path / "x.csv"
+        assert main(["melnikov", "--beta-grid", "1.6:1e10:1e-5", "--out", str(out)]) \
+            == EXIT_NUMERICAL
+        assert not out.exists()
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "numerical" and record["exit_code"] == EXIT_NUMERICAL
 
     def test_orbit_parameter_validation(self, tmp_path):
         out = tmp_path / "x.csv"
@@ -340,6 +358,20 @@ class TestCollisionFlowCommand:
         assert not (tmp_path / "x.csv.manifest.json").exists()
         record = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert record["message"] == "collision-flow: nan in column 'dpsi', row 1"
+
+    def test_seed_beyond_the_float_range_prints_one_record(self, tmp_path, capsys):
+        # the complex-step Jacobian at the saddle is not finite at mu = 1e300:
+        # the run exits 3, and the record is all of stderr
+        out = tmp_path / "x.csv"
+        for beta in ("3", "2.5"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = main(["collision-flow", "--beta", beta, "--mu", "1e300", "--grid", "2",
+                             "--out", str(out)])
+            assert code == EXIT_NUMERICAL
+            record = json.loads(capsys.readouterr().err)
+            assert "complex-step derivative" in record["message"]
+        assert not out.exists()
 
     def test_grid_validation(self, tmp_path):
         out = tmp_path / "x.csv"

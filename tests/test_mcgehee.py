@@ -21,8 +21,6 @@ from anisokepler.mcgehee import (
     Stability,
     _field_arrays,
     basin_fraction,
-    classify,
-    collision_flow,
     collision_rhs,
     delta,
     energy_residual,
@@ -305,10 +303,14 @@ class TestCollisionFlow:
         mag = math.sqrt(2 * p.b / delta(theta, p.mu) ** (p.beta / 2))
         return McGeheeState(0.0, mag * math.cos(phi), theta, mag * math.sin(phi))
 
+    def _flow(self, m, p):
+        """(v', theta', u') at a point of C."""
+        return collision_rhs(p)(0.0, np.array([m.v, m.theta, m.u]))
+
     def test_u_zero_gives_v_stationary(self):
         p = Params(beta=3, mu=2, b=0.5)
         m = self._on_c(0.8, 0.0, p)  # u = 0
-        dv, dth, du = collision_flow(m, p)
+        dv, dth, du = self._flow(m, p)
         assert dv == 0.0 and dth == 0.0
         assert du == pytest.approx(p.b * p.beta * (p.mu - 1) * math.sin(1.6)
                                    / (2 * delta(0.8, p.mu) ** ((p.beta + 2) / 2)))
@@ -316,22 +318,15 @@ class TestCollisionFlow:
     def test_isotropic_diagonal(self):
         p = Params(beta=3.5, mu=1, b=0.5)
         m = self._on_c(math.pi / 4, 1.0, p)
-        dv, dth, du = collision_flow(m, p)
+        dv, dth, du = self._flow(m, p)
         assert du == pytest.approx(0.5 * (p.beta - 2) * m.u * m.v)
-
-    def test_membership_enforced(self):
-        p = Params(beta=3, mu=1, b=0.5)
-        with pytest.raises(ValueError):
-            collision_flow(McGeheeState(0.0, 5.0, 0.0, 0.0), p)  # off the manifold
-        with pytest.raises(ValueError):
-            collision_flow(McGeheeState(0.1, 1.0, 1.0, 0.0), p)  # r != 0
 
     def test_v_prime_nonpositive(self):
         p = Params(beta=4, mu=1.5, b=0.7)
         rng = np.random.default_rng(11)
         for _ in range(50):
             m = self._on_c(rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi), p)
-            dv = collision_flow(m, p)[0]
+            dv = self._flow(m, p)[0]
             assert dv <= 0.0
             if abs(m.u) > 1e-12:
                 assert dv < 0.0
@@ -392,7 +387,7 @@ class TestLinearization:
                 sign = 1 if e.location.v > 0 else -1
                 z0 = [0.0, e.location.theta, 0.0]
                 J_fd = fd_jacobian_reduced(z0, p, sign)
-                assert np.allclose(linearize_at(e, p), J_fd, atol=1e-6)
+                assert np.allclose(linearize_at(e.location, p), J_fd, atol=1e-6)
 
     def test_closed_form_eigenvalues_match_fd_jacobian(self):
         p = Params(3, 1.2, 0.5, h=-0.25)
@@ -426,7 +421,7 @@ class TestLinearization:
 class TestClassification:
     def test_pattern(self):
         p = Params(beta=3, mu=1.2, b=0.5)
-        reports = {e.label: e for e in classify(p)}
+        reports = {e.label: e for e in equilibria(p)}
         for name in ("0", "pi"):
             assert reports[f"A+_{name}"].stability is Stability.SADDLE
             assert reports[f"A-_{name}"].stability is Stability.SADDLE
@@ -438,30 +433,32 @@ class TestClassification:
         assert spiral_threshold(3.0) == pytest.approx(25 / 24)
 
     def test_spiral_onset(self):
-        below = classify(Params(3, 1.01, 0.5))
+        below = equilibria(Params(3, 1.01, 0.5))
         assert not any(e.spiraling for e in below)
-        above = classify(Params(3, 1.2, 0.5))
+        above = equilibria(Params(3, 1.2, 0.5))
         assert all(e.spiraling for e in above if "pi/2" in e.label)
 
     def test_threshold_independent_of_b(self):
         for mu in (1.02, 1.08, 1.5):
-            a = [e.stability for e in classify(Params(3, mu, 0.1))]
-            bb = [e.stability for e in classify(Params(3, mu, 10.0))]
+            a = [e.stability for e in equilibria(Params(3, mu, 0.1))]
+            bb = [e.stability for e in equilibria(Params(3, mu, 10.0))]
             assert a == bb
 
     def test_all_real_positive_below_threshold(self):
         lam = equilibrium_eigenvalues(math.pi / 2, +1, Params(3, 1.01, 0.5))
         assert all(v.imag == 0.0 and v.real > 0 for v in lam)
 
-    def test_mu_one_rejected(self):
-        with pytest.raises(ValueError):
-            classify(Params(3, 1.0, 0.5))
+    def test_mu_one_left_unclassified(self):
+        # at mu = 1 the pi/2 family has a zero eigenvalue: no stability, no spiral
+        reports = equilibria(Params(3, 1.0, 0.5))
+        assert [e.stability for e in reports] == [None] * 8
+        assert not any(e.spiraling for e in reports)
 
     def test_grid_pattern(self):
         for beta in (2.5, 3.0, 4.0):
             for b in (0.5, 1.0):
                 for mu in (1.01, 1.2, 2.0):
-                    kinds = [e.stability for e in classify(Params(beta, mu, b))]
+                    kinds = [e.stability for e in equilibria(Params(beta, mu, b))]
                     assert sum(k is Stability.SADDLE for k in kinds) == 4
                     assert sum(k in (Stability.SOURCE, Stability.SPIRAL_SOURCE)
                                for k in kinds) == 2

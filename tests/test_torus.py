@@ -1,6 +1,7 @@
 """Collision-torus angle flow and saddle-connection splitting."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -166,32 +167,25 @@ class TestZeta:
 class TestTrace:
     def test_unperturbed_branch_on_connection_line_beta3(self):
         p = Params(3.0, 1.0, 0.5)
-        th, ps = trace_manifold(TorusState(-math.pi, 0.0), "unstable", p, cfg=TIGHT).T
+        th, ps = trace_manifold(p, TIGHT).T
         assert np.max(np.abs(-2 * ps + th + math.pi)) < 1e-6
 
     def test_unperturbed_branch_on_connection_line_beta4(self):
         p = Params(4.0, 1.0, 0.5)
-        th, ps = trace_manifold(TorusState(-math.pi, 0.0), "unstable", p, cfg=TIGHT).T
+        th, ps = trace_manifold(p, TIGHT).T
         assert np.max(np.abs(-2 * ps + 2 * th + 2 * math.pi)) < 1e-6
 
     def test_seed_offset_invariant(self):
         p = Params(3.0, 1.002, 0.5)
-        branch = trace_manifold(TorusState(-math.pi, 0.0), "unstable", p, cfg=TIGHT)
+        branch = trace_manifold(p, TIGHT)
         d0 = np.linalg.norm(branch[0] - [-math.pi, 0.0])
         assert d0 == pytest.approx(1e-6, rel=1e-9)
 
     def test_perturbed_deviation_rate_beta3(self):
         p = Params(3.0, 1.001, 0.5)
-        psi_end = trace_manifold(TorusState(-math.pi, 0.0), "unstable", p, cfg=TIGHT)[-1, 1]
+        psi_end = trace_manifold(p, TIGHT)[-1, 1]
         assert psi_end > math.pi / 2
         assert (psi_end - math.pi / 2) / 0.001 == pytest.approx(0.75 * math.pi, rel=0.02)
-
-    def test_stable_branch_via_backward_time(self):
-        # stable branch of the saddle at (pi, pi) reaches the section at pi - psi_u
-        p = Params(3.0, 1.002, 0.5)
-        stable = trace_manifold(TorusState(math.pi, math.pi), "stable", p, cfg=TIGHT)
-        unst = trace_manifold(TorusState(-math.pi, 0.0), "unstable", p, cfg=TIGHT)
-        assert stable[-1, 1] == pytest.approx(math.pi - unst[-1, 1], abs=1e-9)
 
     @pytest.mark.parametrize("beta", [3.0, 4.0])
     @pytest.mark.parametrize("mu", [1.001, 1.5, 10.0])
@@ -205,37 +199,41 @@ class TestTrace:
                 assert np.all(eig.real < 0) == (k % 2 == 1 and j == 1)
                 assert np.all(eig.real > 0) == (k % 2 == 1 and j == 0)
 
-    @pytest.mark.parametrize("origin,direction", [((-math.pi, 0.0), "unstable"),
-                                                  ((math.pi, math.pi), "stable")])
-    def test_branch_into_attractor_stops_there(self, origin, direction):
-        # at mu = 10 both branches settle into an attracting equilibrium (a sink
-        # forward in time, a source backward) before the section
+    def test_branch_into_attractor_stops_there(self):
+        # at mu = 10 the branch settles into a sink before the section
         p = Params(3.0, 10.0, 0.5)
         with pytest.raises(TraceError, match="attracting equilibrium"):
-            trace_manifold(TorusState(*origin), direction, p)
+            trace_manifold(p)
 
     def test_seed_beyond_the_float_range_is_numerical_failure(self):
         # Delta^((beta+4)/4) overflows on Python complex and turns NaN on numpy
-        # complex scalars: the trace stops instead of seeding along NaN
-        with np.errstate(all="ignore"), pytest.raises(ArithmeticError, match="not finite"):
-            trace_manifold(TorusState(-math.pi, 0.0), "unstable", Params(3.0, 1e300, 0.5))
-
-    def test_rejects_non_saddle_origin(self):
-        p = Params(3.0, 1.1, 0.5)
-        with pytest.raises(ValueError):
-            trace_manifold(TorusState(math.pi / 2, 0.0), "unstable", p)
+        # complex scalars: the trace stops instead of seeding along NaN, and
+        # prints no RuntimeWarning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ArithmeticError, match="not finite"):
+                trace_manifold(Params(3.0, 1e300, 0.5))
 
 
 class TestReversal:
-    @pytest.mark.parametrize("beta", [3, 4])
-    def test_reversal_symmetry_on_arcs(self, beta):
-        p = Params(float(beta), 1.3, 0.5)
+    @pytest.mark.parametrize("j", range(1, 7))
+    def test_reversal_symmetry_on_arcs(self, j):
+        # the reversal is what gives `splitting_gap` the stable branch of the
+        # connection for every member of the family
+        beta = connection_beta(j)
+        p = Params(beta, 1.3, 0.5)
         y0 = TorusState(0.4, 1.2)
         fwd = integrate(torus_rhs(p), y0.as_array(), (0.0, 2.0), TIGHT)
         mapped0 = reversal_map(beta, TorusState(*fwd.final_state))
         back = integrate(torus_rhs(p), mapped0.as_array(), (0.0, 2.0), TIGHT)
         expect = reversal_map(beta, y0)
         assert np.allclose(back.final_state, expect.as_array(), atol=1e-9)
+        # the saddle the branch leaves maps onto the saddle it connects to
+        far = reversal_map(beta, TorusState(-math.pi, 0.0))
+        assert (far.theta, far.psi) == pytest.approx((-math.pi + j * math.pi, math.pi),
+                                                     abs=1e-14)
+        eig = np.linalg.eigvals(_jacobian(_torus_arrays, far.as_array(), p))
+        assert eig.real.min() < 0.0 < eig.real.max()
 
     def test_maps_fix_their_sections(self):
         s3 = comparison_section(3)
@@ -280,8 +278,7 @@ class TestConnectionGeometry:
         calls = [lambda: connection_index(5), lambda: zeta0(5, 0.0), lambda: zeta1(5, 0.0),
                  lambda: comparison_section(5),
                  lambda: reversal_map(5, TorusState(0.0, 1.0)),
-                 lambda: trace_manifold(TorusState(-math.pi, 0.0), "unstable",
-                                        Params(5.0, 1.0, 0.5))]
+                 lambda: trace_manifold(Params(5.0, 1.0, 0.5))]
         messages = set()
         for call in calls:
             with pytest.raises(ValueError) as info:
