@@ -67,6 +67,7 @@ from .melnikov import _at_p, i2_amplitude, i2_closed_form, i2_quadrature
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
+MAX_GRID_POINTS = 10 ** 6  # melnikov runs one quadrature per point; its default grid has 341
 
 
 class ValidationError(ValueError):
@@ -95,8 +96,11 @@ def _parse_grid(text: str) -> np.ndarray:
         raise ValidationError(f"grid start, stop and step must be finite, got {text!r}")
     if step <= 0 or stop < start:
         raise ValidationError("grid requires step > 0 and stop >= start")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return start + step * np.arange(n)
+    span = (stop - start) / step + 1e-9  # points past the first, as a float: may be inf
+    if span >= MAX_GRID_POINTS:
+        raise ValidationError(f"grid {text!r} has {span + 1:.7g} points, "
+                              f"more than {MAX_GRID_POINTS}")
+    return start + step * np.arange(int(span) + 1)
 
 
 def _count(text: str) -> int:

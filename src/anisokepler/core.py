@@ -81,10 +81,6 @@ class CartesianState:
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.px, self.py])
 
-    @property
-    def radius(self) -> float:
-        return math.hypot(self.x, self.y)
-
 
 def _check_off_origin(x: float, y: float) -> None:
     if math.hypot(x, y) < ORIGIN_RADIUS:
@@ -187,10 +183,6 @@ class SymmetryId(Enum):
     S4 = (-1, 1, -1, 1, 1)
     S5 = (1, -1, 1, -1, 1)
     S6 = (-1, -1, 1, 1, -1)
-
-    @property
-    def time_sign(self) -> int:
-        return self.value[4]
 
 
 def apply_symmetry(g: SymmetryId, s: CartesianState, t: float) -> tuple[CartesianState, float]:

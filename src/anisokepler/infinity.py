@@ -122,9 +122,6 @@ class EquilibriumCircle:
     eigenvalues: tuple[float, float, float]
     attracting: bool
 
-    def point(self, theta: float) -> InfinityState:
-        return InfinityState(0.0, self.vbar, theta, 0.0)
-
 
 @dataclass(frozen=True)
 class InfinityReport:
@@ -154,9 +151,6 @@ class I0Curve:
     theta0: float
     psi0: float
     k: float
-
-    def psi_of_theta(self, theta):
-        return self.psi0 - 0.5 * (np.asarray(theta) - self.theta0)
 
     def theta_of_psi(self, psi):
         return self.theta0 - 2.0 * (np.asarray(psi) - self.psi0)

@@ -29,13 +29,10 @@ __all__ = [
     "to_mcgehee",
     "from_mcgehee",
     "mcgehee_rhs",
-    "mcgehee_rhs_with_time",
     "energy_residual",
     "level_through",
     "collision_rhs",
     "equilibria",
-    "equilibrium_location",
-    "equilibrium_eigenvalues",
     "linearize_at",
     "reduced_field",
     "spiral_threshold",
@@ -120,26 +117,11 @@ def _field_arrays(xp, r, v, theta, u, p: Params):
     return dr, dv, dth, du
 
 
-def _field_with_time(xp, r, v, theta, u, t, p: Params):
-    """The field extended by the physical time, dt/dtau = r^(beta/2+1)."""
-    return (*_field_arrays(xp, r, v, theta, u, p), r ** (p.beta / 2.0 + 1.0))
-
-
 def mcgehee_rhs(p: Params):
     p.require_beta_above(2.0, strict=False)
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         return _on_floats(_field_arrays, y, p)
-
-    return rhs
-
-
-def mcgehee_rhs_with_time(p: Params):
-    """Five-dimensional extension tracking physical time: dt/dtau = r^(beta/2+1)."""
-    p.require_beta_above(2.0, strict=False)
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return _on_floats(_field_with_time, y, p)
 
     return rhs
 
@@ -216,23 +198,6 @@ class EquilibriumReport:
         return self.stability in (Stability.SPIRAL_SOURCE, Stability.SPIRAL_SINK)
 
 
-def equilibrium_location(theta: float, sign: int, p: Params) -> McGeheeState:
-    v = sign * math.sqrt(_v_squared(0.0, theta, 0.0, p))
-    return McGeheeState(0.0, v, theta % TWO_PI, 0.0)
-
-
-def equilibrium_eigenvalues(theta: float, sign: int, p: Params) -> tuple[complex, complex, complex]:
-    """Closed-form eigenvalues of the linearization restricted to the energy level.
-
-    The radial direction decouples with eigenvalue v*; the (theta, u) block
-    [[0, 1], [c, e]] of `linearize_at` contributes e/2 +- sqrt(e^2/4 + c).
-    """
-    (vstar, _, _), _, (_, c, e) = linearize_at(equilibrium_location(theta, sign, p), p).tolist()
-    disc = complex(e * e / 4.0 + c)
-    root = np.sqrt(disc)
-    return (complex(vstar), complex(e / 2.0) + root, complex(e / 2.0) - root)
-
-
 def linearize_at(m: McGeheeState, p: Params) -> np.ndarray:
     """Linearization on the energy level in the (r, theta, u) basis: v on the
     diagonal, then the (theta, u) block [[0, 1], [c, e]] with e = (beta-2) v/2
@@ -283,6 +248,10 @@ def equilibria(p: Params) -> list[EquilibriumReport]:
     are saddles, A^+_(pi/2,3pi/2) sources and A^-_(pi/2,3pi/2) sinks, spiraling
     exactly when mu > (beta+2)^2/(8 beta).  For mu = 1 the pi/2-family is
     degenerate (a zero eigenvalue) and stability is left None.
+
+    Each spectrum is read from `linearize_at`: the radial direction decouples
+    with eigenvalue v*, and the (theta, u) block [[0, 1], [c, e]] contributes
+    e/2 +- sqrt(e^2/4 + c).
     """
     p.require_beta_above(2.0)
     reports = []
@@ -291,8 +260,11 @@ def equilibria(p: Params) -> list[EquilibriumReport]:
             # an extreme b or mu over- or underflows the closed forms; that is
             # reported once here instead of as numpy warnings
             with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-                loc = equilibrium_location(theta, sign, p)
-                eigs = equilibrium_eigenvalues(theta, sign, p)
+                loc = McGeheeState(0.0, sign * math.sqrt(_v_squared(0.0, theta, 0.0, p)),
+                                   theta % TWO_PI, 0.0)
+                (vstar, _, _), _, (_, c, e) = linearize_at(loc, p).tolist()
+                root = np.sqrt(complex(e * e / 4.0 + c))
+                eigs = (complex(vstar), complex(e / 2.0) + root, complex(e / 2.0) - root)
             if not (math.isfinite(loc.v) and all(cmath.isfinite(lam) for lam in eigs)):
                 raise ArithmeticError(
                     f"equilibrium A{tag}_{name} overflowed: v = {float(loc.v)}, eigenvalues "

@@ -75,15 +75,18 @@ class TestMelnikovCommand:
                                          f"got {grid!r}")
         assert not out.exists()
 
-    def test_grid_beyond_any_memory_is_numerical_failure(self, tmp_path, capsys):
-        # 1e15 points, 7.1 PiB: beyond a 48-bit address space, so the allocation
-        # fails at once on any machine
+    def test_grid_point_count_is_bounded(self, tmp_path, capsys):
+        # counted as a float before any array exists: an infinite count, one
+        # beyond the array size limit and one beyond any memory all fail alike
         out = tmp_path / "x.csv"
-        assert main(["melnikov", "--beta-grid", "1.6:1e10:1e-5", "--out", str(out)]) \
-            == EXIT_NUMERICAL
+        for grid, count in (("1.6:1e300:1e-300", "inf"), ("1.6:5:1e-300", "3.4e+300"),
+                            ("1.6:1e10:1e-5", "1e+15"), ("1:1000001:1", "1000001")):
+            assert main(["melnikov", "--beta-grid", grid, "--out", str(out)]) \
+                == EXIT_VALIDATION
+            record = json.loads(capsys.readouterr().err)
+            assert record["message"] == (f"grid {grid!r} has {count} points, "
+                                         f"more than {cli.MAX_GRID_POINTS}")
         assert not out.exists()
-        record = json.loads(capsys.readouterr().err)
-        assert record["error"] == "numerical" and record["exit_code"] == EXIT_NUMERICAL
 
     def test_orbit_parameter_validation(self, tmp_path):
         out = tmp_path / "x.csv"
@@ -516,6 +519,16 @@ class TestBasinCommand:
         record = json.loads(capsys.readouterr().err)
         assert record["exit_code"] == EXIT_NUMERICAL
         assert record["message"].startswith("exceeded 500 steps at t=")
+
+    def test_sample_count_beyond_any_memory_is_numerical_failure(self, tmp_path, capsys):
+        # 1e15 samples, 7.1 PiB: beyond a 48-bit address space, so the allocation
+        # fails at once on any machine
+        out = tmp_path / "x.csv"
+        assert main(["basin", "--n", "1000000000000000", "--out", str(out)]) == EXIT_NUMERICAL
+        assert not out.exists()
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "numerical" and record["exit_code"] == EXIT_NUMERICAL
+        assert record["message"].startswith("Unable to allocate")
 
     def test_sample_count_checked_by_the_parser(self, tmp_path, capsys):
         out = tmp_path / "x.csv"

@@ -214,10 +214,10 @@ class TestSymmetries:
         t_fwd = 0.1
         cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
         end = integrate(cartesian_rhs(p), s.as_array(), (0.0, t_fwd), cfg).final_state
-        mapped_end, _ = apply_symmetry(g, CartesianState(*end), t_fwd)
+        mapped_end, t_mapped = apply_symmetry(g, CartesianState(*end), t_fwd)
         start_mapped, _ = apply_symmetry(g, s, 0.0)
         other = integrate(cartesian_rhs(p), start_mapped.as_array(),
-                          (0.0, g.time_sign * t_fwd), cfg).final_state
+                          (0.0, t_mapped), cfg).final_state
         assert np.allclose(mapped_end.as_array(), other, atol=1e-9)
 
 

@@ -29,13 +29,11 @@ from anisokepler.mcgehee import (
     McGeheeState,
     _collision_arrays,
     _field_arrays,
-    _field_with_time,
     _residual,
     collision_rhs,
     energy_residual,
     level_through,
     mcgehee_rhs,
-    mcgehee_rhs_with_time,
 )
 from anisokepler.torus import _branch_arrays, _torus_arrays, torus_rhs
 
@@ -60,7 +58,6 @@ def _residual_entry(residual, state, definition):
 CLOSURES = {
     "cartesian": (cartesian_rhs, _cartesian_arrays, 4, None, None),
     "mcgehee": (mcgehee_rhs, _field_arrays, 4, 2, None),
-    "mcgehee_with_time": (mcgehee_rhs_with_time, _field_with_time, 5, 2, None),
     "collision": (collision_rhs, _collision_arrays, 3, 1, None),
     "infinity": (infinity_rhs, _infinity_arrays, 4, 2, "h=0"),
     "polar": (polar_rhs, _polar_arrays, 4, 1, "beta=2"),

@@ -112,7 +112,7 @@ class TestField:
         rep = infinity_equilibria(P)
         for circle in (rep.c_plus, rep.c_minus):
             for th in np.linspace(0, 2 * math.pi, 100):
-                f = field(circle.point(th), P)
+                f = field(InfinityState(0.0, circle.vbar, th, 0.0), P)
                 assert np.max(np.abs(f)) < 1e-14
 
     def test_boundary_invariance(self):
@@ -232,7 +232,6 @@ class TestI0Flow:
             psi = np.unwrap(np.arctan2(ub / SQRT2, vb / SQRT2))
             # straight line in (theta, psi) with d theta / d psi = -2
             assert np.max(np.abs(th - curve.theta_of_psi(psi))) < 1e-8
-            assert np.max(np.abs(psi - curve.psi_of_theta(th))) < 1e-8
 
     def test_gradient_like_vbar(self):
         y0 = [0.0, SQRT2 * math.cos(2.6), 0.0, SQRT2 * math.sin(2.6)]

@@ -5,6 +5,7 @@ import warnings
 from collections import Counter
 from dataclasses import replace
 from functools import partial
+from itertools import permutations
 
 import mpmath
 import numpy as np
@@ -25,13 +26,10 @@ from anisokepler.mcgehee import (
     delta,
     energy_residual,
     equilibria,
-    equilibrium_eigenvalues,
-    equilibrium_location,
     from_mcgehee,
     level_through,
     linearize_at,
     mcgehee_rhs,
-    mcgehee_rhs_with_time,
     min_field_norm_on_level,
     spiral_threshold,
     to_mcgehee,
@@ -45,6 +43,11 @@ TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
 def field(m, p):
     """The regularized field (r', v', theta', u') at m: the integrator's closure."""
     return mcgehee_rhs(p)(0.0, m.as_array())
+
+
+def a_plus_pi_half(p):
+    """The report of the source A+_(pi/2)."""
+    return {e.label: e for e in equilibria(p)}["A+_pi/2"]
 
 
 class TestDelta:
@@ -80,7 +83,7 @@ class TestTransform:
             p = Params(beta, 1.7, 0.8)
             for _ in range(20):
                 s = CartesianState(*rng.uniform(-2, 2, 2), *rng.normal(0, 1, 2))
-                if s.radius < 0.1:
+                if math.hypot(s.x, s.y) < 0.1:
                     continue
                 back = from_mcgehee(to_mcgehee(s, p), p)
                 assert np.allclose(back.as_array(), s.as_array(), atol=1e-12)
@@ -111,7 +114,7 @@ class TestField:
 
     def test_vanishes_at_equilibrium(self):
         p = Params(beta=3, mu=1.5, b=0.5, h=-0.2)
-        eq = equilibrium_location(math.pi / 2, +1, p)
+        eq = a_plus_pi_half(p).location
         assert eq.v == pytest.approx(math.sqrt(2 * p.b))
         assert np.max(np.abs(field(eq, p))) < 1e-12
 
@@ -123,17 +126,20 @@ class TestField:
     def test_time_rescaled_consistency_with_cartesian_flow(self):
         # dual-integration oracle: the regularized orbit, reparametrized by
         # dt/dtau = r^(beta/2+1), shadows the Cartesian orbit
-        from anisokepler.core import cartesian_rhs
-
         s = CartesianState(1.1, 0.2, -0.2, 0.9)
         base = Params(3.0, 1.4, 0.5)
         p = Params(3.0, 1.4, 0.5, h=hamiltonian(s, base))
         t_end = 0.5
         cart = integrate(cartesian_rhs(p), s.as_array(), (0.0, t_end), TIGHT)
         m0 = to_mcgehee(s, p)
+        rescaled = mcgehee_rhs(p)
+
+        def with_time(t, y):
+            return np.append(rescaled(t, y[:4]), y[0] ** (p.beta / 2 + 1))
+
         hit = Event(lambda t, y: y[4] - t_end, "t-final", terminal=True)
-        reg = integrate(mcgehee_rhs_with_time(p), np.append(m0.as_array(), 0.0),
-                        (0.0, 50.0), TIGHT, events=[hit])
+        reg = integrate(with_time, np.append(m0.as_array(), 0.0), (0.0, 50.0), TIGHT,
+                        events=[hit])
         assert reg.event_times("t-final")
         back = from_mcgehee(McGeheeState(*reg.final_state[:4]), p)
         assert np.allclose(back.as_array(), cart.final_state, atol=1e-6)
@@ -402,7 +408,7 @@ class TestLinearization:
         # radial eigenvalue sqrt(2b); the (theta, u) block contributes
         # (beta-2)sqrt(2b)/4 +- (1/2) sqrt(b/2 [(beta-2)^2 - 8 beta (mu-1)])
         beta, b, mu = 3.0, 0.5, 1.2
-        lam = equilibrium_eigenvalues(math.pi / 2, +1, Params(beta, mu, b))
+        lam = a_plus_pi_half(Params(beta, mu, b)).eigenvalues
         root = np.sqrt(complex(0.5 * b * ((beta - 2) ** 2 - 8 * beta * (mu - 1))))
         expect = (math.sqrt(2 * b),
                   (beta - 2) * math.sqrt(2 * b) / 4 + root / 2,
@@ -412,7 +418,7 @@ class TestLinearization:
     def test_degenerate_isotropic_case(self):
         # at mu = 1 the pi/2 family has eigenvalues {sqrt(2b), (beta-2)sqrt(2b)/2, 0};
         # the zero eigenvalue puts mu = 1 outside the hyperbolic classification
-        lam = equilibrium_eigenvalues(math.pi / 2, +1, Params(3, 1, 0.5))
+        lam = a_plus_pi_half(Params(3, 1, 0.5)).eigenvalues
         vals = sorted(v.real for v in lam)
         assert vals == pytest.approx([0.0, 0.5, 1.0])
         assert all(v.imag == 0.0 for v in lam)
@@ -445,7 +451,7 @@ class TestClassification:
             assert a == bb
 
     def test_all_real_positive_below_threshold(self):
-        lam = equilibrium_eigenvalues(math.pi / 2, +1, Params(3, 1.01, 0.5))
+        lam = a_plus_pi_half(Params(3, 1.01, 0.5)).eigenvalues
         assert all(v.imag == 0.0 and v.real > 0 for v in lam)
 
     def test_mu_one_left_unclassified(self):
@@ -465,12 +471,30 @@ class TestClassification:
                     assert sum(k in (Stability.SINK, Stability.SPIRAL_SINK)
                                for k in kinds) == 2
 
+    @settings(max_examples=200, deadline=None)
+    @given(_reals(2.05, 6.0), _reals(1.001, 4.0), _reals(0.05, 2.0))
+    def test_pattern_over_continuous_ranges(self, beta, mu, b):
+        # 4 saddles, 2 sources, 2 sinks at every (beta, mu, b); each reported
+        # spectrum is the spectrum of the reported linearization
+        p = Params(beta, mu, b)
+        reports = equilibria(p)
+        kinds = Counter(e.stability for e in reports)
+        assert kinds[Stability.SADDLE] == 4
+        assert kinds[Stability.SOURCE] + kinds[Stability.SPIRAL_SOURCE] == 2
+        assert kinds[Stability.SINK] + kinds[Stability.SPIRAL_SINK] == 2
+        for e in reports:
+            got = np.linalg.eigvals(linearize_at(e.location, p))
+            want = np.array(e.eigenvalues)
+            assert min(np.max(np.abs(got[list(order)] - want) / np.abs(want))
+                       for order in permutations(range(3))) < 1e-9, (e.label, got, want)
+
 
 class TestInvariantManifolds:
     def test_collision_manifold_invariance(self):
         # r' = r v: a start with r = 0 keeps r = 0 exactly (bitwise)
         p = Params(beta=3, mu=1.3, b=0.5, h=-0.25)
-        m0 = equilibrium_location(0.3 + math.pi / 2, 1, p)  # not an equilibrium angle
+        theta = 0.3 + math.pi / 2  # not an equilibrium angle
+        m0 = McGeheeState(0.0, math.sqrt(2 * p.b / delta(theta, p.mu) ** (p.beta / 2)), theta, 0.0)
         traj = integrate(mcgehee_rhs(p), m0.as_array(), (0.0, 5.0))
         assert np.all(traj.states[:, 0] == 0.0)
 
