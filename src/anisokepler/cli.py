@@ -67,7 +67,8 @@ from .melnikov import _at_p, i2_amplitude, i2_closed_form, i2_quadrature
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
-MAX_GRID_POINTS = 10 ** 6  # melnikov runs one quadrature per point; its default grid has 341
+# melnikov: one quadrature per grid point; collision-flow: grid^2 rows of ~0.5 KB in memory
+MAX_GRID_POINTS = 10 ** 6
 
 
 class ValidationError(ValueError):
@@ -218,6 +219,9 @@ def _run_equilibria(ns: argparse.Namespace):
 
 
 def _run_collision_flow(ns: argparse.Namespace):
+    if ns.grid ** 2 > MAX_GRID_POINTS:
+        raise ValidationError(f"--grid {ns.grid} makes {ns.grid ** 2} cells, "
+                              f"more than {MAX_GRID_POINTS}")
     p = Params(ns.beta, ns.mu, ns.b)
     rhs = torus_rhs(p)
     cols = ["kind", "theta", "psi", "dtheta", "dpsi"]

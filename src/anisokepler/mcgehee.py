@@ -31,10 +31,8 @@ __all__ = [
     "mcgehee_rhs",
     "energy_residual",
     "level_through",
-    "collision_rhs",
     "equilibria",
     "linearize_at",
-    "reduced_field",
     "spiral_threshold",
     "BasinBox",
     "basin_fraction",
@@ -160,22 +158,6 @@ def level_through(m: McGeheeState, p: Params) -> Params:
     return replace(p, h=h)
 
 
-def collision_rhs(p: Params):
-    """(v, theta, u) field on C for the integrator, without per-call membership checks."""
-    p.require_beta_above(2.0)
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return _on_floats(_collision_arrays, y, p)
-
-    return rhs
-
-
-def _collision_arrays(xp, v, theta, u, p: Params):
-    """The field at r = 0, with v' = (beta-2)/2 * (-u^2) from the energy relation on C."""
-    _, _, dth, du = _field_arrays(xp, 0.0, v, theta, u, p)
-    return 0.5 * (p.beta - 2.0) * (-u * u), dth, du
-
-
 # --- Equilibria on C and their linearization ---
 
 class Stability(Enum):
@@ -203,8 +185,8 @@ def linearize_at(m: McGeheeState, p: Params) -> np.ndarray:
     diagonal, then the (theta, u) block [[0, 1], [c, e]] with e = (beta-2) v/2
     and c = b beta (mu-1) cos(2 theta) / Delta^((beta+2)/2).
 
-    Matches the finite-difference Jacobian of the reduced field at the
-    equilibrium (the v-direction is transverse to the level set and drops out).
+    At an equilibrium (r = u = 0) this is the (r, theta, u) block of the field's
+    Jacobian: there no r, theta or u component depends on v, the direction off the level.
     """
     D = delta(m.theta, p.mu)
     e = 0.5 * (p.beta - 2.0) * m.v
@@ -212,18 +194,6 @@ def linearize_at(m: McGeheeState, p: Params) -> np.ndarray:
     return np.array([[m.v, 0.0, 0.0],
                      [0.0, 0.0, 1.0],
                      [0.0, c, e]])
-
-
-def reduced_field(z: np.ndarray, p: Params, v_sign: int) -> np.ndarray:
-    """(r', theta', u') with v = v_sign * sqrt(v^2) eliminated through the
-    energy relation; the chart is valid where v^2 > 0."""
-    r, theta, u = z
-    s2 = _v_squared(r, theta, u, p)
-    if s2 <= 0.0:
-        raise DomainError("state is outside the reachable region of the energy level")
-    v = v_sign * math.sqrt(s2)
-    dr, _, dth, du = _field_arrays(np, r, v, theta, u, p)
-    return np.array([dr, dth, du])
 
 
 def _classify_from_eigenvalues(eigs) -> Stability:

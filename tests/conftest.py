@@ -1,4 +1,4 @@
-"""Shared test helpers: finite-difference and closed-form oracles, acceptance reporting."""
+"""Shared test helpers: Jacobian and closed-form oracles, acceptance reporting."""
 
 import math
 import time
@@ -6,32 +6,14 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from anisokepler.mcgehee import reduced_field
+from anisokepler.core import _jacobian
+from anisokepler.mcgehee import _field_arrays
 
 
-def fd_jacobian_reduced(z0, p, v_sign, step=1e-6):
-    """Finite-difference Jacobian of the on-level (r, theta, u) field.
-
-    The r-column uses a second-order one-sided formula so the probe never
-    leaves the half-space r >= 0.
-    """
-    J = np.zeros((3, 3))
-    for j in range(3):
-        if j == 0 and z0[0] < step:
-            f0 = reduced_field(np.array(z0, float), p, v_sign)
-            z1 = np.array(z0, float)
-            z2 = np.array(z0, float)
-            z1[0] += step
-            z2[0] += 2 * step
-            J[:, 0] = (-3 * f0 + 4 * reduced_field(z1, p, v_sign)
-                       - reduced_field(z2, p, v_sign)) / (2 * step)
-            continue
-        zp = np.array(z0, float)
-        zm = np.array(z0, float)
-        zp[j] += step
-        zm[j] -= step
-        J[:, j] = (reduced_field(zp, p, v_sign) - reduced_field(zm, p, v_sign)) / (2 * step)
-    return J
+def level_jacobian(m, p):
+    """The (r, theta, u) block of the McGehee field's complex-step Jacobian at m:
+    at an equilibrium (r = u = 0), the linearization on the energy level."""
+    return _jacobian(_field_arrays, m.as_array(), p)[np.ix_((0, 2, 3), (0, 2, 3))]
 
 
 def zeta1_trig(beta, theta):

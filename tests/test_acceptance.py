@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import criterion, fd_jacobian_reduced, zeta1_trig
+from conftest import criterion, level_jacobian, zeta1_trig
 
 from anisokepler.cli import EXIT_OK, main
 from anisokepler.core import Params, _jacobian
@@ -77,9 +77,7 @@ def test_criterion_1_eigenvalue_table():
                     assert sum(k in (Stability.SINK, Stability.SPIRAL_SINK)
                                for k in kinds) == 2
                     for e in reports:
-                        sign = 1 if e.location.v > 0 else -1
-                        J_fd = fd_jacobian_reduced([0.0, e.location.theta, 0.0], p, sign)
-                        got = np.sort_complex(np.linalg.eigvals(J_fd))
+                        got = np.sort_complex(np.linalg.eigvals(level_jacobian(e.location, p)))
                         want = np.sort_complex(np.array(e.eigenvalues))
                         scale = np.maximum(1.0, np.abs(want))
                         assert np.all(np.abs(got - want) <= 1e-6 * scale), (

@@ -29,6 +29,15 @@ def read_rows(path):
     return meta, cols, rows
 
 
+def validation_message(argv, capsys):
+    """The message of the one exit-2 record `main(argv)` prints."""
+    capsys.readouterr()
+    assert main(argv) == EXIT_VALIDATION
+    record = json.loads(capsys.readouterr().err)
+    assert record["exit_code"] == EXIT_VALIDATION
+    return record["message"]
+
+
 class TestMelnikovCommand:
     def test_sweep_profile(self, tmp_path):
         out = tmp_path / "mel.csv"
@@ -73,6 +82,8 @@ class TestMelnikovCommand:
             record = json.loads(capsys.readouterr().err)
             assert record["message"] == ("grid start, stop and step must be finite, "
                                          f"got {grid!r}")
+        assert validation_message(["melnikov", "--beta-grid", "3:2:0.1", "--out", str(out)],
+                                  capsys) == "grid requires step > 0 and stop >= start"
         assert not out.exists()
 
     def test_grid_point_count_is_bounded(self, tmp_path, capsys):
@@ -197,6 +208,12 @@ class TestEquilibriaCommand:
 
 
 class TestSimulateCommand:
+    def test_initial_needs_four_values(self, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        assert validation_message(["simulate", "--initial", "1,0,0", "--out", str(out)],
+                                  capsys) == "--initial needs 4 comma-separated values, got 3"
+        assert not out.exists()
+
     def test_mcgehee_rows_carry_residual(self, tmp_path):
         out = tmp_path / "sim.csv"
         code = main(["simulate", "--coords", "mcgehee", "--beta", "3", "--mu", "1.2",
@@ -376,15 +393,33 @@ class TestCollisionFlowCommand:
             assert "complex-step derivative" in record["message"]
         assert not out.exists()
 
-    def test_grid_validation(self, tmp_path):
+    def test_grid_validation(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         for grid in ("0", "-2"):
             assert main(["collision-flow", "--grid", grid, "--out", str(out)]) \
                 == EXIT_VALIDATION
+        # grid^2 rows are held in memory: refused before any cell is built
+        assert validation_message(["collision-flow", "--grid", "1001", "--out", str(out)],
+                                  capsys) == ("--grid 1001 makes 1002001 cells, "
+                                              f"more than {cli.MAX_GRID_POINTS}")
         assert not out.exists()
+
+    def test_no_branch_off_the_connection_family(self, tmp_path):
+        # beta = 3.5 is not 2 + 2/j: the field rows alone, and no branch rows
+        out = tmp_path / "cf.csv"
+        assert main(["collision-flow", "--beta", "3.5", "--grid", "3",
+                     "--out", str(out)]) == EXIT_OK
+        _, _, rows = read_rows(out)
+        assert len(rows) == 9 and {r[0] for r in rows} == {"field"}
 
 
 class TestInfinityFlowCommand:
+    def test_beta_two_is_bad_input(self, tmp_path, capsys):
+        out = tmp_path / "inf.csv"
+        assert validation_message(["infinity-flow", "--beta", "2", "--out", str(out)], capsys) \
+            == "this command covers beta > 2 (see beta2-verify)"
+        assert not out.exists()
+
     def test_orbit_rows_self_certify(self, tmp_path):
         out = tmp_path / "inf.csv"
         code = main(["infinity-flow", "--beta", "3", "--mu", "1.4", "--b", "0.5",
@@ -560,6 +595,22 @@ class TestConfigAndErrors:
         out = tmp_path / "m.csv"
         assert main(["--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
         assert not out.exists()
+
+    def test_bad_config_is_bad_input(self, tmp_path, capsys):
+        out = str(tmp_path / "x.csv")
+        unknown = tmp_path / "unknown.cfg"
+        unknown.write_text("command = foo\n")
+        assert validation_message(["--config", str(unknown), "--out", out], capsys) \
+            == "unknown command 'foo'"
+        no_equals = tmp_path / "no_equals.cfg"
+        no_equals.write_text("# a comment\n\ncommand melnikov\n")
+        assert validation_message(["--config", str(no_equals), "--out", out], capsys) \
+            == "config line without '=': 'command melnikov'"
+        assert validation_message(["melnikov", "--out", out, "--config"], capsys) \
+            == "--config needs a path"
+        assert "No such file" in validation_message(
+            ["--config", str(tmp_path / "missing.cfg"), "--out", out], capsys)
+        assert not (tmp_path / "x.csv").exists()
 
     def test_integrator_defaults_are_the_library_defaults(self):
         defaults = IntegratorConfig()

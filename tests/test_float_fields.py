@@ -27,10 +27,8 @@ from anisokepler.infinity import (
 from anisokepler.integrate import IntegratorConfig, integrate
 from anisokepler.mcgehee import (
     McGeheeState,
-    _collision_arrays,
     _field_arrays,
     _residual,
-    collision_rhs,
     energy_residual,
     level_through,
     mcgehee_rhs,
@@ -58,7 +56,6 @@ def _residual_entry(residual, state, definition):
 CLOSURES = {
     "cartesian": (cartesian_rhs, _cartesian_arrays, 4, None, None),
     "mcgehee": (mcgehee_rhs, _field_arrays, 4, 2, None),
-    "collision": (collision_rhs, _collision_arrays, 3, 1, None),
     "infinity": (infinity_rhs, _infinity_arrays, 4, 2, "h=0"),
     "polar": (polar_rhs, _polar_arrays, 4, 1, "beta=2"),
     "torus": (torus_rhs, _torus_arrays, 2, 0, None),

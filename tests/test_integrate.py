@@ -60,6 +60,23 @@ def test_event_located_and_terminal():
     assert abs(traj.times[-1] - t_ev) == 0.0
 
 
+def test_event_after_a_terminal_one_in_the_same_step_is_not_recorded():
+    # y' = 1: one step, from t = 0.1111 to 1.1111, crosses y = 0.3 and y = 0.6;
+    # the run ends at the terminal crossing, before the later one happens
+    def run(terminal):
+        events = [Event(lambda t, y: y[0] - 0.3, "first", terminal=terminal),
+                  Event(lambda t, y: y[0] - 0.6, "second")]
+        return integrate(lambda t, y: np.ones(1), [0.0], (0.0, 5.0), events=events)
+
+    free = run(terminal=False)
+    assert not np.any((free.times > 0.3) & (free.times < 0.6))
+    assert [label for _, label in free.events] == ["first", "second"]
+    stopped = run(terminal=True)
+    assert [label for _, label in stopped.events] == ["first"]
+    assert stopped.times[-1] == pytest.approx(0.3)
+    assert stopped.final_state[0] == pytest.approx(0.3)
+
+
 def test_collision_event_fires_exactly_once():
     # radial infall in regularized coordinates: r decreases through the
     # collision threshold exactly once

@@ -5,12 +5,11 @@ import warnings
 from collections import Counter
 from dataclasses import replace
 from functools import partial
-from itertools import permutations
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anisokepler import mcgehee
@@ -22,7 +21,6 @@ from anisokepler.mcgehee import (
     Stability,
     _field_arrays,
     basin_fraction,
-    collision_rhs,
     delta,
     energy_residual,
     equilibria,
@@ -35,7 +33,7 @@ from anisokepler.mcgehee import (
     to_mcgehee,
 )
 
-from conftest import fd_jacobian_reduced
+from conftest import level_jacobian
 
 TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
 
@@ -310,14 +308,19 @@ class TestCollisionFlow:
         return McGeheeState(0.0, mag * math.cos(phi), theta, mag * math.sin(phi))
 
     def _flow(self, m, p):
-        """(v', theta', u') at a point of C."""
-        return collision_rhs(p)(0.0, np.array([m.v, m.theta, m.u]))
+        """(v', theta', u') at a point of C: the field at r = 0, where r' = r v = 0."""
+        dr, dv, dth, du = field(m, p)
+        assert dr == 0.0
+        return dv, dth, du
 
     def test_u_zero_gives_v_stationary(self):
         p = Params(beta=3, mu=2, b=0.5)
         m = self._on_c(0.8, 0.0, p)  # u = 0
         dv, dth, du = self._flow(m, p)
-        assert dv == 0.0 and dth == 0.0
+        # v' = -(beta-2) u^2/2 on C, up to the roundoff of the energy relation
+        scale = p.b * (p.beta - 2) / delta(0.8, p.mu) ** (p.beta / 2)
+        assert abs(dv) <= 4 * np.finfo(float).eps * scale
+        assert dth == 0.0
         assert du == pytest.approx(p.b * p.beta * (p.mu - 1) * math.sin(1.6)
                                    / (2 * delta(0.8, p.mu) ** ((p.beta + 2) / 2)))
 
@@ -342,8 +345,9 @@ class TestCollisionFlow:
         rng = np.random.default_rng(12)
         for _ in range(5):
             m = self._on_c(rng.uniform(0, 2 * math.pi), rng.uniform(0.3, 2.8), p)
-            traj = integrate(collision_rhs(p), [m.v, m.theta, m.u], (0.0, 8.0), TIGHT)
-            v = traj.states[:, 0]
+            traj = integrate(mcgehee_rhs(p), m.as_array(), (0.0, 8.0), TIGHT)
+            assert np.all(traj.states[:, 0] == 0.0)
+            v = traj.states[:, 1]
             assert np.all(np.diff(v) <= 1e-12)
 
 
@@ -386,23 +390,20 @@ class TestEquilibria:
 
 
 class TestLinearization:
-    def test_matrix_matches_fd_jacobian(self):
+    def test_matrix_matches_field_jacobian(self):
         for p in (Params(3, 1.2, 0.5, h=-0.25), Params(2.5, 2.0, 1.0, h=0.1),
                   Params(4, 1.05, 0.5, h=-1.0)):
             for e in equilibria(p):
-                sign = 1 if e.location.v > 0 else -1
-                z0 = [0.0, e.location.theta, 0.0]
-                J_fd = fd_jacobian_reduced(z0, p, sign)
-                assert np.allclose(linearize_at(e.location, p), J_fd, atol=1e-6)
+                # the complex step is exact to roundoff
+                assert np.allclose(linearize_at(e.location, p), level_jacobian(e.location, p),
+                                   rtol=0.0, atol=1e-15)
 
-    def test_closed_form_eigenvalues_match_fd_jacobian(self):
+    def test_closed_form_eigenvalues_match_field_jacobian(self):
         p = Params(3, 1.2, 0.5, h=-0.25)
         for e in equilibria(p):
-            sign = 1 if e.location.v > 0 else -1
-            J_fd = fd_jacobian_reduced([0.0, e.location.theta, 0.0], p, sign)
-            got = np.sort_complex(np.linalg.eigvals(J_fd))
+            got = np.sort_complex(np.linalg.eigvals(level_jacobian(e.location, p)))
             expect = np.sort_complex(np.array(e.eigenvalues))
-            assert np.allclose(got, expect, rtol=1e-6, atol=1e-8)
+            assert np.allclose(got, expect, rtol=1e-12, atol=1e-15)
 
     def test_pi_half_family_eigenvalue_structure(self):
         # radial eigenvalue sqrt(2b); the (theta, u) block contributes
@@ -473,9 +474,13 @@ class TestClassification:
 
     @settings(max_examples=200, deadline=None)
     @given(_reals(2.05, 6.0), _reals(1.001, 4.0), _reals(0.05, 2.0))
+    # at the spiral threshold, where the (theta, u) block has a double eigenvalue
+    @example(4.888442211055276, 1.2133373487503305, 2.0)
     def test_pattern_over_continuous_ranges(self, beta, mu, b):
         # 4 saddles, 2 sources, 2 sinks at every (beta, mu, b); each reported
-        # spectrum is the spectrum of the reported linearization
+        # spectrum is the spectrum of the reported linearization, compared by
+        # characteristic polynomial: near a double eigenvalue the eigenvalues
+        # themselves carry up to sqrt(eps) of roundoff, the coefficients do not
         p = Params(beta, mu, b)
         reports = equilibria(p)
         kinds = Counter(e.stability for e in reports)
@@ -483,10 +488,9 @@ class TestClassification:
         assert kinds[Stability.SOURCE] + kinds[Stability.SPIRAL_SOURCE] == 2
         assert kinds[Stability.SINK] + kinds[Stability.SPIRAL_SINK] == 2
         for e in reports:
-            got = np.linalg.eigvals(linearize_at(e.location, p))
-            want = np.array(e.eigenvalues)
-            assert min(np.max(np.abs(got[list(order)] - want) / np.abs(want))
-                       for order in permutations(range(3))) < 1e-9, (e.label, got, want)
+            got = np.poly(linearize_at(e.location, p))
+            want = np.poly(e.eigenvalues)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (e.label, got, want)
 
 
 class TestInvariantManifolds:

@@ -10,7 +10,7 @@ from conftest import zeta1_trig
 
 from anisokepler.core import Params, _jacobian
 from anisokepler.integrate import Event, IntegratorConfig, integrate
-from anisokepler.mcgehee import McGeheeState, collision_rhs, delta, energy_residual
+from anisokepler.mcgehee import McGeheeState, delta, energy_residual, mcgehee_rhs
 from anisokepler.torus import (
     SplittingVerdict,
     TorusState,
@@ -87,19 +87,17 @@ class TestChart:
                 assert np.allclose(_jacobian(_torus_arrays, y, p), fd, rtol=1e-7, atol=1e-9)
 
     def test_pushforward_consistency_with_collision_flow(self):
-        # integrating the 3d collision flow and mapping through the angle chart
-        # reproduces the 2d torus flow
+        # integrating the McGehee field at r = 0 and mapping through the angle
+        # chart reproduces the 2d torus flow
         p = Params(beta=3, mu=1.4, b=0.5)
         th0, ps0 = -2.0, 0.9
         m0 = to_collision(TorusState(th0, ps0), p)
         tau = 4.0
-        c3 = integrate(collision_rhs(p), [m0.v, m0.theta, m0.u], (0.0, tau), TIGHT)
         t2 = integrate(torus_rhs(p), [th0, ps0], (0.0, tau), TIGHT)
         # compare on the common grid of the 2d run via dense re-integration
         for tq, (th, ps) in zip(t2.times[::5], t2.states[::5]):
-            seg = integrate(collision_rhs(p), [m0.v, m0.theta, m0.u], (0.0, max(tq, 1e-12)),
-                            TIGHT).final_state
-            v, theta, u = seg
+            _, v, theta, u = integrate(mcgehee_rhs(p), m0.as_array(), (0.0, max(tq, 1e-12)),
+                                       TIGHT).final_state
             g = math.sqrt(2 * p.b) / delta(theta, p.mu) ** (p.beta / 4)
             psi = math.atan2(u / g, v / g) % (2 * math.pi)
             assert abs((theta - th + math.pi) % (2 * math.pi) - math.pi) < 1e-6
