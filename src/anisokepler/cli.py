@@ -23,6 +23,7 @@ import json
 import math
 import sys
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -104,15 +105,19 @@ def _parse_grid(text: str) -> np.ndarray:
     return start + step * np.arange(int(span) + 1)
 
 
-def _count(text: str) -> int:
-    """argparse type of a sample or grid count: an integer of at least 1."""
+def _at_least(low: int, text: str) -> int:
+    """argparse type of an integer of at least `low`: 1 for a sample or grid
+    count, 0 for --seed (numpy's generators take non-negative integers)."""
     try:
         n = int(text)
     except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+        n = low - 1
+    if n < low:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least {low}, got {text!r}")
     return n
+
+
+_count = partial(_at_least, 1)
 
 
 def _integrator(ns: argparse.Namespace) -> IntegratorConfig:
@@ -286,6 +291,9 @@ def _run_infinity_flow(ns: argparse.Namespace):
 
 def _run_splitting(ns: argparse.Namespace):
     eps_list = [float(t) for t in ns.eps_list.split(",")]
+    if not all(math.isfinite(eps) and eps >= 0.0 for eps in eps_list):
+        raise ValidationError(f"--eps-list values must be finite and non-negative, "
+                              f"got {ns.eps_list!r}")
     icfg = _integrator(ns)
     z1 = (connection_index(ns.beta) + 1) * math.pi / 4  # zeta1 at the section
     rows = []
@@ -420,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, beta_default=None, integrates=False):
         sp.add_argument("--out", required=True,
                         help="output CSV path (manifest written alongside)")
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=partial(_at_least, 0), default=0)
         if integrates:
             icfg = IntegratorConfig()
             sp.add_argument("--rtol", type=float, default=icfg.rel_tol)

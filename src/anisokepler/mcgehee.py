@@ -264,6 +264,9 @@ class BasinBox:
     def __post_init__(self):
         if not all(math.isfinite(x) for x in (*self.r, *self.theta, *self.u)):
             raise ValueError(f"sampling box bounds must be finite: {self}")
+        for name, (lo, hi) in (("r", self.r), ("theta", self.theta), ("u", self.u)):
+            if lo > hi:
+                raise ValueError(f"sampling box range of {name} is reversed: {lo}..{hi}")
         if self.v_sign not in (1, -1):
             raise ValueError(f"v_sign must be +1 or -1, got {self.v_sign}")
 

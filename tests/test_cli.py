@@ -5,7 +5,6 @@ import math
 import subprocess
 import sys
 import time
-import warnings
 from functools import partial
 
 import numpy as np
@@ -154,7 +153,6 @@ class TestMelnikovCommand:
         # at p = 1 only: the value at --p is that one scaled
         assert calls == [1.0] * len(rows)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_gamma_overflow_is_numerical_failure(self, tmp_path):
         out = tmp_path / "x.csv"
         assert main(["melnikov", "--beta-grid", "150:200:10", "--out", str(out)]) \
@@ -182,9 +180,7 @@ class TestEquilibriaCommand:
     def test_overflowed_spectrum_is_numerical_failure(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         for flags in (["--mu", "1e300"], ["--mu", "1", "--b", "1e308"]):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", RuntimeWarning)
-                assert main(["equilibria", *flags, "--out", str(out)]) == EXIT_NUMERICAL
+            assert main(["equilibria", *flags, "--out", str(out)]) == EXIT_NUMERICAL
             assert not out.exists()
             lines = capsys.readouterr().err.splitlines()
             assert len(lines) == 1
@@ -273,10 +269,8 @@ class TestSimulateCommand:
     def test_cartesian_far_start_is_free_flight(self, tmp_path):
         # the cube of |(x, y)| = 1e200 overflows the floats; the pull is 0
         out = tmp_path / "far.csv"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            code = main(["simulate", "--coords", "cartesian", "--initial", "1e200,0,0,1",
-                         "--out", str(out)])
+        code = main(["simulate", "--coords", "cartesian", "--initial", "1e200,0,0,1",
+                     "--out", str(out)])
         assert code == EXIT_OK
         _, _, rows = read_rows(out)
         assert len(rows) > 1 and float(rows[-1][0]) == 10.0
@@ -294,15 +288,15 @@ class TestSimulateCommand:
 
     def test_rejected_trial_stage_prints_no_warning(self, tmp_path):
         # at beta = 2.5 a trial stage lands past r = 0, where r^(beta-1) is NaN
-        # on numpy scalars; the stepper rejects that stage, and no numpy
-        # RuntimeWarning reaches the output of the successful run
-        out = tmp_path / "r1.csv"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            code = main(["simulate", "--coords", "mcgehee", "--beta", "2.5",
-                         "--initial", "0.5,-0.8,1.4,0.1", "--t-final", "400", "--out", str(out)])
-        assert code == EXIT_OK
-        assert read_rows(out)[2]
+        # on numpy scalars, and at mu = 1e200 a power overflows; the stepper
+        # rejects such a stage, and no numpy RuntimeWarning (ComplexWarning
+        # included) reaches the output of the successful run
+        out = tmp_path / "r.csv"
+        for flags in (["--beta", "2.5", "--t-final", "400"], ["--mu", "1e200", "--t-final", "5"]):
+            code = main(["simulate", "--coords", "mcgehee", *flags,
+                         "--initial", "0.5,-0.8,1.4,0.1", "--out", str(out)])
+            assert code == EXIT_OK, flags
+            assert read_rows(out)[2]
 
     def test_numerical_failure_exit_code(self, tmp_path):
         # collision orbit with beta = 2 in Cartesian coordinates stalls the stepper
@@ -332,10 +326,8 @@ class TestSimulateCommand:
     def test_residual_beyond_the_float_range_is_numerical_failure(self, tmp_path, capsys):
         # v^2 overflows while r^beta does not: h = inf is no float level either
         out = tmp_path / "x.csv"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            code = main(["simulate", "--coords", "mcgehee", "--initial", "1,1e200,0,0",
-                         "--out", str(out)])
+        code = main(["simulate", "--coords", "mcgehee", "--initial", "1,1e200,0,0",
+                     "--out", str(out)])
         assert code == EXIT_NUMERICAL
         assert not out.exists()
         record = json.loads(capsys.readouterr().err)
@@ -370,13 +362,12 @@ class TestCollisionFlowCommand:
         # (mu - 1) b overflows to inf and meets sin(2 theta) = 0 or an infinite
         # power: the dpsi cells are NaN, so nothing is written
         out = tmp_path / "x.csv"
-        with np.errstate(all="ignore"):
-            code = main(["collision-flow", "--beta", "2.5", "--mu", "1e300", "--b", "1e300",
-                         "--grid", "3", "--out", str(out)])
+        code = main(["collision-flow", "--beta", "2.5", "--mu", "1e300", "--b", "1e300",
+                     "--grid", "3", "--out", str(out)])
         assert code == EXIT_NUMERICAL
         assert not out.exists()
         assert not (tmp_path / "x.csv.manifest.json").exists()
-        record = json.loads(capsys.readouterr().err.splitlines()[-1])
+        record = json.loads(capsys.readouterr().err)
         assert record["message"] == "collision-flow: nan in column 'dpsi', row 1"
 
     def test_seed_beyond_the_float_range_prints_one_record(self, tmp_path, capsys):
@@ -384,10 +375,8 @@ class TestCollisionFlowCommand:
         # the run exits 3, and the record is all of stderr
         out = tmp_path / "x.csv"
         for beta in ("3", "2.5"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", RuntimeWarning)
-                code = main(["collision-flow", "--beta", beta, "--mu", "1e300", "--grid", "2",
-                             "--out", str(out)])
+            code = main(["collision-flow", "--beta", beta, "--mu", "1e300", "--grid", "2",
+                         "--out", str(out)])
             assert code == EXIT_NUMERICAL
             record = json.loads(capsys.readouterr().err)
             assert "complex-step derivative" in record["message"]
@@ -438,7 +427,7 @@ class TestInfinityFlowCommand:
         code = main(["infinity-flow", "--b", "1e300", "--mu", "1e300", "--out", str(out)])
         assert code == EXIT_NUMERICAL
         assert not out.exists()
-        message = json.loads(capsys.readouterr().err.splitlines()[-1])["message"]
+        message = json.loads(capsys.readouterr().err)["message"]
         assert message.startswith("step size is NaN at t = 0.0, y = [0.0, ")
         assert message.endswith("the field or the state is not finite there")
 
@@ -478,6 +467,16 @@ class TestSplittingCommand:
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["message"] == ("saddle connections exist at beta = 2 + 2/j for a "
                                      "positive integer j only, got 5.0")
+        assert not out.exists()
+
+    def test_eps_list_validation(self, tmp_path, capsys):
+        # epsilon = mu - 1 is the anisotropy of each row: the option is named,
+        # not the mu it would make
+        out = tmp_path / "x.csv"
+        for eps_list in ("0,-1e-3", "inf", "1e-3,nan"):
+            assert validation_message(["splitting", "--eps-list", eps_list, "--out", str(out)],
+                                      capsys) == ("--eps-list values must be finite and "
+                                                  f"non-negative, got {eps_list!r}")
         assert not out.exists()
 
 
@@ -534,10 +533,8 @@ class TestBasinCommand:
         # the energy relation overflows there: the samples are off the level,
         # and the JSON record is all of stderr
         out = tmp_path / "x.csv"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            code = main(["basin", "--box", "1e200,1e201,0,1,0,0.1", "--n", "10",
-                         "--out", str(out)])
+        code = main(["basin", "--box", "1e200,1e201,0,1,0,0.1", "--n", "10",
+                     "--out", str(out)])
         assert code == EXIT_VALIDATION
         assert not out.exists()
         record = json.loads(capsys.readouterr().err)
@@ -564,6 +561,13 @@ class TestBasinCommand:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "numerical" and record["exit_code"] == EXIT_NUMERICAL
         assert record["message"].startswith("Unable to allocate")
+
+    def test_reversed_box_range_names_the_coordinate(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert validation_message(["basin", "--box", "0.35,0.05,1.3,1.9,-0.15,0.15",
+                                   "--out", str(out)], capsys) \
+            == "sampling box range of r is reversed: 0.35..0.05"
+        assert not out.exists()
 
     def test_sample_count_checked_by_the_parser(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -611,6 +615,17 @@ class TestConfigAndErrors:
         assert "No such file" in validation_message(
             ["--config", str(tmp_path / "missing.cfg"), "--out", out], capsys)
         assert not (tmp_path / "x.csv").exists()
+
+    def test_seed_checked_by_the_parser(self, tmp_path, capsys):
+        # numpy's generators take no negative seed: every command refuses one
+        # alike, instead of failing in numpy or writing it to the CSV header
+        out = tmp_path / "x.csv"
+        for command in cli._RUNNERS:
+            for seed in ("-1", "1.5"):
+                assert validation_message([command, "--seed", seed, "--out", str(out)],
+                                          capsys) \
+                    == f"argument --seed: must be an integer of at least 0, got {seed!r}"
+        assert not out.exists()
 
     def test_integrator_defaults_are_the_library_defaults(self):
         defaults = IntegratorConfig()
@@ -698,9 +713,7 @@ def test_overflowing_anisotropy_power_prints_no_warning(tmp_path):
     for argv in (["infinity-flow", "--mu", "1e300"],
                  ["infinity-flow", "--beta", "4", "--mu", "1e300"],
                  ["simulate", "--coords", "mcgehee", "--mu", "1e300"]):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert main(argv + ["--out", str(out)]) == EXIT_OK, argv
+        assert main(argv + ["--out", str(out)]) == EXIT_OK, argv
         _, _, rows = read_rows(out)
         assert rows and all(math.isfinite(float(x)) for row in rows for x in row), argv
 

@@ -254,7 +254,6 @@ class TestI2:
             with pytest.raises(ValueError, match="orbit parameter"):
                 fn(p_par, 2.5)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_gamma_overflow_raises(self):
         # the Gamma products overflow from beta ~ 149 on; inf or NaN must not
         # pass the agreement check
