@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import replace
 from functools import partial
@@ -408,10 +409,13 @@ def read_config_file(path: str) -> dict:
 class _Parser(argparse.ArgumentParser):
     """Raises ValidationError on a bad flag instead of printing usage and exiting,
     so the failure gets the JSON error record; subparsers inherit the class.
-    No abbreviations: `--h` on a command without it is an error, not `--help`."""
+    No abbreviations: `--h` on a command without it is an error, not `--help`.
+    A value that starts with "-" and a digit, or "-." and a digit, is a value,
+    not a flag: `--initial -1,0,0,1` and `--eps-list -1e-3` reach their checks."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         raise ValidationError(message)

@@ -1,16 +1,17 @@
 """Adaptive Runge-Kutta integration with event location and invariant monitoring.
 
-The stepper is the Dormand-Prince 5(4) pair (Dormand & Prince 1980, J. Comput.
-Appl. Math. 6:19), advanced with the fifth-order solution, with a quartic
-dense output and the step-size control of Hairer, Norsett & Wanner, *Solving
-ODEs I*, Sec. II.4.  It uses the coefficients and rules of
-``scipy.integrate.RK45`` and performs the same floating-point operations in the
-same order, so every step, state and field call agrees with that solver bit
-for bit; its stage sums call ``ndarray.dot``, the product scipy's ``np.dot``
-computes, without the dispatch frame.  Event times are refined on the dense
-output by Brent's method, a line-for-line port of ``scipy.optimize.brentq``
-that agrees with it bit for bit as well.  The test suite checks both against
-scipy.
+The stepper is DOP853, the explicit 8(5,3) Runge-Kutta pair of Dormand and
+Prince in the form of Hairer, Norsett & Wanner, *Solving ODEs I*, Sec. II.10:
+twelve stages advance the eighth-order solution, a fifth-order error estimate
+damped by a third-order one drives the step-size control, and three more
+stages, taken only when an event needs them, give a 7-term dense output of
+order 7.  It uses the coefficients and rules of ``scipy.integrate.DOP853`` and
+performs the same floating-point operations in the same order, so every step,
+state and field call agrees with that solver bit for bit; its stage sums call
+``ndarray.dot``, the product scipy's ``np.dot`` computes, without the dispatch
+frame.  Event times are refined on the dense output by Brent's method, a
+line-for-line port of ``scipy.optimize.brentq`` that agrees with it bit for
+bit as well.  The test suite checks both against scipy.
 
 The stepper enforces the hard step-count limit itself, so every driver stops
 there.  Around it the driver adds the bookkeeping the rest of the package
@@ -42,34 +43,94 @@ _EVENT_TIME_TOL = 1e-12
 _EVENT_REL_TOL = 4 * _EPS
 _EVENT_MAX_ITER = 100
 
-# Dormand-Prince 5(4) in scipy's RK45 layout: stage s evaluates the field at
-# t + C[s] h from the stages K[:s] weighted by A[s, :s]; B gives the
-# fifth-order solution, E the error estimate from all seven rows of K (the
-# last is the field at the new point) and P the quartic dense output.
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
-_A = np.array([
-    [0, 0, 0, 0, 0],
-    [1 / 5, 0, 0, 0, 0],
-    [3 / 40, 9 / 40, 0, 0, 0],
-    [44 / 45, -56 / 15, 32 / 9, 0, 0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+# DOP853 in scipy's layout (Hairer, Norsett & Wanner, Sec. II.10; their Fortran
+# code DOP853).  Row s of _A weighs the stages K[:s] for stage s, evaluated at
+# t + _C[s] h: rows 1-11 are the step's trial stages, row 12 is B (the
+# eighth-order solution, whose field value becomes K[12]) and rows 13-15 are
+# the three extra stages of the dense output.  _E5 and _E3 weigh the 13 rows
+# K[:13] for the fifth- and third-order error estimates; _D weighs all 16
+# rows for the four highest coefficients of the 7-term interpolant.  The
+# literals are the doubles of scipy.integrate._ivp.dop853_coefficients.
+_C = np.array([
+    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+    0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+    0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2, 0.7777777777777778,
 ])
-_B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
-_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40])
-_P = np.array([
-    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+
+
+def _lower_triangular(rows) -> np.ndarray:
+    """Square array whose row s holds rows[s] in its first s columns."""
+    a = np.zeros((len(rows), len(rows)))
+    for s, row in enumerate(rows):
+        a[s, :s] = row
+    return a
+
+
+_A = _lower_triangular((
+    (),
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0, 0.08876275643042054),
+    (0.2413651341592667, 0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0, 0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0, 0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (0.03709200011850479, 0, 0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0, 0, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+     20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0, 0, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+     15.279233632882423, -33.28821096898486, -0.020331201708508627),
+    (-0.9371424300859873, 0, 0, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+     -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196),
+    (2.273310147516538, 0, 0, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+     27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+     0.6433927460157636),
+    (0.054293734116568765, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003,
+     -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+     0.04471061572777259),
+    (0.056167502283047954, 0, 0, 0, 0, 0, 0.25350021021662483, -0.2462390374708025,
+     -0.12419142326381637, 0.15329179827876568, 0.00820105229563469, 0.007567897660545699,
+     -0.008298),
+    (0.03183464816350214, 0, 0, 0, 0, 0.028300909672366776, 0.053541988307438566,
+     -0.05492374857139099, 0, 0, -0.00010834732869724932, 0.0003825710908356584,
+     -0.00034046500868740456, 0.1413124436746325),
+    (-0.42889630158379194, 0, 0, 0, 0, -4.697621415361164, 7.683421196062599,
+     4.06898981839711, 0.3567271874552811, 0, 0, 0, -0.0013990241651590145,
+     2.9475147891527724, -9.15095847217987),
+))
+_B = _A[12, :12]
+_E3 = np.array([
+    -0.18980075407240762, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003,
+    -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
+    0.02265179219836082, 0,
+])
+_E5 = np.array([
+    0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044, -0.4957589496572502,
+    1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+    -0.022355307863886294, 0,
+])
+_D = np.array([
+    [-8.428938276109013, 0, 0, 0, 0, 0.5667149535193777, -3.0689499459498917,
+     2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883,
+     0.6315787787694688, -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+     -4.436036387594894],
+    [10.427508642579134, 0, 0, 0, 0, 242.28349177525817, 165.20045171727028,
+     -374.5467547226902, -22.113666853125306, 7.733432668472264, -30.674084731089398,
+     -9.332130526430229, 15.697238121770845, -31.139403219565178, -9.35292435884448,
+     35.81684148639408],
+    [19.985053242002433, 0, 0, 0, 0, -387.0373087493518, -189.17813819516758,
+     527.8081592054236, -11.57390253995963, 6.8812326946963, -1.0006050966910838,
+     0.7777137798053443, -2.778205752353508, -60.19669523126412, 84.32040550667716,
+     11.99229113618279],
+    [-25.69393346270375, 0, 0, 0, 0, -154.18974869023643, -231.5293791760455,
+     357.6391179106141, 93.40532418362432, -37.45832313645163, 104.0996495089623,
+     29.8402934266605, -43.53345659001114, 96.32455395918828, -39.17726167561544,
+     -149.72683625798564],
 ])
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
-_ERROR_EXPONENT = -1 / 5  # the error estimate is of order 4
+_ERROR_EXPONENT = -1 / 8  # the error estimate is of order 7
 
 
 class IntegrationError(RuntimeError):
@@ -133,8 +194,13 @@ class Trajectory:
         return [t for t, lab in self.events if lab == label]
 
 
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm, as ``np.linalg.norm`` computes it for a 1-D array."""
+    return math.sqrt(x.dot(x))
+
+
 def _rms_norm(x: np.ndarray) -> float:
-    return math.sqrt(x.dot(x)) / x.size ** 0.5
+    return _norm(x) / x.size ** 0.5
 
 
 class _DormandPrince:
@@ -150,13 +216,16 @@ class _DormandPrince:
         self.t, self.y = t0, y0
         self.t_old = self.y_old = None
         self.f = np.asarray(fun(t0, y0), dtype=float)
-        self.K = np.empty((7, y0.size))
+        self.K = np.empty((16, y0.size))
         # views of K made once: per stage (earlier stages, their weights, time
-        # fraction); then the six stages B weighs and all seven rows E weighs.
-        # K keeps scipy's (7, n) layout, so the .dot products sum in the same
+        # fraction), the trial stages 1-11 and the dense output's 13-15; then
+        # the twelve stages B weighs and the 13 rows the error estimates weigh.
+        # K keeps scipy's (16, n) layout, so the .dot products sum in the same
         # order as scipy's np.dot.
-        self._stages = [(self.K[:s].T, _A[s, :s], _C[s]) for s in range(1, 6)]
-        self._KT_B, self._KT = self.K[:-1].T, self.K.T
+        self._stages, self._extra_stages = (
+            [(self.K[:s].T, _A[s, :s], float(_C[s])) for s in stages]
+            for stages in (range(1, 12), range(13, 16)))
+        self._KT_B, self._KT_E = self.K[:12].T, self.K[:13].T
         self.h_abs = self._initial_step()
 
     def _initial_step(self) -> float:
@@ -175,12 +244,21 @@ class _DormandPrince:
         elif max(d1, d2) == 0:  # d1 = 0 and d2 NaN: scipy's numpy division gives inf
             h1 = math.inf
         else:
-            h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+            h1 = (0.01 / max(d1, d2)) ** (1 / 8)
         return min(100 * h0, h1, interval_length)
 
     @property
     def finished(self) -> bool:
         return self.t == self.t_bound
+
+    def _error_norm(self, h: float, scale: np.ndarray) -> float:
+        """The 8(5,3) error estimate: the fifth-order error, damped where the
+        third-order one is larger, in the weighted RMS norm."""
+        err5_sq = _norm(self._KT_E.dot(_E5) / scale) ** 2
+        err3_sq = _norm(self._KT_E.dot(_E3) / scale) ** 2
+        if err5_sq == 0 and err3_sq == 0:
+            return 0.0
+        return abs(h) * err5_sq / math.sqrt((err5_sq + 0.01 * err3_sq) * scale.size)
 
     def step(self) -> None:
         """Take one accepted step, shrinking the step size after each rejection;
@@ -211,10 +289,10 @@ class _DormandPrince:
                 K[s] = fun(t + c * h, y + dy)
             y_new = y + h * self._KT_B.dot(_B)
             f_new = np.asarray(fun(t + h, y_new), dtype=float)
-            K[-1] = f_new
+            K[12] = f_new
 
             scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
-            error_norm = _rms_norm(self._KT.dot(_E) * h / scale)
+            error_norm = self._error_norm(h, scale)
             if error_norm < 1:
                 if error_norm == 0:
                     factor = _MAX_FACTOR
@@ -231,16 +309,28 @@ class _DormandPrince:
         self.t, self.y, self.f, self.h_abs = t_new, y_new, f_new, h_abs
 
     def dense_output(self) -> Callable[[float], np.ndarray]:
-        """The quartic interpolant of the last step."""
-        Q = self._KT.dot(_P)
-        t_old, y_old = self.t_old, self.y_old
+        """The 7-term interpolant of the last step, from three more field calls."""
+        K, t_old, y_old = self.K, self.t_old, self.y_old
         h = self.t - t_old
+        for s, (K_prev, a, c) in enumerate(self._extra_stages, start=13):
+            dy = K_prev.dot(a) * h
+            K[s] = self.fun(t_old + c * h, y_old + dy)
+        f_old = K[0]
+        delta_y = self.y - y_old
+        F = np.empty((7, y_old.size))
+        F[0] = delta_y
+        F[1] = h * f_old - delta_y
+        F[2] = 2 * delta_y - h * (self.f + f_old)
+        F[3:] = h * _D.dot(K)
+        F = F[::-1]
 
         def y_at(t: float) -> np.ndarray:
             x = (t - t_old) / h
-            x2 = x * x
-            x3 = x2 * x
-            return h * Q.dot(np.array((x, x2, x3, x3 * x))) + y_old
+            y = np.zeros_like(y_old)
+            for i, f in enumerate(F):
+                y += f
+                y *= x if i % 2 == 0 else 1 - x
+            return y + y_old
 
         return y_at
 
@@ -317,7 +407,7 @@ def integrate(
     events: Sequence[Event] = (),
     monitors: Mapping[str, Callable[[float, np.ndarray], float]] | None = None,
 ) -> Trajectory:
-    """Integrate ``y' = field(t, y)`` over ``t_span`` with an embedded 5(4) pair.
+    """Integrate ``y' = field(t, y)`` over ``t_span`` with the embedded 8(5,3) pair.
 
     Event times are refined on the dense output to 1e-12 in time.  After the run,
     each monitor reports its largest absolute deviation over the samples from its

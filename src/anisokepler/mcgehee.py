@@ -283,13 +283,13 @@ def basin_fraction(p: Params, n: int, horizon: float, box: BasinBox | None = Non
 
     Samples (r, theta, u) uniformly, closes v through the energy relation on the
     requested branch, and advances all on-level samples together as one system
-    with the package's Dormand-Prince stepper at the default tolerances; the
-    field is analytic at r = 0, so no stiffness appears near collision.  Each
-    field call over the (4, m) samples takes one sine-cosine pair, one power of
-    r and one of Delta per sample, and no other transcendental.  A sample has
-    collided once r < COLLISION_RADIUS at an accepted step.  The stepper's step
-    limit binds the shared step: past it, MaxStepsExceeded.  Deterministic for
-    a fixed seed.
+    with the package's DOP853 stepper at the default tolerances; the field is
+    analytic at r = 0, so no stiffness appears near collision.  Each field call
+    over the (4, m) samples takes one sine-cosine pair, one power of r and one
+    of Delta per sample, and no other transcendental.  A sample has collided
+    once r < COLLISION_RADIUS at an accepted step.  The stepper's step limit
+    binds the shared step: past it, MaxStepsExceeded.  Deterministic for a
+    fixed seed.
     """
     p.require_beta_above(2.0)
     if n < 1:

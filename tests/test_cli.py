@@ -210,6 +210,20 @@ class TestSimulateCommand:
                                   capsys) == "--initial needs 4 comma-separated values, got 3"
         assert not out.exists()
 
+    def test_value_starting_with_a_minus_sign(self, tmp_path, capsys):
+        # "-1,0,0,1" is the value of --initial, not a flag: the mirror image of
+        # the default orbit starts at x = -1 and, like it, falls into the origin
+        out = tmp_path / "m.csv"
+        argv = ["simulate", "--coords", "cartesian", "--initial", "-1,0,0,1", "--out", str(out)]
+        assert main(argv + ["--t-final", "0.5"]) == EXIT_OK
+        _, _, rows = read_rows(out)
+        assert [float(x) for x in rows[0][:5]] == [0.0, -1.0, 0.0, 0.0, 1.0]
+        out.unlink()
+        capsys.readouterr()
+        assert main(argv) == EXIT_NUMERICAL
+        assert not out.exists()
+        assert "collision at the origin" in json.loads(capsys.readouterr().err)["message"]
+
     def test_mcgehee_rows_carry_residual(self, tmp_path):
         out = tmp_path / "sim.csv"
         code = main(["simulate", "--coords", "mcgehee", "--beta", "3", "--mu", "1.2",
@@ -473,7 +487,7 @@ class TestSplittingCommand:
         # epsilon = mu - 1 is the anisotropy of each row: the option is named,
         # not the mu it would make
         out = tmp_path / "x.csv"
-        for eps_list in ("0,-1e-3", "inf", "1e-3,nan"):
+        for eps_list in ("0,-1e-3", "inf", "1e-3,nan", "-1e-3", "-.5"):
             assert validation_message(["splitting", "--eps-list", eps_list, "--out", str(out)],
                                       capsys) == ("--eps-list values must be finite and "
                                                   f"non-negative, got {eps_list!r}")
