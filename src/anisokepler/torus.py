@@ -8,9 +8,13 @@ psi = (theta+pi)/j, j = 2/(beta-2), which reaches the saddle (-pi + j pi, pi)
 exactly when j is a positive integer: the connection family beta = 2 + 2/j,
 gated by `connection_index`.  For small anisotropy epsilon = mu - 1 > 0 the
 connection splits, and the splitting is measured where the line crosses
-psi = pi/2, at theta = -pi + j pi/2.  `trace_manifold` integrates the branch
-out of (-pi, 0) only: the reversal, a reflection about the section, carries it
-onto its stable partner into (-pi + j pi, pi).
+psi = pi/2, at theta = -pi + j pi/2.  `trace_manifold` traces the branch out
+of (-pi, 0) only: the reversal, a reflection about the section, carries it onto
+its stable partner into (-pi + j pi, pi).  Along that branch theta' > 0, so it
+is traced as a graph psi(theta), by the slope dpsi/dtheta of the field, in
+which the amplitude sqrt(2b)/Delta^(beta/4) cancels.  Where sin(2 theta)
+changes sign, on the lines theta = pi/2 (mod pi), the slope has a layer of
+width about epsilon^(-1/2).
 """
 
 from __future__ import annotations
@@ -21,9 +25,9 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Params, _jacobian, _on_floats
+from .core import Params, _on_floats
 from .integrate import Event, IntegrationError, IntegratorConfig, integrate
-from .mcgehee import delta
+from .mcgehee import _delta_and_half_sin2
 from .melnikov import _tanh_sinh
 
 __all__ = [
@@ -41,14 +45,13 @@ __all__ = [
     "connection_beta",
 ]
 
-ARC_LENGTH_CAP = 100.0
 SEED_OFFSET = 1e-6
-SINK_RADIUS = 1e-3  # a branch this close to an attracting equilibrium has stalled
+TURN_BACK = 1e-6  # psi this close to pi: theta' = g sin(psi) is about to change sign
 
 
 class TraceError(IntegrationError):
-    """Branch failed to reach the comparison section: it exceeded the arc-length
-    cap or fell into an attracting equilibrium."""
+    """Branch failed to reach the comparison section: it turns back in theta
+    first, or it would cross a layer narrower than the spacing of the doubles."""
 
 
 @dataclass(frozen=True)
@@ -65,32 +68,39 @@ class SplittingVerdict(Enum):
     CONNECTED = "connected-within-tolerance"
 
 
-def _torus_arrays(xp, theta, psi, p: Params):
-    """The one definition of the torus field, sines and cosines from xp."""
-    beta, mu, b = p.beta, p.mu, p.b
-    D = delta(theta, mu, xp)
-    g = math.sqrt(2.0 * b) / D ** (beta / 4.0)
+def _torus_bracket(xp, theta, psi, p: Params):
+    """(Delta, sin psi, B): the torus field is g (sin psi, B), with the amplitude
+    g = sqrt(2b)/Delta^(beta/4) and
+    B = (beta-2)/2 sin psi + (beta/4) epsilon sin(2 theta) cos psi / Delta."""
+    D, half_sin2 = _delta_and_half_sin2(theta, p.mu, xp)
     sp = xp.sin(psi)
-    dth = g * sp
-    dps = (0.5 * (beta - 2.0) * g * sp
-           + 0.25 * beta * (mu - 1.0) * math.sqrt(2.0 * b)
-           * xp.sin(2.0 * theta) * xp.cos(psi) / D ** ((beta + 4.0) / 4.0))
-    return dth, dps
+    tilt = (p.mu - 1.0) * half_sin2 / D
+    return D, sp, 0.5 * (p.beta - 2.0) * sp + 0.5 * p.beta * tilt * xp.cos(psi)
 
 
-def _branch_arrays(xp, theta, psi, arc, p: Params):
-    """The torus field extended by the arc length of the path."""
-    dth, dps = _torus_arrays(xp, theta, psi, p)
-    return dth, dps, math.hypot(dth, dps)
+def _torus_arrays(xp, theta, psi, p: Params):
+    """The one definition of the torus field, sines and cosines from xp.  The
+    amplitude multiplies both components, so a power of Delta beyond the floats
+    drops neither."""
+    D, sp, bracket = _torus_bracket(xp, theta, psi, p)
+    g = math.sqrt(2.0 * p.b) / D ** (p.beta / 4.0)
+    return g * sp, g * bracket
+
+
+def _graph_arrays(xp, theta, psi, p: Params):
+    """dpsi/dtheta = B / sin psi of the torus field: g, and with it b, cancels."""
+    _, sp, bracket = _torus_bracket(xp, theta, psi, p)
+    return (bracket / sp,)
+
+
+def _graph_rhs(p: Params):
+    """The closure `trace_manifold` integrates: dpsi/dtheta, with theta the time."""
+    return lambda theta, y: _on_floats(_graph_arrays, np.array((theta, y[0])), p)
 
 
 def torus_rhs(p: Params):
     p.require_beta_above(2.0)
-
-    def rhs(tau: float, y: np.ndarray) -> np.ndarray:
-        return _on_floats(_torus_arrays, y, p)
-
-    return rhs
+    return lambda tau, y: _on_floats(_torus_arrays, y, p)
 
 
 def connection_index(beta: float) -> int:
@@ -143,46 +153,34 @@ def trace_manifold(p: Params, cfg: IntegratorConfig | None = None) -> np.ndarray
     the section.  `reversal_map` carries it onto its stable partner, the branch
     into the saddle (-pi + j pi, pi).
 
-    Seeds SEED_OFFSET along the unstable eigenvector, toward larger theta, where
-    the section -pi + j pi/2 lies, and integrates until theta reaches it.  Raises
-    TraceError when the arc length exceeds ARC_LENGTH_CAP first, or when the
-    branch comes within SINK_RADIUS of a sink.  At mu = 1 the branch leaves
-    along the limit eigendirection, of slope (beta-2)/2.
+    Integrates dpsi/dtheta in theta from SEED_OFFSET along the unstable
+    direction, of slope s > 0 with s^2 - ((beta-2)/2) s - beta epsilon/(2 mu)
+    = 0, in one piece up to each line theta = pi/2 (mod pi) the branch crosses
+    and one up to the section, so that no step jumps a layer.  Raises
+    TraceError when psi comes within TURN_BACK of pi, where the branch turns
+    back in theta, and, before tracing, when a layer to be crossed is narrower
+    than the spacing of the doubles on its line (epsilon ulp(line)^2 > 1).
     """
+    j = connection_index(p.beta)
     section = comparison_section(p.beta)
-    origin = TorusState(-math.pi, 0.0)
-    eigvals, eigvecs = np.linalg.eig(_jacobian(_torus_arrays, origin.as_array(), p))
-    vec = np.real(eigvecs[:, np.argmax(eigvals.real)])
-    vec = vec / np.linalg.norm(vec)
-    if vec[0] < 0.0:
-        vec = -vec
-    y0 = origin.as_array() + SEED_OFFSET * vec
-
-    def rhs(tau: float, y: np.ndarray) -> np.ndarray:
-        return _on_floats(_branch_arrays, y, p)
-
-    hit = Event(lambda t, y: y[0] - section, "section", terminal=True)
-    capped = Event(lambda t, y: y[2] - ARC_LENGTH_CAP, "arc-cap", terminal=True)
-    events = [hit, capped]
-    if p.mu > 1.0:
-        # For mu > 1 the equilibria at theta = pi/2 (mod pi), psi = pi are sinks:
-        # there the field's Jacobian has a positive determinant and a trace with
-        # the sign of cos(psi).  The arc-length cap cannot fire once the branch
-        # settles into one, so the trace stops within SINK_RADIUS of it.
-        def sink_gap(t: float, y: np.ndarray) -> float:
-            return math.hypot(math.remainder(y[0] - 0.5 * math.pi, math.pi),
-                              math.remainder(y[1] - math.pi, 2 * math.pi)) - SINK_RADIUS
-
-        events.append(Event(sink_gap, "sink", terminal=True))
-    traj = integrate(rhs, np.append(y0, 0.0), (0.0, 1e5), cfg, events=events)
-    if not traj.event_times("section"):
-        if traj.event_times("sink"):
-            raise TraceError(f"branch from {origin} fell into an attracting equilibrium at "
-                             f"theta = {traj.states[-1, 0]:.6g}, psi = {traj.states[-1, 1]:.6g} "
-                             f"before reaching theta = {section}")
-        raise TraceError(f"branch from {origin} did not reach theta = {section} "
-                         f"within arc length {ARC_LENGTH_CAP}")
-    return traj.states[:, :2].copy()
+    lines = [-0.5 * math.pi + k * math.pi for k in range(j // 2)]
+    if lines and p.epsilon * math.ulp(lines[-1]) ** 2 > 1.0:
+        raise TraceError(f"at epsilon = {p.epsilon:.3g} the layer at theta = {lines[-1]:.6g} "
+                         "is narrower than the spacing of the doubles")
+    half = 0.25 * (p.beta - 2.0)
+    s = half + math.sqrt(half * half + 0.5 * p.beta * p.epsilon / p.mu)
+    step = SEED_OFFSET / math.hypot(1.0, s)
+    thetas, psis = [-math.pi + step], [s * step]
+    turn_back = Event(lambda t, y: y[0] - (math.pi - TURN_BACK), "turn-back", terminal=True)
+    for end in (*lines, section):
+        traj = integrate(_graph_rhs(p), psis[-1:], (thetas[-1], end), cfg, events=[turn_back])
+        thetas += traj.times[1:].tolist()
+        psis += traj.states[1:, 0].tolist()
+        if traj.events:
+            raise TraceError(f"branch from (-pi, 0) turns back in theta: psi reaches pi - "
+                             f"{TURN_BACK:g} at theta = {thetas[-1]:.6g}, before the section "
+                             f"theta = {section}")
+    return np.column_stack((thetas, psis))
 
 
 def splitting_gap(beta: float, p: Params, cfg: IntegratorConfig | None = None

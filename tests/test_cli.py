@@ -372,28 +372,33 @@ class TestCollisionFlowCommand:
         branch = [r for r in rows if r[0] == "branch-unstable"]
         assert branch and abs(float(branch[-1][1]) - math.pi) < 1e-9
 
-    def test_nan_field_is_numerical_failure(self, tmp_path, capsys):
-        # (mu - 1) b overflows to inf and meets sin(2 theta) = 0 or an infinite
-        # power: the dpsi cells are NaN, so nothing is written
-        out = tmp_path / "x.csv"
-        code = main(["collision-flow", "--beta", "2.5", "--mu", "1e300", "--b", "1e300",
-                     "--grid", "3", "--out", str(out)])
-        assert code == EXIT_NUMERICAL
-        assert not out.exists()
-        assert not (tmp_path / "x.csv.manifest.json").exists()
-        record = json.loads(capsys.readouterr().err)
-        assert record["message"] == "collision-flow: nan in column 'dpsi', row 1"
+    def test_field_rows_keep_the_anisotropic_term_at_mu_1e300(self, tmp_path):
+        # Delta^((beta+4)/4) overflows here, and (mu - 1) b with b = 1e300 is
+        # beyond the floats: the amplitude g is factored out of the field, so
+        # every cell is finite, and dpsi/dtheta at (-pi/3, 2 pi/3) is the exact
+        # 2.5 (the dropped anisotropic term gave 0.75)
+        out = tmp_path / "cf.csv"
+        for b in ("0.5", "1e300"):
+            assert main(["collision-flow", "--beta", "3.5", "--mu", "1e300", "--b", b,
+                         "--grid", "3", "--out", str(out)]) == EXIT_OK
+            _, _, rows = read_rows(out)
+            assert all(math.isfinite(float(cell)) for row in rows for cell in row[1:])
+            (row,) = [r for r in rows
+                      if abs(float(r[1]) + math.pi / 3) < 1e-12
+                      and abs(float(r[2]) - 2 * math.pi / 3) < 1e-12]
+            assert float(row[4]) / float(row[3]) == pytest.approx(2.5, rel=1e-14)
 
     def test_seed_beyond_the_float_range_prints_one_record(self, tmp_path, capsys):
-        # the complex-step Jacobian at the saddle is not finite at mu = 1e300:
-        # the run exits 3, and the record is all of stderr
+        # at mu = 1e300 the layer at theta = pi/2 (mod pi) is far narrower than
+        # the spacing of the doubles: the trace refuses to cross it, the run
+        # exits 3, and the record is all of stderr
         out = tmp_path / "x.csv"
         for beta in ("3", "2.5"):
             code = main(["collision-flow", "--beta", beta, "--mu", "1e300", "--grid", "2",
                          "--out", str(out)])
             assert code == EXIT_NUMERICAL
             record = json.loads(capsys.readouterr().err)
-            assert "complex-step derivative" in record["message"]
+            assert "narrower than the spacing of the doubles" in record["message"]
         assert not out.exists()
 
     def test_grid_validation(self, tmp_path, capsys):
@@ -467,7 +472,7 @@ class TestInfinityFlowCommand:
 class TestSplittingCommand:
     def test_rows(self, tmp_path):
         out = tmp_path / "sp.csv"
-        for beta in ("3", "2.5"):  # j = 2 and j = 4 of beta = 2 + 2/j
+        for beta in ("3", "2.5", "2.03125"):  # j = 2, 4 and 64 of beta = 2 + 2/j
             code = main(["splitting", "--beta", beta, "--b", "0.5",
                          "--eps-list", "0,1e-3", "--out", str(out)])
             assert code == EXIT_OK
@@ -672,8 +677,8 @@ class TestConfigAndErrors:
             assert set(record) == {"error", "message", "exit_code"}
 
     def test_untraceable_branch_is_numerical_failure(self, tmp_path, capsys):
-        # at mu = 10 the beta = 3 unstable branch falls into a sink before the
-        # section; at these loose tolerances it exceeds the arc-length cap first
+        # at mu = 10 the beta = 3 unstable branch meets psi = pi, where it turns
+        # back in theta, before the section; at these loose tolerances too
         out = tmp_path / "x.csv"
         for argv in (["collision-flow", "--beta", "3", "--mu", "10", "--grid", "2"],
                      ["splitting", "--eps-list", "9"]):
@@ -685,8 +690,8 @@ class TestConfigAndErrors:
             assert json.loads(lines[0])["exit_code"] == EXIT_NUMERICAL
 
     def test_branch_into_sink_fails_fast_at_default_tolerances(self, tmp_path, capsys):
-        # the branch settles into the sink near (-pi/2, pi); the trace stops
-        # there instead of integrating on toward tau = 1e5
+        # the branch meets psi = pi at theta = -0.818, on its way into the sink
+        # near (-pi/2, pi): the trace stops there, short of the section
         out = tmp_path / "x.csv"
         start = time.perf_counter()
         code = main(["collision-flow", "--beta", "3", "--mu", "10", "--grid", "2",
@@ -695,7 +700,7 @@ class TestConfigAndErrors:
         assert code == EXIT_NUMERICAL
         assert not out.exists()
         record = json.loads(capsys.readouterr().err)
-        assert "attracting equilibrium" in record["message"]
+        assert "turns back in theta" in record["message"]
 
     def test_unwritable_out_path(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.csv"

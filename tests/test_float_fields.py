@@ -33,12 +33,13 @@ from anisokepler.mcgehee import (
     level_through,
     mcgehee_rhs,
 )
-from anisokepler.torus import _branch_arrays, _torus_arrays, torus_rhs
+from anisokepler.torus import _graph_arrays, _graph_rhs, _torus_arrays, torus_rhs
 
 
 def _branch_rhs(p):
-    """The closure `trace_manifold` integrates: the torus field and the arc length."""
-    return lambda t, y: _on_floats(_branch_arrays, y, p)
+    """The closure `trace_manifold` integrates, dpsi/dtheta with theta as the
+    time, on the state (theta, psi)."""
+    return lambda t, y: _graph_rhs(p)(y[0], y[1:])
 
 
 def _residual_entry(residual, state, definition):
@@ -59,7 +60,7 @@ CLOSURES = {
     "infinity": (infinity_rhs, _infinity_arrays, 4, 2, "h=0"),
     "polar": (polar_rhs, _polar_arrays, 4, 1, "beta=2"),
     "torus": (torus_rhs, _torus_arrays, 2, 0, None),
-    "branch": (_branch_rhs, _branch_arrays, 3, 0, None),
+    "branch": (_branch_rhs, _graph_arrays, 2, 0, None),
     "energy_residual": (*_residual_entry(energy_residual, McGeheeState, _residual), 4, 2, None),
     "infinity_energy_residual": (*_residual_entry(infinity_energy_residual, InfinityState,
                                                   _infinity_residual), 4, 2, "h=0"),

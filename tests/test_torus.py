@@ -2,13 +2,14 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from conftest import zeta1_trig
 
 from anisokepler.core import Params, _jacobian
-from anisokepler.integrate import Event, IntegratorConfig, integrate
+from anisokepler.integrate import Event, IntegrationError, IntegratorConfig, integrate
 from anisokepler.mcgehee import McGeheeState, delta, energy_residual, mcgehee_rhs
 from anisokepler.torus import (
     SplittingVerdict,
@@ -71,9 +72,33 @@ class TestChart:
             for ps in (0.0, math.pi):
                 assert np.max(np.abs(field(TorusState(th, ps), p))) < 1e-14
 
+    def test_field_matches_mpmath_beyond_the_delta_overflow(self):
+        # at mu = 1e300 Delta^((beta+4)/4) overflows for most theta: the
+        # amplitude g multiplies the whole of (sin psi, B), so the anisotropic
+        # term of dpsi survives, as exact as at moderate mu
+        def exact(p, theta, psi):
+            with mpmath.workdps(40):
+                beta, mu, b, th, ps = (mpmath.mpf(x) for x in (p.beta, p.mu, p.b, theta, psi))
+                D = mu * mpmath.cos(th) ** 2 + mpmath.sin(th) ** 2
+                g = mpmath.sqrt(2 * b) / D ** (beta / 4)
+                tilt = (mu - 1) * mpmath.sin(2 * th) / D
+                bracket = (beta - 2) / 2 * mpmath.sin(ps) + beta / 4 * tilt * mpmath.cos(ps)
+                return [float(g * mpmath.sin(ps)), float(g * bracket)]
+
+        for beta in (3.0, 3.5, 4.0):
+            for b in (0.5, 1e300):
+                p = Params(beta, 1e300, b)
+                for theta in (-math.pi / 3, 0.4, 2.0, -3.0):
+                    for psi in (2 * math.pi / 3, 0.3, 4.0):
+                        got = field(TorusState(theta, psi), p)
+                        assert got == pytest.approx(exact(p, theta, psi), rel=4e-15, abs=0)
+        # the example of the defect: dpsi/dtheta is 2.5, where the dropped term gave 0.75
+        dth, dps = field(TorusState(-math.pi / 3, 2 * math.pi / 3), Params(3.5, 1e300, 0.5))
+        assert dps / dth == pytest.approx(2.5, rel=1e-14)
+
     def test_jacobian_matches_central_differences(self):
-        # the complex-step Jacobian of the one torus definition, which seeds
-        # trace_manifold, against central differences of the field
+        # the complex-step Jacobian of the one torus definition against central
+        # differences of the field
         rng = np.random.default_rng(3)
         step = 1e-6
         for beta in (3.0, 3.4, 4.0):
@@ -187,8 +212,9 @@ class TestTrace:
     @pytest.mark.parametrize("beta", [3.0, 4.0])
     @pytest.mark.parametrize("mu", [1.001, 1.5, 10.0])
     def test_attracting_equilibria_sit_at_theta_pi_half(self, beta, mu):
-        # the trace's stall event assumes the sinks are (pi/2 mod pi, pi) and
-        # the sources (pi/2 mod pi, 0)
+        # the sinks are (pi/2 mod pi, pi) and the sources (pi/2 mod pi, 0): a
+        # branch falls into a sink only by meeting psi = pi, where the trace's
+        # turn-back event stops it
         p = Params(beta, mu, 0.5)
         for k in range(4):
             for j in range(2):
@@ -197,17 +223,48 @@ class TestTrace:
                 assert np.all(eig.real > 0) == (k % 2 == 1 and j == 0)
 
     def test_branch_into_attractor_stops_there(self):
-        # at mu = 10 the branch settles into a sink before the section
+        # at mu = 10 the branch meets psi = pi at theta = -0.818, before the
+        # section theta = 0: there theta' = g sin(psi) changes sign
         p = Params(3.0, 10.0, 0.5)
-        with pytest.raises(TraceError, match="attracting equilibrium"):
+        with pytest.raises(TraceError, match="turns back in theta") as info:
             trace_manifold(p)
+        assert "theta = -0.8178" in str(info.value)
 
     def test_seed_beyond_the_float_range_is_numerical_failure(self):
-        # Delta^((beta+4)/4) overflows on Python complex and turns NaN on numpy
-        # complex scalars: the trace stops instead of seeding along NaN, and
-        # prints no RuntimeWarning on the way
-        with pytest.raises(ArithmeticError, match="not finite"):
+        # at mu = 1e300 the layer at theta = -pi/2 is far narrower than the
+        # spacing of the doubles there: the trace refuses to cross it, and
+        # (RuntimeWarnings being errors in this suite) prints none on the way
+        with pytest.raises(TraceError, match="narrower than the spacing of the doubles"):
             trace_manifold(Params(3.0, 1e300, 0.5))
+
+    def test_layer_guard_bound(self):
+        # epsilon ulp(pi/2)^2 > 1, that is epsilon > 2^104, refuses the crossing;
+        # j = 1 crosses no line, its section being the line theta = -pi/2
+        for beta in (3.0, 2.5):
+            with pytest.raises(TraceError, match="narrower"):
+                trace_manifold(Params(beta, 1.0 + 2.0 ** 105, 0.5))
+        assert trace_manifold(Params(4.0, 1e300, 0.5))[-1, 0] == -math.pi / 2
+
+    @pytest.mark.parametrize("beta,mu", [(2.5, 1e18), (2.5, 1e19), (2.5, 1e100), (3.0, 1e19),
+                                         (3.0, 1e38), (3.0, 10 ** 38.75), (2 + 2 / 3, 1e38),
+                                         (4.0, 1e8), (4.0, 1e300)])
+    def test_large_mu_outcome_does_not_depend_on_the_tolerance(self, beta, mu):
+        # where a step jumps the slope's layer at theta = pi/2 (mod pi), of
+        # width mu^(-1/2), the section psi depends on the tolerance.  A trace
+        # in one piece returns such a branch at the default tolerance, and
+        # fails at the tight one, for beta = 2.5 and 3 at mu = 1e19; without
+        # the guard, beta = 3 at mu = 10^38.75 and beta = 8/3 at mu = 1e38 do
+        outcomes = []
+        for cfg in (IntegratorConfig(), TIGHT):
+            try:
+                outcomes.append(trace_manifold(Params(beta, mu, 0.5), cfg)[-1, 1])
+            except IntegrationError:
+                outcomes.append(None)
+        default, tight = outcomes
+        if default is None or tight is None:
+            assert default is None and tight is None
+        else:
+            assert abs(default - tight) < 1e-8
 
 
 class TestReversal:
@@ -313,6 +370,13 @@ class TestSplitting:
     def test_beta_param_consistency(self):
         with pytest.raises(ValueError):
             splitting_gap(3, Params(4.0, 1.01, 0.5))
+
+    def test_gap_does_not_depend_on_b(self):
+        # the graph slope B / sin(psi) is free of the amplitude g, so of b
+        gaps = {splitting_gap(3, Params(3.0, 1.001, b))[0] for b in (1e-6, 0.5, 2.0, 1e6)}
+        (gap,) = gaps  # bit for bit the same gap
+        # against a trace at rel_tol 3e-14, abs_tol 1e-16
+        assert gap == pytest.approx(0.004682550792013629, abs=2e-12)
 
 
 class TestConnectionFamilies:
