@@ -83,11 +83,17 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _parse_floats(text: str, n: int, what: str) -> list[float]:
-    parts = [t for t in text.replace(";", ",").split(",") if t.strip()]
-    if len(parts) != n:
-        raise ValidationError(f"{what} needs {n} comma-separated values, got {len(parts)}")
-    return [float(t) for t in parts]
+def _parse_floats(text: str, n: int | None, what: str) -> list[float]:
+    """The comma-separated numbers of option `what`: exactly n, or one or more
+    for n = None."""
+    parts = [t.strip() for t in text.replace(";", ",").split(",") if t.strip()]
+    if not (bool(parts) if n is None else len(parts) == n):
+        raise ValidationError(f"{what} needs {n or 'one or more'} comma-separated values, "
+                              f"got {len(parts)}")
+    try:
+        return [float(t) for t in parts]
+    except ValueError as exc:
+        raise ValidationError(f"{what} values must be numbers, got {text!r}") from exc
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -197,6 +203,11 @@ def _run_simulate(ns: argparse.Namespace):
                     f"--h {ns.h} is inconsistent with the initial state "
                     f"(its energy level is h = {p.h!r})")
         traj = integrate(mcgehee_rhs(p), m0.as_array(), (0.0, ns.t_final), icfg)
+        past = np.flatnonzero(traj.states[:, 0] < 0.0)
+        if past.size:  # at integer beta, r^(beta-1) stays real past r = 0
+            tau, r = traj.times[past[0]], traj.states[past[0], 0]
+            raise IntegrationError(f"the orbit stepped past the collision manifold to "
+                                   f"r = {r:.3g} at tau = {tau:.6g}")
         r0 = energy_residual(m0, p)
         invariant = "energy_relation"
         cols = ["tau", "r", "v", "theta", "u", "energy_residual_drift"]
@@ -291,7 +302,7 @@ def _run_infinity_flow(ns: argparse.Namespace):
 
 
 def _run_splitting(ns: argparse.Namespace):
-    eps_list = [float(t) for t in ns.eps_list.split(",")]
+    eps_list = _parse_floats(ns.eps_list, None, "--eps-list")
     if not all(math.isfinite(eps) and eps >= 0.0 for eps in eps_list):
         raise ValidationError(f"--eps-list values must be finite and non-negative, "
                               f"got {ns.eps_list!r}")

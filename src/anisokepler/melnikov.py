@@ -19,11 +19,11 @@ which compactifies the line to (-pi/2, pi/2) with no truncation error (a
 truncated eta-range cannot reach high accuracy for beta near 3/2, where the
 integrand decays only like |eta|^(2 - 2 beta)).
 
-Every quadrature here, and `torus.zeta1`, uses one rule: tanh-sinh
-(Takahasi & Mori 1974, Publ. RIMS 9:721), refined by halving the step until
-two levels agree.  The Gamma closed forms use `math.gamma`.  The checks that
-I1 and M1 vanish avoid nodes mirrored about the perihelion, on which an odd
-integrand would cancel whatever its values.
+Every quadrature here uses one rule: tanh-sinh (Takahasi & Mori 1974, Publ.
+RIMS 9:721), refined by halving the step until two levels agree.  M2 is
+I2 sin(2 theta0), its I1 part vanishing by parity; the Gamma closed forms use
+`math.gamma`.  The checks that I1 and M1 vanish avoid nodes mirrored about the
+perihelion, on which an odd integrand would cancel whatever its values.
 """
 
 from __future__ import annotations
@@ -160,12 +160,13 @@ def _tanh_sinh(f, a: float, b: float) -> float:
                           f"differ by {abs(total - previous):.3g} of {abs_total:.3g}")
 
 
-def _unit_orbit_integral(beta: float, g) -> float:
-    """(beta/2) int g(theta/2) / R^beta dt on the orbit with p = 1, for beta > 3/2:
-    2^(beta-2) beta times the integral of cos^(2 beta - 4)(w) g(w) on (-pi/2, pi/2),
-    g elementwise on an array of w.  Both halves are written in the distance
+def _unit_orbit_integral(beta: float) -> float:
+    """I2 at p = 1, (beta/2) int cos(2 Theta) / R^beta dt, for beta > 3/2:
+    2^(beta-2) beta times the integral of cos^(2 beta - 4)(w) cos(4 w) on
+    (-pi/2, pi/2), w = theta/2.  Both halves are written in the distance
     d = pi/2 - |w| to their endpoint; for beta < 2, t = d^s with s = 2 beta - 3
-    absorbs the endpoint singularity (sin d = d sinc d), else s = 1.
+    absorbs the endpoint singularity (sin d = d sinc d), else s = 1.  The halves
+    are equal (cos 4w is even) but stay two rows: doubling one rounds differently.
     """
     a = 2.0 * beta - 4.0
     s = min(a + 1.0, 1.0)
@@ -173,8 +174,8 @@ def _unit_orbit_integral(beta: float, g) -> float:
     def integrand(t: np.ndarray) -> np.ndarray:
         d = t ** (1.0 / s)
         core = np.sinc(d / math.pi) ** a * d ** (a + 1.0 - s) / s
-        w = 0.5 * math.pi - d
-        return np.stack((core * g(w), core * g(-w)))
+        half = core * np.cos(4.0 * (0.5 * math.pi - d))
+        return np.stack((half, half))
 
     return 2.0 ** (beta - 2.0) * beta * _tanh_sinh(integrand, 0.0, (0.5 * math.pi) ** s)
 
@@ -201,14 +202,10 @@ def _at_p(p_param: float, beta: float, unit: float) -> float:
 
 
 def melnikov_M2(theta0: float, p_param: float, beta: float) -> float:
-    """M2(theta0) = (beta/2) int sin[2(Theta(t) + theta0)] / R(t)^beta dt.
-
-    Quadrature in w = theta/2 (eta = tan w); equals I2 sin(2 theta0) since the
-    cos-component I1 is suppressed by parity.
-    """
-    _require_melnikov_beta(beta)
-    phase = 2.0 * theta0 + 2.0 * THETA_NORMALIZATION_OFFSET
-    return _at_p(p_param, beta, _unit_orbit_integral(beta, lambda w: np.sin(4.0 * w + phase)))
+    """M2(theta0) = (beta/2) int sin[2(Theta(t) + theta0)] / R(t)^beta dt
+    = I2 sin(2 theta0): the cos(2 theta0) part carries I1, which vanishes by
+    parity (`i1_parity_check` measures it)."""
+    return i2_quadrature(p_param, beta) * math.sin(2.0 * theta0)
 
 
 def i1_integrand_eta(eta: float, p_param: float, beta: float) -> float:
@@ -264,7 +261,7 @@ def m1_direct_quadrature(p_param: float, beta: float, theta0: float) -> float:
 def i2_quadrature(p_param: float, beta: float) -> float:
     """I2 = (beta/2) int cos(2 Theta)/R^beta dt by quadrature in w = theta/2."""
     _require_melnikov_beta(beta)
-    return _at_p(p_param, beta, _unit_orbit_integral(beta, lambda w: np.cos(4.0 * w)))
+    return _at_p(p_param, beta, _unit_orbit_integral(beta))
 
 
 def i2_amplitude(p_param: float, beta: float) -> float:

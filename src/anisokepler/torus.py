@@ -26,9 +26,8 @@ from enum import Enum
 import numpy as np
 
 from .core import Params, _on_floats
-from .integrate import Event, IntegrationError, IntegratorConfig, integrate
+from .integrate import Event, IntegrationError, IntegratorConfig, StepSizeUnderflow, integrate
 from .mcgehee import _delta_and_half_sin2
-from .melnikov import _tanh_sinh
 
 __all__ = [
     "TorusState",
@@ -51,7 +50,8 @@ TURN_BACK = 1e-6  # psi this close to pi: theta' = g sin(psi) is about to change
 
 class TraceError(IntegrationError):
     """Branch failed to reach the comparison section: it turns back in theta
-    first, or it would cross a layer narrower than the spacing of the doubles."""
+    first, the stepper stalls on it, or it would cross a layer narrower than the
+    spacing of the doubles."""
 
 
 @dataclass(frozen=True)
@@ -124,15 +124,16 @@ def zeta0(beta: float, theta: float) -> float:
 def zeta1(beta: float, theta: float) -> float:
     """First-order displacement of the connection branch in epsilon:
     (beta/2) int_0^(theta+pi) sin x cos x / tan(x/j) dx, the epsilon-derivative
-    of the slope integrated along psi = zeta0.  At the section it is (j+1) pi/4."""
+    of the slope integrated along psi = zeta0.  With x = j y the integrand is the
+    Dirichlet kernel 1/2 + sum_{k=1}^{j-1} cos(2 k y) + cos(2 j y)/2, so zeta1 is
+    (beta j/4) (Y + sum_{k=1}^{j-1} sin(2 k Y)/k + sin(2 j Y)/(2 j)), Y = (theta+pi)/j:
+    j terms, exact.  At the section Y = pi/2, every sine vanishes and zeta1 is
+    beta j pi/8 = (j+1) pi/4."""
     j = connection_index(beta)
-
-    def integrand(x: np.ndarray) -> np.ndarray:
-        t = np.tan(x / j)
-        zero = t == 0.0  # x = 0, where the integrand tends to j
-        return np.where(zero, j, np.sin(x) * np.cos(x) / np.where(zero, 1.0, t))
-
-    return 0.5 * beta * _tanh_sinh(integrand, 0.0, theta + math.pi)
+    y = (theta + math.pi) / j
+    k = np.arange(1.0, j)
+    return 0.25 * beta * j * (y + float(np.sum(np.sin(2.0 * k * y) / k))
+                              + math.sin(2.0 * j * y) / (2.0 * j))
 
 
 def comparison_section(beta: float) -> float:
@@ -158,8 +159,9 @@ def trace_manifold(p: Params, cfg: IntegratorConfig | None = None) -> np.ndarray
     = 0, in one piece up to each line theta = pi/2 (mod pi) the branch crosses
     and one up to the section, so that no step jumps a layer.  Raises
     TraceError when psi comes within TURN_BACK of pi, where the branch turns
-    back in theta, and, before tracing, when a layer to be crossed is narrower
-    than the spacing of the doubles on its line (epsilon ulp(line)^2 > 1).
+    back in theta, when the stepper stalls on a piece, and, before tracing,
+    when a layer to be crossed is narrower than the spacing of the doubles on
+    its line (epsilon ulp(line)^2 > 1).
     """
     j = connection_index(p.beta)
     section = comparison_section(p.beta)
@@ -173,7 +175,11 @@ def trace_manifold(p: Params, cfg: IntegratorConfig | None = None) -> np.ndarray
     thetas, psis = [-math.pi + step], [s * step]
     turn_back = Event(lambda t, y: y[0] - (math.pi - TURN_BACK), "turn-back", terminal=True)
     for end in (*lines, section):
-        traj = integrate(_graph_rhs(p), psis[-1:], (thetas[-1], end), cfg, events=[turn_back])
+        try:
+            traj = integrate(_graph_rhs(p), psis[-1:], (thetas[-1], end), cfg, events=[turn_back])
+        except StepSizeUnderflow as exc:
+            raise TraceError(f"branch from (-pi, 0) stalls between theta = {thetas[-1]:.6g} and "
+                             f"{end:.6g}, before the section theta = {section}: {exc}") from exc
         thetas += traj.times[1:].tolist()
         psis += traj.states[1:, 0].tolist()
         if traj.events:

@@ -208,6 +208,8 @@ class TestSimulateCommand:
         out = tmp_path / "sim.csv"
         assert validation_message(["simulate", "--initial", "1,0,0", "--out", str(out)],
                                   capsys) == "--initial needs 4 comma-separated values, got 3"
+        assert validation_message(["simulate", "--initial", "1,0,x,1", "--out", str(out)],
+                                  capsys) == "--initial values must be numbers, got '1,0,x,1'"
         assert not out.exists()
 
     def test_value_starting_with_a_minus_sign(self, tmp_path, capsys):
@@ -312,6 +314,24 @@ class TestSimulateCommand:
             assert code == EXIT_OK, flags
             assert read_rows(out)[2]
 
+    @pytest.mark.parametrize("flags", [["--t-final", "200"],
+                                       ["--beta", "4", "--mu", "3", "--initial", "0.2,-1,1.0,0.3",
+                                        "--t-final", "100"]])
+    def test_step_past_the_collision_manifold_is_numerical_failure(self, tmp_path, capsys,
+                                                                   flags):
+        # near the sink on r = 0 the step grows to where the stepper's stability
+        # function is negative, and r of about 1e-36 flips sign; at integer beta
+        # r^(beta-1) stays real, so no stage is rejected (at beta = 2.5 one is,
+        # and the run exits 0: test_rejected_trial_stage_prints_no_warning)
+        out = tmp_path / "x.csv"
+        code = main(["simulate", "--initial", "0.5,-0.8,1.4,0.1", *flags, "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert not out.exists()
+        record = json.loads(capsys.readouterr().err)
+        assert record["message"].startswith("the orbit stepped past the collision manifold "
+                                            "to r = -")
+        assert " at tau = " in record["message"]
+
     def test_numerical_failure_exit_code(self, tmp_path):
         # collision orbit with beta = 2 in Cartesian coordinates stalls the stepper
         out = tmp_path / "crash.csv"
@@ -412,6 +432,17 @@ class TestCollisionFlowCommand:
                                               f"more than {cli.MAX_GRID_POINTS}")
         assert not out.exists()
 
+    def test_stalled_trace_names_the_branch(self, tmp_path, capsys):
+        # at mu = 1e20 the stepper stalls in the layer at theta = -pi/2
+        out = tmp_path / "x.csv"
+        for argv in (["collision-flow", "--beta", "3", "--mu", "1e20", "--grid", "2"],
+                     ["splitting", "--beta", "3", "--eps-list", "1e19"]):
+            assert main(argv + ["--out", str(out)]) == EXIT_NUMERICAL
+            assert not out.exists()
+            record = json.loads(capsys.readouterr().err)
+            assert record["message"].startswith("branch from (-pi, 0) stalls between theta = ")
+            assert "before the section theta = 0.0: Required step size" in record["message"]
+
     def test_no_branch_off_the_connection_family(self, tmp_path):
         # beta = 3.5 is not 2 + 2/j: the field rows alone, and no branch rows
         out = tmp_path / "cf.csv"
@@ -496,6 +527,10 @@ class TestSplittingCommand:
             assert validation_message(["splitting", "--eps-list", eps_list, "--out", str(out)],
                                       capsys) == ("--eps-list values must be finite and "
                                                   f"non-negative, got {eps_list!r}")
+        assert validation_message(["splitting", "--eps-list", "1e-3,abc", "--out", str(out)],
+                                  capsys) == "--eps-list values must be numbers, got '1e-3,abc'"
+        assert validation_message(["splitting", "--eps-list", ",", "--out", str(out)], capsys) \
+            == "--eps-list needs one or more comma-separated values, got 0"
         assert not out.exists()
 
 
@@ -586,6 +621,9 @@ class TestBasinCommand:
         assert validation_message(["basin", "--box", "0.35,0.05,1.3,1.9,-0.15,0.15",
                                    "--out", str(out)], capsys) \
             == "sampling box range of r is reversed: 0.35..0.05"
+        box = "0.1,0.2,a,1,0,0.1"
+        assert validation_message(["basin", "--box", box, "--out", str(out)], capsys) \
+            == f"--box values must be numbers, got {box!r}"
         assert not out.exists()
 
     def test_sample_count_checked_by_the_parser(self, tmp_path, capsys):

@@ -11,6 +11,7 @@ from conftest import zeta1_trig
 from anisokepler.core import Params, _jacobian
 from anisokepler.integrate import Event, IntegrationError, IntegratorConfig, integrate
 from anisokepler.mcgehee import McGeheeState, delta, energy_residual, mcgehee_rhs
+from anisokepler.melnikov import _tanh_sinh
 from anisokepler.torus import (
     SplittingVerdict,
     TorusState,
@@ -29,6 +30,29 @@ from anisokepler.torus import (
 )
 
 TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
+
+
+def zeta1_quadrature(beta, theta):
+    """Reference for `zeta1`: (beta/2) int_0^(theta+pi) sin x cos x / tan(x/j) dx
+    by the tanh-sinh rule, with the limit j of the integrand at x = 0."""
+    j = connection_index(beta)
+
+    def integrand(x):
+        t = np.tan(x / j)
+        zero = t == 0.0
+        return np.where(zero, j, np.sin(x) * np.cos(x) / np.where(zero, 1.0, t))
+
+    return 0.5 * beta * _tanh_sinh(integrand, 0.0, theta + math.pi)
+
+
+def zeta1_mpmath(beta, theta):
+    """The same integral by mpmath at 25 digits, split at the multiples of pi."""
+    j = connection_index(beta)
+    with mpmath.workdps(25):
+        end = mpmath.mpf(theta) + mpmath.pi
+        cuts = [mpmath.pi * k for k in range(int(end / mpmath.pi) + 1)] + [end]
+        value = mpmath.quad(lambda x: mpmath.sin(x) * mpmath.cos(x) / mpmath.tan(x / j), cuts)
+        return beta / 2 * value
 
 
 def field(t, p):
@@ -135,7 +159,7 @@ class TestSlopeField:
 
     def test_eps_derivative_matches_finite_difference(self):
         # along the unperturbed connection psi = zeta0, d(slope)/d(epsilon) at
-        # epsilon = 0 is the integrand of zeta1, the theta-derivative of its quadrature
+        # epsilon = 0 is the theta-derivative of zeta1
         beta, b = 3.0, 0.5
         for th in np.linspace(-3.0, 3.0, 7):
             ps = zeta0(3, th)
@@ -173,17 +197,40 @@ class TestZeta:
 
     @pytest.mark.parametrize("beta", [3, 4])
     def test_quadrature_matches_closed_form(self, beta):
-        # the grid includes theta = pi, where the beta = 4 integrand
-        # sin x cos x / tan x has its removable singularity at the midpoint
-        # x = pi of the interval
+        # the j-term sum against the trigonometric closed forms at j = 2 and 1,
+        # on a grid through theta = pi, where the beta = 4 integrand
+        # sin x cos x / tan x has its removable singularity
         for th in np.linspace(-math.pi, math.pi, 201):
             assert zeta1(beta, th) == pytest.approx(zeta1_trig(beta, th), abs=1e-12)
+
+    def test_sum_matches_the_quadrature_of_its_integral(self):
+        for j in range(1, 65):
+            beta = connection_beta(j)
+            for th in np.linspace(-math.pi, -math.pi + j * math.pi, 15):
+                assert abs(zeta1(beta, th) - zeta1_quadrature(beta, th)) <= 1e-12 * (j + 1), j
+
+    @pytest.mark.parametrize("j", [1, 3, 16, 256])
+    def test_sum_matches_mpmath(self, j):
+        # away from the multiples of pi in (theta+pi)/j, where the kernel's peak
+        # j multiplies the rounding of theta + pi itself
+        beta = connection_beta(j)
+        for fraction in (0.13, 0.77):
+            th = -math.pi + fraction * j * math.pi
+            assert zeta1(beta, th) == pytest.approx(float(zeta1_mpmath(beta, th)), rel=1e-14)
 
     @pytest.mark.parametrize("j", range(1, 9))
     def test_zeta1_at_the_section(self, j):
         beta = connection_beta(j)
         assert zeta1(beta, comparison_section(beta)) == pytest.approx((j + 1) * math.pi / 4,
                                                                       abs=1e-14)
+
+    @pytest.mark.parametrize("j", [275, 512, 1024])
+    def test_long_connections_at_the_section(self, j):
+        # a tanh-sinh quadrature over the j pi/2 up to the section does not
+        # converge from j = 275 on; the j-term sum has no such limit
+        beta = connection_beta(j)
+        assert zeta1(beta, comparison_section(beta)) == pytest.approx((j + 1) * math.pi / 4,
+                                                                      rel=1e-14)
 
 
 class TestTrace:
@@ -229,6 +276,13 @@ class TestTrace:
         with pytest.raises(TraceError, match="turns back in theta") as info:
             trace_manifold(p)
         assert "theta = -0.8178" in str(info.value)
+
+    def test_stall_is_a_trace_error(self):
+        # at mu = 1e20 the stepper stalls in the layer at theta = -pi/2, short of
+        # the 2^104 layer guard: the error names the piece and the section
+        with pytest.raises(TraceError, match=r"stalls between theta = -1\.5708 and 0, before "
+                                             r"the section theta = 0\.0: Required step size"):
+            trace_manifold(Params(3.0, 1e20, 0.5))
 
     def test_seed_beyond_the_float_range_is_numerical_failure(self):
         # at mu = 1e300 the layer at theta = -pi/2 is far narrower than the
