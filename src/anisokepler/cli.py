@@ -42,11 +42,13 @@ from .mcgehee import (
     spiral_threshold,
 )
 from .torus import (
-    connection_index,
+    _NoConnection,
+    comparison_section,
     splitting_gap,
     splitting_verdict,
     torus_rhs,
     trace_manifold,
+    zeta1,
 )
 from .infinity import (
     SQRT2,
@@ -172,12 +174,30 @@ def write_manifest(ns: argparse.Namespace, drift: dict) -> str:
 # --- command implementations: each returns (meta, columns, rows, drift) ---
 
 def _run_simulate(ns: argparse.Namespace):
+    """The run's level is that of the initial state: --h must agree with it, and
+    selects it only for a McGehee start at r = 0, where every level meets C."""
     icfg = _integrator(ns)
     y0 = _parse_floats(ns.initial, 4, "--initial")
-    base = Params(ns.beta, ns.mu, ns.b)
-    p = base if ns.h is None else replace(base, h=ns.h)
+    p = Params(ns.beta, ns.mu, ns.b)
     if ns.coords == "cartesian":
         s0 = CartesianState(*y0)
+        h = hamiltonian(s0, p)  # the Cartesian field does not read p.h
+    else:
+        m0 = McGeheeState(*y0)
+        if m0.r > 0.0:  # the regularized field carries h as a parameter
+            p = level_through(m0, p)
+        elif ns.h is not None:
+            p = replace(p, h=ns.h)
+        r0 = energy_residual(m0, p)  # at r = 0 it is free of h, and 0 on C only
+        if m0.r == 0.0 and abs(r0) > 1e-12 * (m0.u * m0.u + m0.v * m0.v):
+            raise ValidationError("the initial state at r = 0 is off the collision manifold, so "
+                                  f"on no energy level: u^2 + v^2 - 2b/Delta^(beta/2) = {r0!r}")
+        h = p.h
+    if ns.h is not None and not abs(ns.h - h) <= 1e-6:  # NaN-safe: --h nan fails
+        raise ValidationError(f"--h {ns.h} is inconsistent with the initial state "
+                              f"(its energy level is h = {h!r})")
+    # the two charts integrate apart, because they fail apart
+    if ns.coords == "cartesian":
         try:
             traj = integrate(cartesian_rhs(p), s0.as_array(), (0.0, ns.t_final), icfg)
         except StepSizeUnderflow as exc:
@@ -186,35 +206,24 @@ def _run_simulate(ns: argparse.Namespace):
             raise StepSizeUnderflow(
                 "the orbit reached the collision at the origin, which the Cartesian "
                 f"chart cannot pass ({exc}); --coords mcgehee regularizes it") from exc
-        h0 = hamiltonian(s0, p)
         invariant = "energy"
         cols = ["t", "x", "y", "px", "py", "energy_residual"]
         # the residuals run on Python floats, as the field closures do
-        rows = [(t, *y, hamiltonian(CartesianState(*y), p) - h0)
+        rows = [(t, *y, hamiltonian(CartesianState(*y), p) - h)
                 for t, y in zip(traj.times.tolist(), traj.states.tolist())]
     else:
-        m0 = McGeheeState(*y0)
-        # the regularized field carries h as a parameter: derive the level from
-        # the initial state; an explicit --h must agree with it
-        if m0.r > 0.0:
-            p = level_through(m0, base)
-            if ns.h is not None and abs(ns.h - p.h) > 1e-6:
-                raise ValidationError(
-                    f"--h {ns.h} is inconsistent with the initial state "
-                    f"(its energy level is h = {p.h!r})")
         traj = integrate(mcgehee_rhs(p), m0.as_array(), (0.0, ns.t_final), icfg)
         past = np.flatnonzero(traj.states[:, 0] < 0.0)
         if past.size:  # at integer beta, r^(beta-1) stays real past r = 0
             tau, r = traj.times[past[0]], traj.states[past[0], 0]
             raise IntegrationError(f"the orbit stepped past the collision manifold to "
                                    f"r = {r:.3g} at tau = {tau:.6g}")
-        r0 = energy_residual(m0, p)
         invariant = "energy_relation"
         cols = ["tau", "r", "v", "theta", "u", "energy_residual_drift"]
         rows = [(t, *y, energy_residual(McGeheeState(*y), p) - r0)
                 for t, y in zip(traj.times.tolist(), traj.states.tolist())]
     meta = {"command": ns.command, "coords": ns.coords, "beta": p.beta, "mu": p.mu,
-            "b": p.b, "h": p.h, "seed": ns.seed}
+            "b": p.b, "h": h, "seed": ns.seed}
     return meta, cols, rows, {invariant: max(abs(row[-1]) for row in rows)}
 
 
@@ -249,13 +258,10 @@ def _run_collision_flow(ns: argparse.Namespace):
             rows.append(("field", th, ps, f[0], f[1]))
     _require_finite(ns.command, cols, rows)  # a field that is not finite has no branch
     try:
-        connection_index(p.beta)
-    except ValueError:  # no saddle connection to trace at this exponent
-        pass
-    else:
         branch = trace_manifold(p, _integrator(ns))
-        for th, ps in branch:
-            rows.append(("branch-unstable", th, ps, 0.0, 0.0))
+    except _NoConnection:  # no saddle connection to trace at this exponent
+        branch = []
+    rows += [("branch-unstable", th, ps, 0.0, 0.0) for th, ps in branch]
     meta = {"command": ns.command, "beta": p.beta, "mu": p.mu, "b": p.b,
             "epsilon": p.epsilon, "seed": ns.seed}
     return meta, cols, rows, {}
@@ -276,22 +282,15 @@ def _run_infinity_flow(ns: argparse.Namespace):
         curve = i0_flow_closed_form(th0, ps0)
         y0 = InfinityState(0.0, SQRT2 * math.cos(ps0), th0, SQRT2 * math.sin(ps0))
         traj = integrate(rhs, y0.as_array(), (0.0, ns.s_final), icfg)
-        psi_prev = ps0
-        energies = []
-        for s, y in zip(traj.times, traj.states):
-            rho, vb, th, ub = y
-            psi = math.atan2(ub / SQRT2, vb / SQRT2)
-            # unwrap against the previous sample
-            while psi - psi_prev > math.pi:
-                psi -= 2 * math.pi
-            while psi - psi_prev < -math.pi:
-                psi += 2 * math.pi
-            psi_prev = psi
-            line_resid = th - float(curve.theta_of_psi(psi))
-            vbar_resid = vb - float(curve.vbar_of_theta(th))
-            energy_resid = infinity_energy_residual(InfinityState(rho, vb, th, ub), p)
-            energies.append(energy_resid)
-            rows.append((i, s, rho, vb, th, ub, psi, energy_resid, line_resid, vbar_resid))
+        _, vb, th, ub = traj.states.T
+        # math.atan2 per sample: np.arctan2 can differ from it in the last bit
+        psi = np.unwrap([math.atan2(u / SQRT2, v / SQRT2)
+                         for u, v in zip(ub.tolist(), vb.tolist())])
+        energies = [infinity_energy_residual(InfinityState(*y), p)
+                    for y in traj.states.tolist()]
+        rows += zip([i] * len(psi), traj.times.tolist(), *traj.states.T.tolist(),
+                    psi.tolist(), energies, (th - curve.theta_of_psi(psi)).tolist(),
+                    (vb - curve.vbar_of_theta(th)).tolist())
         drift[f"orbit{i}_energy_relation"] = max(abs(e - energies[0]) for e in energies)
     meta = {"command": ns.command, "beta": p.beta, "mu": p.mu, "b": p.b, "h": p.h,
             "orbits": ns.orbits, "seed": ns.seed,
@@ -307,7 +306,7 @@ def _run_splitting(ns: argparse.Namespace):
         raise ValidationError(f"--eps-list values must be finite and non-negative, "
                               f"got {ns.eps_list!r}")
     icfg = _integrator(ns)
-    z1 = (connection_index(ns.beta) + 1) * math.pi / 4  # zeta1 at the section
+    z1 = zeta1(ns.beta, comparison_section(ns.beta))
     rows = []
     for eps in eps_list:
         p = Params(ns.beta, 1.0 + eps, ns.b)
@@ -323,7 +322,7 @@ def _run_splitting(ns: argparse.Namespace):
 
 
 def _run_beta2_verify(ns: argparse.Namespace):
-    p = Params(2.0, ns.mu, ns.b, ns.h)
+    p = Params(2.0, ns.mu, ns.b)  # the regularized check runs on the level through m0
     icfg = _integrator(ns)
     rng = np.random.default_rng(ns.seed)
 
@@ -359,7 +358,7 @@ def _run_beta2_verify(ns: argparse.Namespace):
     ]
     rows = [(name, val, thr, "pass" if val <= thr else "fail")
             for name, val, thr in checks]
-    meta = {"command": ns.command, "beta": 2.0, "mu": p.mu, "b": p.b, "h": p.h,
+    meta = {"command": ns.command, "beta": 2.0, "mu": p.mu, "b": p.b,
             "n_states": ns.n_states, "n_orbits": ns.n_orbits, "tau": ns.tau, "seed": ns.seed}
     drift = {name: val for name, val, _ in checks}
     return meta, ["check", "value", "threshold", "status"], rows, drift
@@ -458,7 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mu", type=float, default=1.2)
     sp.add_argument("--b", type=float, default=0.5)
     sp.add_argument("--h", type=float, default=None,
-                    help="energy level; mcgehee runs derive it from --initial if omitted")
+                    help="energy level, checked against that of --initial; it selects "
+                         "the level only for a mcgehee start at r = 0")
     sp.add_argument("--initial", default="1,0,0,1",
                     help="x,y,px,py or r,v,theta,u depending on --coords")
     sp.add_argument("--t-final", type=float, default=10.0)
@@ -490,7 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, integrates=True)
     sp.add_argument("--mu", type=float, default=1.5)
     sp.add_argument("--b", type=float, default=0.5)
-    sp.add_argument("--h", type=float, default=-0.25)
     sp.add_argument("--n-states", type=_count, default=1000)
     sp.add_argument("--n-orbits", type=_count, default=20)
     sp.add_argument("--tau", type=float, default=10.0)

@@ -60,8 +60,10 @@ __all__ = [
 THETA_NORMALIZATION_OFFSET = math.pi
 
 # tanh-sinh rule: level k steps by 2^-k in u over [0, _TS_U_MAX), where the
-# distance of a node from its end has fallen below 1e-22 of the interval
+# distance of a node from its end has fallen below 1e-22 of the interval; the
+# integrals here converge at levels 4-6, so the rule starts at level 3
 _TS_U_MAX = 3.5
+_TS_FIRST_LEVEL = 3
 _TS_LEVELS = 9
 _TS_RTOL = 1e-13
 
@@ -120,16 +122,17 @@ def _tanh_sinh_level(level: int) -> tuple[np.ndarray, np.ndarray]:
     """(sigma, omega): the nodes that level `level` adds to the rule on [0, 1].
 
     u runs over the multiples of h = 2^-level in [0, _TS_U_MAX) that no coarser
-    level has.  sigma = 1 / (1 + exp(pi sinh u)) is the distance of the node
-    x(u) = (1 + tanh(pi/2 sinh u)) / 2 from the nearer end, free of
-    cancellation; omega = dx/du.  Each sigma stands for the pair of nodes sigma
+    level from _TS_FIRST_LEVEL on has.  sigma = 1 / (1 + exp(pi sinh u)) is the
+    distance of the node x(u) = (1 + tanh(pi/2 sinh u)) / 2 from the nearer end,
+    free of cancellation; omega = dx/du.  Each sigma stands for the pair of nodes sigma
     and 1 - sigma, so the midpoint (u = 0) carries half its weight.
     """
     h = 2.0 ** -level
-    u = np.arange(0.0, _TS_U_MAX, h) if level == 0 else np.arange(h, _TS_U_MAX, 2.0 * h)
+    first = level == _TS_FIRST_LEVEL
+    u = np.arange(0.0, _TS_U_MAX, h) if first else np.arange(h, _TS_U_MAX, 2.0 * h)
     sigma = 1.0 / (1.0 + np.exp(math.pi * np.sinh(u)))
     omega = math.pi * np.cosh(u) * sigma * (1.0 - sigma)
-    if level == 0:
+    if first:
         omega[0] *= 0.5
     return sigma, omega
 
@@ -137,15 +140,15 @@ def _tanh_sinh_level(level: int) -> tuple[np.ndarray, np.ndarray]:
 def _tanh_sinh(f, a: float, b: float) -> float:
     """Integral of f over [a, b] by the tanh-sinh rule.
 
-    f maps an array of nodes to an array of values whose last axis runs over
-    the nodes; leading axes are summed as well.  Each level halves the step and
+    f maps an array of nodes to the array of its values.  The first level steps
+    by h = 2^-_TS_FIRST_LEVEL = 1/8 in u; each further level halves the step and
     adds only the new nodes.  Stops when two successive levels agree to 1e-13
     of the integral of |f|, and raises ArithmeticError on a non-finite value or
     when the finest level is reached first.
     """
     length = b - a
     total = abs_total = 0.0
-    for level in range(_TS_LEVELS):
+    for level in range(_TS_FIRST_LEVEL, _TS_LEVELS):
         sigma, omega = _tanh_sinh_level(level)
         fx = f(np.concatenate((a + length * sigma, b - length * sigma)))
         weights = np.concatenate((omega, omega)) * (length * 2.0 ** -level)
@@ -154,7 +157,7 @@ def _tanh_sinh(f, a: float, b: float) -> float:
         abs_total = 0.5 * abs_total + float(np.sum(np.abs(fx) * weights))
         if not math.isfinite(total):
             raise ArithmeticError(f"quadrature met a non-finite integrand on [{a}, {b}]")
-        if level > 0 and abs(total - previous) <= _TS_RTOL * abs_total:
+        if level > _TS_FIRST_LEVEL and abs(total - previous) <= _TS_RTOL * abs_total:
             return total
     raise ArithmeticError(f"quadrature on [{a}, {b}] did not converge: the last two levels "
                           f"differ by {abs(total - previous):.3g} of {abs_total:.3g}")
@@ -163,10 +166,10 @@ def _tanh_sinh(f, a: float, b: float) -> float:
 def _unit_orbit_integral(beta: float) -> float:
     """I2 at p = 1, (beta/2) int cos(2 Theta) / R^beta dt, for beta > 3/2:
     2^(beta-2) beta times the integral of cos^(2 beta - 4)(w) cos(4 w) on
-    (-pi/2, pi/2), w = theta/2.  Both halves are written in the distance
-    d = pi/2 - |w| to their endpoint; for beta < 2, t = d^s with s = 2 beta - 3
-    absorbs the endpoint singularity (sin d = d sinc d), else s = 1.  The halves
-    are equal (cos 4w is even) but stay two rows: doubling one rounds differently.
+    (-pi/2, pi/2), w = theta/2.  The integrand is even, so this is 2^(beta-1)
+    beta times the integral over one half, written in the distance d = pi/2 - |w|
+    to its endpoint; for beta < 2, t = d^s with s = 2 beta - 3 absorbs the
+    endpoint singularity (sin d = d sinc d), else s = 1.
     """
     a = 2.0 * beta - 4.0
     s = min(a + 1.0, 1.0)
@@ -174,10 +177,9 @@ def _unit_orbit_integral(beta: float) -> float:
     def integrand(t: np.ndarray) -> np.ndarray:
         d = t ** (1.0 / s)
         core = np.sinc(d / math.pi) ** a * d ** (a + 1.0 - s) / s
-        half = core * np.cos(4.0 * (0.5 * math.pi - d))
-        return np.stack((half, half))
+        return core * np.cos(4.0 * (0.5 * math.pi - d))
 
-    return 2.0 ** (beta - 2.0) * beta * _tanh_sinh(integrand, 0.0, (0.5 * math.pi) ** s)
+    return 2.0 ** (beta - 1.0) * beta * _tanh_sinh(integrand, 0.0, (0.5 * math.pi) ** s)
 
 
 def _at_p(p_param: float, beta: float, unit: float) -> float:

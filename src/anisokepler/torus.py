@@ -6,13 +6,14 @@ system on the (theta, psi) torus.  At mu = 1 the slope dpsi/dtheta is the
 constant (beta-2)/2, so the branch out of the saddle (-pi, 0) is the line
 psi = (theta+pi)/j, j = 2/(beta-2), which reaches the saddle (-pi + j pi, pi)
 exactly when j is a positive integer: the connection family beta = 2 + 2/j,
-gated by `connection_index`.  For small anisotropy epsilon = mu - 1 > 0 the
-connection splits, and the splitting is measured where the line crosses
-psi = pi/2, at theta = -pi + j pi/2.  `trace_manifold` traces the branch out
-of (-pi, 0) only: the reversal, a reflection about the section, carries it onto
-its stable partner into (-pi + j pi, pi).  Along that branch theta' > 0, so it
-is traced as a graph psi(theta), by the slope dpsi/dtheta of the field, in
-which the amplitude sqrt(2b)/Delta^(beta/4) cancels.  Where sin(2 theta)
+gated by `connection_index` up to j = MAX_CONNECTION_INDEX.  For small
+anisotropy epsilon = mu - 1 > 0 the connection splits, and the splitting is
+measured where the line crosses psi = pi/2, at theta = -pi + j pi/2.
+`trace_manifold` traces the branch out of (-pi, 0) only: the reversal, a
+reflection about the section, carries it onto its stable partner into
+(-pi + j pi, pi).  Along that branch theta' > 0, so it is traced as a graph
+psi(theta), by the slope dpsi/dtheta of the field, in which the amplitude
+sqrt(2b)/Delta^(beta/4) cancels.  Where sin(2 theta)
 changes sign, on the lines theta = pi/2 (mod pi), the slope has a layer of
 width about epsilon^(-1/2).
 """
@@ -20,6 +21,7 @@ width about epsilon^(-1/2).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -46,6 +48,11 @@ __all__ = [
 
 SEED_OFFSET = 1e-6
 TURN_BACK = 1e-6  # psi this close to pi: theta' = g sin(psi) is about to change sign
+MAX_CONNECTION_INDEX = 2 ** 12  # the trace cost grows linearly in j
+
+
+class _NoConnection(ValueError):
+    """beta is not a connection exponent 2 + 2/j: there is no branch to trace."""
 
 
 class TraceError(IntegrationError):
@@ -104,15 +111,20 @@ def torus_rhs(p: Params):
 
 
 def connection_index(beta: float) -> int:
-    """j of a connection exponent beta = 2 + 2/j, j = 1, 2, ...: the connection
-    out of (-pi, 0) spans j pi in theta.  Raises ValueError for any other beta.
-    2/(beta-2) counts as j within 1e-9 of it, relative: the float 2 + 2/3 gives
-    3.000000000000001."""
+    """j of a connection exponent beta = 2 + 2/j, j = 1, 2, ..., MAX_CONNECTION_INDEX:
+    the connection out of (-pi, 0) spans j pi in theta.  Raises ValueError for
+    any other beta.  2/(beta-2) counts as j within 1e-9 of it, relative: the
+    float 2 + 2/3 gives 3.000000000000001.  The bound comes before any O(j) work:
+    a trace builds j/2 layer lines, and at j = MAX_CONNECTION_INDEX the default
+    `splitting` run (four traces) takes about 3 s on a 2-core Xeon."""
     span = 2.0 / (beta - 2.0) if beta > 2.0 else 0.0
     j = round(span)
     if j < 1 or abs(span - j) > 1e-9 * j:
-        raise ValueError("saddle connections exist at beta = 2 + 2/j for a positive "
-                         f"integer j only, got {float(beta)!r}")
+        raise _NoConnection("saddle connections exist at beta = 2 + 2/j for a positive "
+                            f"integer j only, got {float(beta)!r}")
+    if j > MAX_CONNECTION_INDEX:
+        raise ValueError(f"beta = {float(beta)!r} is the connection exponent of j = {j}, "
+                         f"above the traced bound j <= {MAX_CONNECTION_INDEX}")
     return j
 
 
@@ -212,7 +224,9 @@ def splitting_verdict(gap: float, cfg: IntegratorConfig | None = None) -> Splitt
 
 
 def connection_beta(j: int) -> float:
-    """The exponent 2 + 2/j whose connection out of (-pi, 0) spans j pi in theta."""
-    if not j >= 1:
-        raise ValueError(f"j must be a positive integer, got {j!r}")
+    """The exponent 2 + 2/j whose connection out of (-pi, 0) spans j pi in theta,
+    for an integer j = 1, ..., MAX_CONNECTION_INDEX: the range `connection_index`
+    maps back."""
+    if not (isinstance(j, numbers.Integral) and 1 <= j <= MAX_CONNECTION_INDEX):
+        raise ValueError(f"j must be an integer from 1 to {MAX_CONNECTION_INDEX}, got {j!r}")
     return 2.0 + 2.0 / j

@@ -2,6 +2,7 @@
 
 import json
 import math
+import resource
 import subprocess
 import sys
 import time
@@ -12,7 +13,9 @@ import pytest
 
 from anisokepler import cli, mcgehee
 from anisokepler.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, build_parser, main
+from anisokepler.core import CartesianState, Params, hamiltonian
 from anisokepler.integrate import IntegratorConfig
+from anisokepler.torus import comparison_section, zeta1
 
 
 def read_rows(path):
@@ -346,6 +349,45 @@ class TestSimulateCommand:
                      "--max-steps", "5", "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_NUMERICAL
 
+    def test_cartesian_level_is_the_initial_energy(self, tmp_path, capsys):
+        # the Cartesian field carries no h: the run's level is H at the start,
+        # and --h is checked against it as in the McGehee chart
+        out = tmp_path / "c.csv"
+        argv = ["simulate", "--coords", "cartesian", "--b", "0.02", "--initial", "1,0,0,1.1",
+                "--t-final", "2", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        h0 = hamiltonian(CartesianState(1.0, 0.0, 0.0, 1.1), Params(3.0, 1.2, 0.02))
+        assert read_rows(out)[0]["h"] == repr(h0) == "-0.41021451548625454"
+        out.unlink()
+        for h in ("5", "nan"):
+            assert validation_message(argv + ["--h", h], capsys) == (
+                f"--h {float(h)} is inconsistent with the initial state "
+                "(its energy level is h = -0.41021451548625454)")
+            assert not out.exists()
+        assert main(argv + ["--h", repr(h0)]) == EXIT_OK
+
+    def test_start_at_r_zero_must_lie_on_the_collision_manifold(self, tmp_path, capsys):
+        # every level meets C at r = 0, so --h selects one there; a state off C
+        # lies on none, and its energy relation would drift
+        out = tmp_path / "c.csv"
+        assert validation_message(["simulate", "--initial", "0,0,0,0", "--out", str(out)],
+                                  capsys) == (
+            "the initial state at r = 0 is off the collision manifold, so on no energy "
+            "level: u^2 + v^2 - 2b/Delta^(beta/2) = -0.7607257743127308")
+        assert not out.exists()
+        # on C, u^2 + v^2 = 2b/Delta^(beta/2), typed to 17 digits
+        p = Params(3.0, 1.2, 0.5)
+        theta, v = 0.3, 0.2
+        u = math.sqrt(2.0 * p.b / mcgehee.delta(theta, p.mu, math) ** (p.beta / 2.0) - v * v)
+        argv = ["simulate", "--initial", f"0,{v!r},{theta!r},{u:.17g}", "--t-final", "1",
+                "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        assert read_rows(out)[0]["h"] == "0.0"
+        assert main(argv + ["--h", "-0.25"]) == EXIT_OK
+        meta, _, rows = read_rows(out)
+        assert meta["h"] == "-0.25"
+        assert max(abs(float(r[-1])) for r in rows) < 1e-8  # off C it reaches 1.2e-5
+
     def test_level_beyond_the_float_range_is_numerical_failure(self, tmp_path, capsys):
         # r^beta overflows, so no float h puts the start on an energy level
         out = tmp_path / "x.csv"
@@ -470,6 +512,20 @@ class TestInfinityFlowCommand:
         assert max(abs(float(r[i_line])) for r in rows) < 1e-7
         assert max(abs(float(r[i_vb])) for r in rows) < 1e-7
 
+    def test_psi_is_unwrapped_across_pi(self, tmp_path):
+        # backward in s every orbit runs to psi = pi, and atan2 jumps to -pi
+        # where psi passes it by roundoff: the column stays continuous
+        out = tmp_path / "inf.csv"
+        assert main(["infinity-flow", "--s-final", "-200", "--out", str(out)]) == EXIT_OK
+        _, cols, rows = read_rows(out)
+        for i in range(5):
+            orbit = [r for r in rows if r[0] == str(i)]
+            psi = np.array([float(r[cols.index("psi")]) for r in orbit])
+            assert np.max(np.abs(np.diff(psi))) < 1.0
+            assert psi[-1] == pytest.approx(math.pi, abs=1e-12)
+        assert max(float(r[cols.index("psi")]) for r in rows) > math.pi
+        assert max(abs(float(r[cols.index("line_residual")])) for r in rows) <= 1e-8
+
     def test_nan_field_names_the_nan(self, tmp_path, capsys):
         # (mu - 1) b overflows, so ubar' is NaN at the start and so is the
         # first step size: the record says so, with the time and the state
@@ -503,13 +559,17 @@ class TestInfinityFlowCommand:
 class TestSplittingCommand:
     def test_rows(self, tmp_path):
         out = tmp_path / "sp.csv"
-        for beta in ("3", "2.5", "2.03125"):  # j = 2, 4 and 64 of beta = 2 + 2/j
-            code = main(["splitting", "--beta", beta, "--b", "0.5",
+        for beta in (4.0, 3.0, 2.5, 2.03125):  # j = 1, 2, 4 and 64 of beta = 2 + 2/j
+            code = main(["splitting", "--beta", repr(beta), "--b", "0.5",
                          "--eps-list", "0,1e-3", "--out", str(out)])
             assert code == EXIT_OK
-            _, cols, rows = read_rows(out)
+            meta, cols, rows = read_rows(out)
             assert rows[0][cols.index("verdict")] == "connected-within-tolerance"
             assert rows[1][cols.index("verdict")] == "broken"
+            # the first-order gap 2 zeta1 eps, with zeta1 from torus.zeta1 at the section
+            two_zeta1 = 2 * zeta1(beta, comparison_section(beta))
+            assert meta["two_zeta1"] == repr(two_zeta1)
+            assert float(rows[1][cols.index("predicted_gap")]) == two_zeta1 * 1e-3
 
     def test_beta_outside_the_torus_gate(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -534,6 +594,29 @@ class TestSplittingCommand:
         assert not out.exists()
 
 
+    def test_connection_beyond_the_bound_exits_at_once(self, tmp_path):
+        # beta = 2.000000000000001 is the member j = 2251799813685248 of the
+        # family, whose trace would build j/2 layer lines; the address space of
+        # the child is capped so that a trace that starts fails instead of
+        # filling the memory
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))
+
+        out = tmp_path / "x.csv"
+        for argv in (["splitting", "--beta", "2.000000000000001"],
+                     ["collision-flow", "--beta", "2.000000000000001", "--mu", "1",
+                      "--grid", "2"]):
+            proc = subprocess.run([sys.executable, "-m", "anisokepler.cli", *argv,
+                                   "--out", str(out)], capture_output=True, text=True,
+                                  timeout=20, preexec_fn=cap_memory)
+            assert proc.returncode == EXIT_VALIDATION, proc.stderr
+            (line,) = proc.stderr.splitlines()
+            assert json.loads(line)["message"] == (
+                "beta = 2.000000000000001 is the connection exponent of j = "
+                "2251799813685248, above the traced bound j <= 4096")
+            assert not out.exists()
+
+
 class TestBeta2VerifyCommand:
     def test_all_checks_pass(self, tmp_path):
         out = tmp_path / "b2.csv"
@@ -550,6 +633,19 @@ class TestBeta2VerifyCommand:
                        ["--n-states", "-5"]):
             assert main(["beta2-verify", *counts, "--out", str(out)]) == EXIT_VALIDATION
         assert not out.exists()
+
+    def test_takes_no_energy_option(self, tmp_path, capsys):
+        # no check reads an h: the regularized one runs on the level through
+        # its start, so neither the CSV nor the manifest names one
+        out = tmp_path / "b2.csv"
+        assert validation_message(["beta2-verify", "--h", "-0.25", "--out", str(out)],
+                                  capsys) == "unrecognized arguments: --h -0.25"
+        assert not out.exists()
+        assert main(["beta2-verify", "--n-states", "20", "--n-orbits", "1",
+                     "--out", str(out)]) == EXIT_OK
+        assert "h" not in read_rows(out)[0]
+        manifest = json.loads((tmp_path / "b2.csv.manifest.json").read_text(encoding="utf-8"))
+        assert "h" not in manifest["config"]
 
     def test_max_steps_applies(self, tmp_path):
         out = tmp_path / "x.csv"

@@ -13,6 +13,7 @@ from anisokepler.integrate import Event, IntegrationError, IntegratorConfig, int
 from anisokepler.mcgehee import McGeheeState, delta, energy_residual, mcgehee_rhs
 from anisokepler.melnikov import _tanh_sinh
 from anisokepler.torus import (
+    MAX_CONNECTION_INDEX,
     SplittingVerdict,
     TorusState,
     TraceError,
@@ -400,6 +401,17 @@ class TestConnectionGeometry:
     def test_gate_accepts_the_whole_family(self):
         # the float 2 + 2/3 gives 2/(beta - 2) = 3.000000000000001
         assert [connection_index(connection_beta(j)) for j in range(1, 13)] == list(range(1, 13))
+
+    def test_gate_bounds_the_index(self):
+        # a trace builds j/2 layer lines, so the gate refuses a j beyond the
+        # bound before any work of order j, and connection_beta makes none
+        assert connection_index(connection_beta(MAX_CONNECTION_INDEX)) == MAX_CONNECTION_INDEX
+        for beta in (2.000000000000001, 2.0 + 2.0 / (MAX_CONNECTION_INDEX + 1)):
+            with pytest.raises(ValueError, match="above the traced bound j <= 4096"):
+                zeta1(beta, 0.0)
+        for j in (1.5, 2.0, 2 ** 20, MAX_CONNECTION_INDEX + 1):
+            with pytest.raises(ValueError, match="j must be an integer from 1 to 4096"):
+                connection_beta(j)
 
 
 class TestSplitting:
