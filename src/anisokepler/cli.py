@@ -498,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--beta-grid", default="1.6:5:0.01",
                     help="start:stop:step, inclusive; valid for beta > 3/2, and the "
-                         "closed form overflows (exit 3) from beta ~ 149 on")
+                         "quadrature overflows (exit 3) from beta ~ 787.9 on")
     sp.add_argument("--p", type=float, default=1.0,
                     help="orbit parameter p > 0; I2 scales as p^(3/2 - beta), exit 3 where "
                          "that scale leaves the normal float range")

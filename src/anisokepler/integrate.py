@@ -234,7 +234,11 @@ class _DormandPrince:
         interval_length = abs(self.t_bound - t0)
         scale = self.atol + np.abs(y0) * self.rtol
         d0 = _rms_norm(y0 / scale)
-        d1 = _rms_norm(f0 / scale)
+        with np.errstate(over="ignore"):
+            d1 = _rms_norm(f0 / scale)
+        if d1 == math.inf:  # else h0 = 0, and d2 divides by it; a NaN field fails in step
+            raise IntegrationError(f"the weighted norm of the field at t = {t0}, "
+                                   f"y = {y0.tolist()} overflows the floats")
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
         h0 = min(h0, interval_length)
         f1 = np.asarray(self.fun(t0 + h0 * direction, y0 + h0 * direction * f0), dtype=float)

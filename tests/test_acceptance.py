@@ -309,7 +309,7 @@ def test_criterion_11_splitting_family():
             assert splitting_verdict(gap0, TIGHT) is SplittingVerdict.CONNECTED
             gaps = [splitting_gap(beta, Params(beta, 1.0 + float(eps), 0.5), TIGHT)[0]
                     for eps in eps_grid]
-            # least squares a eps + c eps^2: the eps^2 term grows like j^2.5
+            # least squares a eps + c eps^2: the eps^2 term grows like j^3
             (a, _), *_ = np.linalg.lstsq(np.column_stack((eps_grid, eps_grid ** 2)), gaps,
                                          rcond=None)
             predicted = (j + 1) * math.pi / 2

@@ -109,7 +109,7 @@ class TestMelnikovCommand:
         assert not out.exists()
 
     def test_ratio_column_does_not_depend_on_p(self, tmp_path):
-        # at p = 1e-4 the Gamma forms are still compared at p = 1, so beta = 3
+        # at p = 1e-4 the closed form is still evaluated at p = 1, so beta = 3
         # passes; I2/A is the same bytes for every p
         ratios = []
         for p in ("1e-4", "1", "1e4"):
@@ -156,11 +156,26 @@ class TestMelnikovCommand:
         # at p = 1 only: the value at --p is that one scaled
         assert calls == [1.0] * len(rows)
 
-    def test_gamma_overflow_is_numerical_failure(self, tmp_path):
+    def test_grid_past_the_gamma_overflow(self, tmp_path):
+        # Gamma(beta + 1/2) overflows from beta ~ 171 on; the closed form takes
+        # the ratio of the Gammas from their logarithms
         out = tmp_path / "x.csv"
-        assert main(["melnikov", "--beta-grid", "150:200:10", "--out", str(out)]) \
+        assert main(["melnikov", "--beta-grid", "150:780:10", "--out", str(out)]) == EXIT_OK
+        _, _, rows = read_rows(out)
+        assert len(rows) == 64 and float(rows[-1][0]) == 780.0
+        for _, quadrature, closed, _ in rows:
+            assert abs(float(quadrature) - float(closed)) <= 1e-6 * abs(float(closed))
+
+    def test_grid_past_the_quadrature_bound_is_one_record(self, tmp_path, capsys):
+        # from beta ~ 787.9 on the quadrature's integrand overflows: the run
+        # fails with one record on stderr and no numpy warning
+        out = tmp_path / "x.csv"
+        assert main(["melnikov", "--beta-grid", "900:900:1", "--out", str(out)]) \
             == EXIT_NUMERICAL
         assert not out.exists()
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["exit_code"] == EXIT_NUMERICAL
 
 
 class TestEquilibriaCommand:
@@ -304,6 +319,21 @@ class TestSimulateCommand:
         assert not out.exists()
         message = json.loads(capsys.readouterr().err)["message"]
         assert "collision at the origin" in message and "--coords mcgehee" in message
+
+    def test_overflowing_start_names_the_state(self, tmp_path, capsys):
+        # the weighted norm of the initial momentum 1e200 overflows; the start-up
+        # step size refuses it instead of dividing by a zero step, and the
+        # record does not report a collision
+        out = tmp_path / "o.csv"
+        code = main(["simulate", "--coords", "cartesian", "--initial", "0,1,1e200,0",
+                     "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        message = json.loads(err)["message"]
+        assert message == ("the weighted norm of the field at t = 0.0, "
+                           "y = [0.0, 1.0, 1e+200, 0.0] overflows the floats")
 
     def test_rejected_trial_stage_prints_no_warning(self, tmp_path):
         # at beta = 2.5 a trial stage lands past r = 0, where r^(beta-1) is NaN

@@ -1,4 +1,4 @@
-"""Parabolic orbits, Melnikov integrals, closed Gamma forms, chaos indicator."""
+"""Parabolic orbits, Melnikov integrals, the closed Gamma form, chaos indicator."""
 
 import math
 
@@ -254,12 +254,17 @@ class TestI2:
             with pytest.raises(ValueError, match="orbit parameter"):
                 fn(p_par, 2.5)
 
-    def test_gamma_overflow_raises(self):
-        # the Gamma products overflow from beta ~ 149 on; inf or NaN must not
-        # pass the agreement check
-        assert math.isfinite(i2_closed_form(1.0, 140.0))
-        for beta in (150.0, 180.0, 200.0):
-            with pytest.raises(ArithmeticError):
+    def test_closed_form_holds_where_the_gammas_overflow(self):
+        # Gamma(beta + 1/2) overflows from beta ~ 171 on, their ratio does not
+        for beta in (149.0, 150.0, 200.0, 400.0, 700.0, 990.0):
+            exact = i2_exact(1.0, beta)
+            assert abs(i2_closed_form(1.0, beta) - exact) <= 1e-12 * exact, beta
+
+    def test_closed_form_overflow_raises_naming_beta(self):
+        # the product at p = 1 overflows from beta = 990.35 on; no inf or NaN
+        # is returned
+        for beta in (991.0, 1100.0, 1e6, math.inf):
+            with pytest.raises(ArithmeticError, match=f"overflows at beta = {beta}$"):
                 i2_closed_form(1.0, beta)
 
     def test_sign_change_only_across_two_and_three(self):
@@ -304,8 +309,8 @@ class TestI2:
            beta=st.sampled_from([1.502, 1.6, 1.75, 2.0, 2.5, 2.999, 3.0, 3.001, 4.0, 7.5, 10.0]))
     def test_scaling_law_holds_for_every_p(self, log_p, beta):
         # the closed form at p is its p = 1 value times p^(3/2 - beta), and
-        # exactly 0 at the zeros beta = 2, 3 for every p: the Gamma forms are
-        # compared at p = 1, so no p lifts their roundoff residue above 1e-10
+        # exactly 0 at the zeros beta = 2, 3 for every p: the closed form is
+        # evaluated at p = 1, where the factor (beta-2)(beta-3) is an exact 0
         p_par = 10.0 ** log_p
         expect = p_par ** (1.5 - beta) * i2_closed_form(1.0, beta)
         got = i2_closed_form(p_par, beta)
