@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import Params, _jacobian, _on_floats
 from .infinity import SQRT2, _require_zero_energy
-from .mcgehee import McGeheeState, delta, energy_residual, mcgehee_rhs
+from .mcgehee import McGeheeState, _delta_and_half_sin2, delta, energy_residual, mcgehee_rhs
 
 __all__ = [
     "PolarState",
@@ -74,15 +74,15 @@ def polar_rhs(p: Params):
 
 
 def _polar_arrays(xp, r, theta, pr, pth, p: Params):
-    """The one definition of the polar field, sines and cosines from xp."""
+    """The one definition of the polar field, one sine-cosine pair from xp."""
     b = p.b
-    D = delta(theta, p.mu, xp)
+    D, sc = _delta_and_half_sin2(theta, p.mu, xp)
     r2 = r * r
     r3 = r2 * r
     return (pr,
             pth / r2,
             pth * pth / r3 - 1.0 / r2 - 2.0 * b / (r3 * D),
-            b * (p.mu - 1.0) * xp.sin(2.0 * theta) / (r2 * D * D))
+            2.0 * b * (p.mu - 1.0) * sc / (r2 * D * D))
 
 
 def integral_G(s: PolarState, p: Params) -> float:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DomainError, Params, _on_floats
-from .mcgehee import McGeheeState, delta
+from .mcgehee import McGeheeState, _delta_and_half_sin2, delta
 
 __all__ = [
     "InfinityState",
@@ -93,15 +93,15 @@ def _infinity_residual(xp, rho, vb, theta, ub, p: Params):
 
 
 def _infinity_arrays(xp, rho, vb, theta, ub, p: Params):
-    """The one definition of the inverted-chart field, sines and cosines from xp."""
+    """The one definition of the inverted-chart field, one sine-cosine pair from xp."""
     beta, mu, b = p.beta, p.mu, p.b
-    D = delta(theta, mu, xp)
+    D, sc = _delta_and_half_sin2(theta, mu, xp)
+    Db = D ** (beta / 2.0)
     rp = rho ** (beta - 1.0)
     return (-rho * vb,
-            -0.5 * vb * vb - b * (beta - 2.0) / D ** (beta / 2.0) * rp + 1.0,
+            -0.5 * vb * vb - b * (beta - 2.0) / Db * rp + 1.0,
             ub,
-            -0.5 * ub * vb
-            + b * beta * (mu - 1.0) * xp.sin(2.0 * theta) / (2.0 * D ** ((beta + 2.0) / 2.0)) * rp)
+            -0.5 * ub * vb + b * beta * (mu - 1.0) * sc / (Db * D) * rp)
 
 
 def infinity_rhs(p: Params):

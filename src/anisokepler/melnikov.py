@@ -176,8 +176,7 @@ def _unit_orbit_integral(beta: float) -> float:
 
     def integrand(t: np.ndarray) -> np.ndarray:
         d = t ** (1.0 / s)
-        # from beta ~ 788 on, d^(a+1-s) overflows next to d = pi/2 and meets an
-        # underflowed sinc^a there: the NaN fails the quadrature, not a warning
+        # past beta ~ 788, d^(a+1-s) = inf meets sinc^a = 0: a NaN, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
             core = np.sinc(d / math.pi) ** a * d ** (a + 1.0 - s) / s
         return core * np.cos(4.0 * (0.5 * math.pi - d))
@@ -266,7 +265,11 @@ def m1_direct_quadrature(p_param: float, beta: float, theta0: float) -> float:
 def i2_quadrature(p_param: float, beta: float) -> float:
     """I2 = (beta/2) int cos(2 Theta)/R^beta dt by quadrature in w = theta/2."""
     _require_melnikov_beta(beta)
-    return _at_p(p_param, beta, _unit_orbit_integral(beta))
+    try:
+        unit = _unit_orbit_integral(beta)
+    except ArithmeticError as exc:  # a NaN integrand, or 2^(beta-1) overflows
+        raise ArithmeticError(f"the quadrature of I2 fails at beta = {beta}: {exc}") from exc
+    return _at_p(p_param, beta, unit)
 
 
 def i2_amplitude(p_param: float, beta: float) -> float:
@@ -302,11 +305,8 @@ def i2_beta_roots() -> list[float]:
     """
     grid = [float(b) for b in np.arange(1.502, 10.005, 0.01)]
     vals = [i2_closed_form(1.0, b) for b in grid]
-    roots: list[float] = []
-    for a, b, fa, fb in zip(grid, grid[1:], vals, vals[1:]):
-        if fa * fb < 0.0:
-            roots.append(_brentq(lambda beta: i2_closed_form(1.0, beta), a, b))
-    return roots
+    return [_brentq(lambda beta: i2_closed_form(1.0, beta), a, b)
+            for a, b, fa, fb in zip(grid, grid[1:], vals, vals[1:]) if fa * fb < 0.0]
 
 
 class ChaosVerdict(Enum):

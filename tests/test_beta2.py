@@ -185,7 +185,7 @@ def close_to_closed_form(got, terms, rel=1e-15):
 
 class TestSharedFieldsAtBetaTwo:
     # independent oracle: the paper's beta = 2 closed forms against the one
-    # McGehee and one inverted-chart field, evaluated at beta = 2
+    # McGehee, one inverted-chart and one polar field, evaluated at beta = 2
 
     def test_mcgehee_field_closed_form(self):
         rng = np.random.default_rng(30)
@@ -218,6 +218,21 @@ class TestSharedFieldsAtBetaTwo:
                 -0.5 * s.ubar * s.vbar, eps * p.b * s.rho * math.sin(2 * s.theta) / D ** 2])
             assert close_to_closed_form(infinity_energy_residual(s, p), [
                 s.ubar ** 2, s.vbar ** 2, -2.0, -2 * p.b * s.rho / D])
+
+    def test_polar_field_closed_form(self):
+        rng = np.random.default_rng(32)
+        for _ in range(200):
+            p = Params(2, rng.uniform(1.0, 3.0), rng.uniform(0.1, 2.0), h=rng.uniform(-1, 1))
+            s = PolarState(rng.uniform(0.3, 4.0), rng.uniform(-7, 7), rng.normal(0, 2),
+                           rng.normal(0, 2))
+            eps, D = p.mu - 1.0, delta(s.theta, p.mu)
+            f = polar_rhs(p)(0.0, s.as_array())
+            assert f[0] == s.pr
+            assert close_to_closed_form(f[1], [s.ptheta / s.r ** 2])
+            assert close_to_closed_form(f[2], [
+                s.ptheta ** 2 / s.r ** 3, -1.0 / s.r ** 2, -2 * p.b / (s.r ** 3 * D)])
+            assert close_to_closed_form(f[3], [
+                eps * p.b * math.sin(2 * s.theta) / (s.r ** 2 * D ** 2)])
 
     def test_beta2_entry_points_gate_the_exponent(self):
         m = McGeheeState(1.0, 0.1, 0.2, 0.3)

@@ -3,10 +3,12 @@
 import json
 import math
 import resource
+import shlex
 import subprocess
 import sys
 import time
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,14 +170,17 @@ class TestMelnikovCommand:
 
     def test_grid_past_the_quadrature_bound_is_one_record(self, tmp_path, capsys):
         # from beta ~ 787.9 on the quadrature's integrand overflows: the run
-        # fails with one record on stderr and no numpy warning
-        out = tmp_path / "x.csv"
-        assert main(["melnikov", "--beta-grid", "900:900:1", "--out", str(out)]) \
-            == EXIT_NUMERICAL
-        assert not out.exists()
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1
-        assert json.loads(err)["exit_code"] == EXIT_NUMERICAL
+        # fails with one record on stderr, naming the failing beta, and no
+        # numpy warning
+        for grid, failing in (("787:788:1", 788.0), ("900:900:1", 900.0)):
+            out = tmp_path / "x.csv"
+            assert main(["melnikov", "--beta-grid", grid, "--out", str(out)]) == EXIT_NUMERICAL
+            assert not out.exists()
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1
+            record = json.loads(err)
+            assert record["exit_code"] == EXIT_NUMERICAL
+            assert f"the quadrature of I2 fails at beta = {failing}:" in record["message"]
 
 
 class TestEquilibriaCommand:
@@ -930,3 +935,23 @@ def test_every_command_runs_without_scipy(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:2] == [str([EXIT_OK] * 8), "True"]
+
+
+def readme_examples():
+    """argv of each `anisokepler ...` line in the README's "Examples:" block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Examples:", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("anisokepler ")]
+
+
+def test_readme_examples_run(tmp_path, capsys):
+    examples = readme_examples()
+    assert len(examples) == 4
+    for argv in examples:
+        at = argv.index("--out") + 1
+        argv[at] = str(tmp_path / argv[at])
+        assert main(argv) == EXIT_OK, argv
+        _, _, rows = read_rows(Path(argv[at]))
+        assert rows, argv
+    assert capsys.readouterr().err == ""
