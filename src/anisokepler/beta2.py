@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Params, _jacobian, _on_floats
+from .core import Params, _chart_rhs, _jacobian
 from .infinity import SQRT2, _require_zero_energy
 from .mcgehee import McGeheeState, _delta_and_half_sin2, delta, energy_residual, mcgehee_rhs
 
@@ -66,11 +66,7 @@ def polar_hamiltonian(s: PolarState, p: Params) -> float:
 def polar_rhs(p: Params):
     """Hamiltonian flow of H2 in (r, theta, pr, ptheta)."""
     p.require_beta_equal(2.0)
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return _on_floats(_polar_arrays, y, p)
-
-    return rhs
+    return _chart_rhs(_polar_arrays, p)
 
 
 def _polar_arrays(xp, r, theta, pr, pth, p: Params):

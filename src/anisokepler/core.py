@@ -113,10 +113,23 @@ def _cartesian_arrays(xp, x, y, px, py, p: Params):
 
 def cartesian_rhs(p: Params):
     """Vector-field closure for the integrator, guarding the origin."""
+    return _chart_rhs(_cartesian_arrays, p)
+
+
+def _chart_rhs(definition, p: Params):
+    """The integrator closure of a chart: its one definition on a state array,
+    through `_on_floats`, as an ndarray.
+
+    The closure carries ``(definition, p)`` as ``float_definition``; the DOP853
+    stepper evaluates its stage states through it directly, on Python floats
+    (see `anisokepler.integrate`).  It takes the definition's module, so that
+    tracers and profilers attribute it to its chart."""
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return _on_floats(_cartesian_arrays, y, p)
+        return _on_floats(definition, y, p)
 
+    rhs.float_definition = (definition, p)
+    rhs.__module__ = definition.__module__
     return rhs
 
 
@@ -134,6 +147,12 @@ def _on_floats(field, y: np.ndarray, p: Params) -> np.ndarray:
     numpy scalars, which give numpy's NaN or inf without a RuntimeWarning: the
     stepper rejects a non-finite trial stage, and the CLI exits 3 rather than
     write a NaN or inf cell.
+
+    The DOP853 stepper calls a chart's definition on its stage states itself
+    (see `anisokepler.integrate`) and comes here only for a stage where that
+    raises or turns complex, and for the field at the start point, at the
+    initial-step probe and at each attempted step's end point; other callers,
+    wrapped closures among them, come here for every evaluation.
     """
     try:
         out = np.array(field(math, *y.tolist(), p))

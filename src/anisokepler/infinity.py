@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, Params, _on_floats
+from .core import DomainError, Params, _chart_rhs, _on_floats
 from .mcgehee import McGeheeState, _delta_and_half_sin2, delta
 
 __all__ = [
@@ -107,11 +107,7 @@ def _infinity_arrays(xp, rho, vb, theta, ub, p: Params):
 def infinity_rhs(p: Params):
     p.require_beta_above(2.0, strict=False)
     _require_zero_energy(p)
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return _on_floats(_infinity_arrays, y, p)
-
-    return rhs
+    return _chart_rhs(_infinity_arrays, p)
 
 
 @dataclass(frozen=True)

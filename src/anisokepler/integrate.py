@@ -13,6 +13,20 @@ frame.  Event times are refined on the dense output by Brent's method, a
 line-for-line port of ``scipy.optimize.brentq`` that agrees with it bit for
 bit as well.  The test suite checks both against scipy.
 
+A chart closure of the package (`core._chart_rhs`) carries its field's one
+definition as ``float_definition``.  Given one, the stepper builds each stage
+state as Python floats, y_i + (K^T a)_i h entry by entry (the two IEEE
+operations of the array sum, after the same ``.dot``), and writes the
+definition's value on those floats straight into its row of K; the chart
+fields are autonomous, so the definition takes no time.  Where that
+evaluation raises, or turns complex so that the row assignment raises
+TypeError, the stage calls the closure on the state as an array, and the
+closure's numpy-scalar fallback (`core._on_floats`) gives numpy's NaN or inf.
+Any other field takes the array path, each stage state an ndarray passed to
+the callable: user callables, the basin ensemble's field and a chart closure
+inside a wrapper (such as a call counter) alike.  Both paths give the same
+bits.
+
 The stepper enforces the hard step-count limit itself, so every driver stops
 there.  Around it the driver adds the bookkeeping the rest of the package
 relies on: detection of sign changes of event functions with root refinement,
@@ -215,15 +229,16 @@ class _DormandPrince:
         self.max_steps, self.n_steps = cfg.max_steps, 0
         self.t, self.y = t0, y0
         self.t_old = self.y_old = None
+        self.float_definition = getattr(fun, "float_definition", None)
         self.f = np.asarray(fun(t0, y0), dtype=float)
         self.K = np.empty((16, y0.size))
-        # views of K made once: per stage (earlier stages, their weights, time
-        # fraction), the trial stages 1-11 and the dense output's 13-15; then
-        # the twelve stages B weighs and the 13 rows the error estimates weigh.
-        # K keeps scipy's (16, n) layout, so the .dot products sum in the same
-        # order as scipy's np.dot.
+        # views of K made once: per stage (its row, earlier stages, their
+        # weights, time fraction), the trial stages 1-11 and the dense output's
+        # 13-15; then the twelve stages B weighs and the 13 rows the error
+        # estimates weigh.  K keeps scipy's (16, n) layout, so the .dot products
+        # sum in the same order as scipy's np.dot.
         self._stages, self._extra_stages = (
-            [(self.K[:s].T, _A[s, :s], float(_C[s])) for s in stages]
+            [(s, self.K[:s].T, _A[s, :s], float(_C[s])) for s in stages]
             for stages in (range(1, 12), range(13, 16)))
         self._KT_B, self._KT_E = self.K[:12].T, self.K[:13].T
         self.h_abs = self._initial_step()
@@ -250,6 +265,23 @@ class _DormandPrince:
         else:
             h1 = (0.01 / max(d1, d2)) ** (1 / 8)
         return min(100 * h0, h1, interval_length)
+
+    def _fill_stages(self, stages, t: float, y: np.ndarray, h: float) -> None:
+        """K[s] = fun(t + c h, y + (K[:s]^T a) h) for each stage (s, K[:s]^T, a, c),
+        on Python floats for a chart closure (see the module docstring)."""
+        K, fun = self.K, self.fun
+        if self.float_definition is None:
+            for s, K_prev, a, c in stages:
+                K[s] = fun(t + c * h, y + K_prev.dot(a) * h)
+            return
+        definition, p = self.float_definition
+        y_floats = y.tolist()
+        for s, K_prev, a, c in stages:
+            ys = [yi + di * h for yi, di in zip(y_floats, K_prev.dot(a).tolist())]
+            try:
+                K[s] = definition(math, *ys, p)
+            except (ArithmeticError, ValueError, TypeError):
+                K[s] = fun(t + c * h, np.array(ys))
 
     @property
     def finished(self) -> bool:
@@ -288,9 +320,7 @@ class _DormandPrince:
             h_abs = abs(h)
 
             K[0] = self.f
-            for s, (K_prev, a, c) in enumerate(self._stages, start=1):
-                dy = K_prev.dot(a) * h
-                K[s] = fun(t + c * h, y + dy)
+            self._fill_stages(self._stages, t, y, h)
             y_new = y + h * self._KT_B.dot(_B)
             f_new = np.asarray(fun(t + h, y_new), dtype=float)
             K[12] = f_new
@@ -316,9 +346,7 @@ class _DormandPrince:
         """The 7-term interpolant of the last step, from three more field calls."""
         K, t_old, y_old = self.K, self.t_old, self.y_old
         h = self.t - t_old
-        for s, (K_prev, a, c) in enumerate(self._extra_stages, start=13):
-            dy = K_prev.dot(a) * h
-            K[s] = self.fun(t_old + c * h, y_old + dy)
+        self._fill_stages(self._extra_stages, t_old, y_old, h)
         f_old = K[0]
         delta_y = self.y - y_old
         F = np.empty((7, y_old.size))

@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import CartesianState, DomainError, Params, _check_off_origin, _on_floats
+from .core import CartesianState, DomainError, Params, _chart_rhs, _check_off_origin, _on_floats
 from .integrate import IntegratorConfig, StepSizeUnderflow, _DormandPrince
 
 __all__ = [
@@ -117,11 +117,7 @@ def _field_arrays(xp, r, v, theta, u, p: Params):
 
 def mcgehee_rhs(p: Params):
     p.require_beta_above(2.0, strict=False)
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return _on_floats(_field_arrays, y, p)
-
-    return rhs
+    return _chart_rhs(_field_arrays, p)
 
 
 def energy_residual(m: McGeheeState, p: Params) -> float:

@@ -181,7 +181,11 @@ def _unit_orbit_integral(beta: float) -> float:
             core = np.sinc(d / math.pi) ** a * d ** (a + 1.0 - s) / s
         return core * np.cos(4.0 * (0.5 * math.pi - d))
 
-    return 2.0 ** (beta - 1.0) * beta * _tanh_sinh(integrand, 0.0, (0.5 * math.pi) ** s)
+    try:
+        scale = 2.0 ** (beta - 1.0) * beta
+    except OverflowError:  # from beta = 1025 on, before any quadrature node
+        raise ArithmeticError("2^(beta-1) overflows the floats") from None
+    return scale * _tanh_sinh(integrand, 0.0, (0.5 * math.pi) ** s)
 
 
 def _at_p(p_param: float, beta: float, unit: float) -> float:

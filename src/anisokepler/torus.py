@@ -27,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Params, _on_floats
+from .core import Params, _chart_rhs, _on_floats
 from .integrate import Event, IntegrationError, IntegratorConfig, StepSizeUnderflow, integrate
 from .mcgehee import _delta_and_half_sin2
 
@@ -107,7 +107,7 @@ def _graph_rhs(p: Params):
 
 def torus_rhs(p: Params):
     p.require_beta_above(2.0)
-    return lambda tau, y: _on_floats(_torus_arrays, y, p)
+    return _chart_rhs(_torus_arrays, p)
 
 
 def connection_index(beta: float) -> int:

@@ -182,6 +182,18 @@ class TestMelnikovCommand:
             assert record["exit_code"] == EXIT_NUMERICAL
             assert f"the quadrature of I2 fails at beta = {failing}:" in record["message"]
 
+    def test_grid_past_the_power_of_two_overflow_names_it(self, tmp_path, capsys):
+        # from beta = 1025 on, 2^(beta-1) itself exceeds the floats: the record
+        # says so, names beta and carries no errno tuple of the OverflowError
+        out = tmp_path / "x.csv"
+        assert main(["melnikov", "--beta-grid", "1030:1030:1", "--out", str(out)]) \
+            == EXIT_NUMERICAL
+        assert not out.exists()
+        record = json.loads(capsys.readouterr().err)
+        assert record["exit_code"] == EXIT_NUMERICAL
+        assert record["message"] == ("the quadrature of I2 fails at beta = 1030.0: "
+                                     "2^(beta-1) overflows the floats")
+
 
 class TestEquilibriaCommand:
     def test_eight_rows_with_spiral_flag(self, tmp_path):

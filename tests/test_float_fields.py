@@ -182,3 +182,29 @@ def test_reproducers_integrate_as_on_numpy_scalars(beta, mu, t_final, numpy_warn
     assert closure.calls == reference.calls
     assert got.times.tobytes() == want.times.tobytes()
     assert got.states.tobytes() == want.states.tobytes()
+
+
+@pytest.mark.parametrize("beta, mu, t_final, numpy_warning", REPRODUCERS)
+def test_reproducers_integrate_unwrapped_as_on_numpy_scalars(beta, mu, t_final,
+                                                             numpy_warning):
+    """The closure passed as it is, so that the stepper evaluates its stages on
+    Python floats.  A trial stage past r = 0 turns complex there and is taken
+    again by the closure's numpy-scalar fallback; the product Delta^(beta/2)
+    Delta overflows to inf in float arithmetic as on numpy.  Either way the run
+    gives the reference's bytes, without a warning."""
+    m0 = McGeheeState(0.5, -0.8, 1.4, 0.1)
+    p = level_through(m0, Params(beta, mu, 0.5))
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        want = integrate(lambda t, y: np.array(_field_arrays(np, *y, p)), m0.as_array(),
+                         (0.0, t_final), IntegratorConfig())
+    assert any(numpy_warning in str(w.message) for w in caught)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.simplefilter("error", np.exceptions.ComplexWarning)
+        got = integrate(mcgehee_rhs(p), m0.as_array(), (0.0, t_final), IntegratorConfig())
+
+    assert got.times.tobytes() == want.times.tobytes()
+    assert got.states.tobytes() == want.states.tobytes()

@@ -13,7 +13,10 @@ from scipy.integrate import DOP853
 from scipy.integrate._ivp import dop853_coefficients
 from scipy.optimize import brentq
 
+from anisokepler import core
+from anisokepler.beta2 import polar_rhs
 from anisokepler.core import Params, cartesian_rhs
+from anisokepler.infinity import infinity_rhs
 from anisokepler.integrate import (
     Event,
     IntegratorConfig,
@@ -30,6 +33,7 @@ from anisokepler.integrate import (
     integrate,
 )
 from anisokepler.mcgehee import mcgehee_rhs
+from anisokepler.torus import torus_rhs
 
 
 def harmonic(t, y):
@@ -322,3 +326,59 @@ class TestMatchesScipy:
 
         assert outcome(_brentq) == outcome(
             lambda f, a, b: brentq(f, a, b, xtol=1e-12, rtol=4 * EPS))
+
+
+# every chart closure the package hands to `integrate`, with a start its flow
+# keeps regular for 6 time units either way
+CHART_CLOSURES = {
+    "cartesian": (cartesian_rhs(Params(beta=3, mu=1.2, b=0.02)), [1.0, 0.0, 0.0, 1.1]),
+    "mcgehee": (mcgehee_rhs(Params(beta=3, mu=1.2, b=0.5, h=-0.25)), [0.8, -0.1, 0.4, 0.05]),
+    # a start on the I0 circle rho = 0, vbar^2 + ubar^2 = 2
+    "infinity": (infinity_rhs(Params(beta=3, mu=1.4, b=0.5)),
+                 [0.0, math.sqrt(2) * math.cos(1.0), 0.5, math.sqrt(2) * math.sin(1.0)]),
+    "polar": (polar_rhs(Params(beta=2, mu=1.5, b=0.5)), [1.5, 0.3, 0.1, 1.5]),
+    "torus": (torus_rhs(Params(beta=3, mu=1.2, b=0.5)), [-2.0, 0.9]),
+}
+
+
+@pytest.mark.parametrize("t_final", [6.0, -6.0])
+@pytest.mark.parametrize("name", CHART_CLOSURES)
+def test_unwrapped_chart_closures_take_the_float_stages_and_match_scipy(name, t_final,
+                                                                       monkeypatch):
+    """A chart closure passed as it is carries its float definition, and the
+    stepper evaluates its trial and dense-output stages through it on Python
+    floats: the same times, states and events as scipy and as the array path,
+    which the closure takes inside a plain wrapper."""
+    rhs, y0 = CHART_CLOSURES[name]
+    cfg = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-11)
+    t_span = (0.0, t_final)
+
+    def event_fn(t, y):
+        return math.sin(3.0 * t) - 0.1 * y[1]
+
+    times, states, events, _ = _scipy_reference(rhs, y0, t_span, cfg, event_fn, False)
+    closure_calls = [0]
+    on_floats = core._on_floats
+
+    def counted_on_floats(field, y, p):
+        closure_calls[0] += 1
+        return on_floats(field, y, p)
+
+    monkeypatch.setattr(core, "_on_floats", counted_on_floats)
+    runs = {}
+    for path, field in (("float", rhs), ("array", lambda t, y: rhs(t, y))):
+        closure_calls[0] = 0
+        runs[path] = (integrate(field, y0, t_span, cfg,
+                                events=[Event(event_fn, "level")]), closure_calls[0])
+
+    for traj, _ in runs.values():
+        assert traj.times.tobytes() == times.tobytes()
+        assert traj.states.tobytes() == states.tobytes()
+        assert [t for t, _ in traj.events] == events
+    (traj, float_calls), (_, array_calls) = runs["float"], runs["array"]
+    # the float run calls the closure only at the start (twice) and at the end
+    # point of each attempted step; the array run also at the 11 trial stages
+    # of each attempt and the 3 stages of each step's dense output
+    dense_outputs = len({int(np.searchsorted(np.sort(traj.times), t)) for t in events})
+    assert dense_outputs > 0
+    assert array_calls - 2 == 12 * (float_calls - 2) + 3 * dense_outputs
