@@ -509,7 +509,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--b", type=float, default=0.5)
     sp.add_argument("--h", type=float, default=-0.25)
     sp.add_argument("--n", type=_count, default=10000)
-    sp.add_argument("--horizon", type=float, default=40.0)
+    sp.add_argument("--horizon", type=float, default=40.0,
+                    help="rescaled time tau up to which the samples that the collision "
+                         "certificate leaves undecided are stepped")
     sp.add_argument("--box", help="rlo,rhi,thetalo,thetahi,ulo,uhi")
     return parser
 

@@ -263,6 +263,9 @@ class BasinBox:
         for name, (lo, hi) in (("r", self.r), ("theta", self.theta), ("u", self.u)):
             if lo > hi:
                 raise ValueError(f"sampling box range of {name} is reversed: {lo}..{hi}")
+        if self.r[0] < 0.0:
+            raise ValueError("sampling box range of r must satisfy r >= 0: "
+                             f"{self.r[0]}..{self.r[1]}")
         if self.v_sign not in (1, -1):
             raise ValueError(f"v_sign must be +1 or -1, got {self.v_sign}")
 
@@ -273,19 +276,66 @@ class BasinBox:
                         u=(-width / 2, width / 2), v_sign=-1)
 
 
+# relative slack of the collision certificate: its coupling constant c and the
+# kinetic term v^2/2 each give up this share, which covers rounding and the
+# energy drift of a stepped sample (about 1e-10 at the default tolerances); a
+# residual below slack * c moves d(x.p)/dt by less than the slack takes off
+_CERTIFICATE_SLACK = 1e-6
+
+
+def _certified_collision(y: np.ndarray, p: Params) -> np.ndarray:
+    """The samples of the (4, m) states y that the Lagrange-Jacobi bound proves
+    to collide.  With c = (1 - slack)(beta-2) b mu^(-beta/2) and k = c^(1/(beta-1)),
+    a state with r > 0 and v < 0 is certified when it lies below the barrier,
+    r^(beta-1) + 2 h r^beta < c and, for h < 0, r < (1 - slack)(beta-1)/(2|h| beta),
+    or when it crosses it, (1 - slack) v^2/2 > max(h, 0) r^beta + r^(beta-1)
+    + (c - (beta-1) k r^(beta-2))/(beta-2).  A NaN or overflowed state is never
+    certified.  `basin_fraction` says why both hold."""
+    r, v = y[0], y[1]
+    rb1 = r ** (p.beta - 1.0)
+    bound = (1.0 - _CERTIFICATE_SLACK) * (p.beta - 2.0) * p.b * p.mu ** (-p.beta / 2.0)
+    below = rb1 + 2.0 * p.h * (rb1 * r) < bound
+    if p.h < 0.0:
+        below &= r < (1.0 - _CERTIFICATE_SLACK) * (p.beta - 1.0) / (-2.0 * p.h * p.beta)
+    k = bound ** (1.0 / (p.beta - 1.0))
+    barrier = (max(p.h, 0.0) * (rb1 * r) + rb1
+               + (bound - (p.beta - 1.0) * k * r ** (p.beta - 2.0)) / (p.beta - 2.0))
+    crosses = (1.0 - _CERTIFICATE_SLACK) * 0.5 * (v * v) > barrier
+    return (r > 0.0) & (v < 0.0) & (below | crosses)
+
+
 def basin_fraction(p: Params, n: int, horizon: float, box: BasinBox | None = None,
                    seed: int = 0) -> float:
     """Monte-Carlo estimate of the collision fraction from a box on the energy level.
 
-    Samples (r, theta, u) uniformly, closes v through the energy relation on the
-    requested branch, and advances all on-level samples together as one system
-    with the package's DOP853 stepper at the default tolerances; the field is
-    analytic at r = 0, so no stiffness appears near collision.  Each field call
-    over the (4, m) samples takes one sine-cosine pair, one power of r and one
-    of Delta per sample, and no other transcendental.  A sample has collided
-    once r < COLLISION_RADIUS at an accepted step.  The stepper's step limit
-    binds the shared step: past it, MaxStepsExceeded.  Deterministic for a
-    fixed seed.
+    Samples (r, theta, u) uniformly and closes v through the energy relation on
+    the requested branch.  A sample has collided once it is certified to collide
+    or once r < COLLISION_RADIUS at an accepted step, before the horizon.
+
+    The certificate is the Lagrange-Jacobi identity for w = x.p,
+    dw/dt = 2h + 1/r - (beta-2) b q^(-beta/2), q = mu x^2 + y^2.  As q <= mu r^2,
+    dw/dt <= F(r) = 2h + 1/r - c r^(-beta) with c = (beta-2) b mu^(-beta/2).  Below
+    the barrier, F(r) = r^(-beta) G(r) with G(r) = 2h r^beta + r^(beta-1) - c < 0,
+    and G increases in r for h >= 0, and below r = (beta-1)/(2|h| beta) for
+    h < 0; so a state with w < 0 (v has its sign) there keeps w negative and
+    falling while r shrinks.  Across the barrier: with I' = r F, that is
+    I(r) = h r^2 + r + c r^(2-beta)/(beta-2), w^2/2 - I(r) does not decrease
+    while w < 0, and I >= min(h, 0) r0^2 + (beta-1)/(beta-2) c^(1/(beta-1)) on
+    (0, r0]; so a state whose w^2/2 exceeds I(r0) minus that bound keeps w
+    bounded away from 0.  Multiplied by r^(beta-2), this is the second
+    inequality of `_certified_collision`.  Either way r reaches 0 in finite
+    Cartesian time.  The certificate takes a relative slack of 1e-6 off c and off
+    v^2/2, which covers rounding and the energy drift of a stepped sample.
+
+    The certificate is checked at tau = 0; if it decides every on-level sample,
+    nothing is stepped.  Otherwise all on-level samples advance together as one
+    system with the package's DOP853 stepper at the default tolerances (the
+    field is analytic at r = 0, so no stiffness appears near collision), and
+    both tests run after every accepted step, until every sample has collided
+    or the horizon is reached.  Each field call over the (4, m) samples takes
+    one sine-cosine pair, one power of r and one of Delta per sample.  The
+    stepper's step limit binds the shared step: past it, MaxStepsExceeded.
+    Deterministic for a fixed seed.
     """
     p.require_beta_above(2.0)
     if n < 1:
@@ -309,16 +359,19 @@ def basin_fraction(p: Params, n: int, horizon: float, box: BasinBox | None = Non
 
         y0 = np.stack([r, v, theta, u])[:, valid]
         m = y0.shape[1]
+        collided = _certified_collision(y0, p)
+        if collided.all():  # decided at tau = 0: nothing to step
+            return m / n
 
         def rhs(t: float, y: np.ndarray) -> np.ndarray:
             return np.concatenate(_field_arrays(np, *y.reshape(4, m), p))
 
-        collided = np.zeros(m, dtype=bool)
         stepper = _DormandPrince(rhs, 0.0, y0.ravel(), horizon, IntegratorConfig())
         try:
             while not (stepper.finished or collided.all()):
                 stepper.step()
-                collided |= stepper.y[:m] < COLLISION_RADIUS
+                y = stepper.y.reshape(4, m)
+                collided |= (y[0] < COLLISION_RADIUS) | _certified_collision(y, p)
         except StepSizeUnderflow as exc:
             raise ArithmeticError(f"the on-level samples stalled the step at tau = {stepper.t} "
                                   "(escape orbits); the fraction is undecided") from exc

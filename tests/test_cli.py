@@ -764,6 +764,13 @@ class TestBasinCommand:
         assert validation_message(["basin", "--box", "0.35,0.05,1.3,1.9,-0.15,0.15",
                                    "--out", str(out)], capsys) \
             == "sampling box range of r is reversed: 0.35..0.05"
+        # at beta = 3 negative "radii" satisfy the energy relation, at beta = 2.5
+        # their power is NaN: either way the box is refused for its r range
+        for beta in ("3", "2.5"):
+            assert validation_message(["basin", "--beta", beta, "--n", "100",
+                                       "--box", "-0.35,-0.05,1.3,1.9,-0.15,0.15",
+                                       "--out", str(out)], capsys) \
+                == "sampling box range of r must satisfy r >= 0: -0.35..-0.05"
         box = "0.1,0.2,a,1,0,0.1"
         assert validation_message(["basin", "--box", box, "--out", str(out)], capsys) \
             == f"--box values must be numbers, got {box!r}"

@@ -562,6 +562,8 @@ class TestBasin:
             BasinBox(r=(0.05, 0.35), theta=(1.9, 1.3), u=(-0.15, 0.15))
         with pytest.raises(ValueError, match=r"range of u is reversed: 0.15\.\.-0.15"):
             BasinBox(r=(0.05, 0.35), theta=(1.3, 1.9), u=(0.15, -0.15))
+        with pytest.raises(ValueError, match=r"range of r must satisfy r >= 0: -0.35\.\.-0.05"):
+            BasinBox(r=(-0.35, -0.05), theta=(1.3, 1.9), u=(-0.15, 0.15))
 
     def test_box_must_meet_energy_level(self):
         p = Params(beta=3, mu=1.2, b=0.5, h=-5.0)
@@ -590,3 +592,177 @@ class TestBasin:
             batched = basin_fraction(p, 1, 40.0,
                                      box=BasinBox((r, r), (th, th), (u, u)), seed=0)
             assert single == (batched == 1.0)
+
+
+def _on_level(p, r, theta=math.pi / 2, u=0.0, v_sign=-1):
+    """The (4, 1) state at (r, theta, u) on the energy level, v on the v_sign branch."""
+    return np.array([[r], [v_sign * math.sqrt(mcgehee._v_squared(r, theta, u, p))], [theta], [u]])
+
+
+def _certificate_radius(p, slack=0.0):
+    """The largest r at which the collision certificate holds with the given
+    relative slack: the root of r^(beta-1) + 2 h r^beta = (1 - slack) c, with
+    c = (beta-2) b mu^(-beta/2), and for h < 0 at most (1 - slack) times
+    (beta-1)/(2|h| beta), where that sum peaks."""
+    c = (1.0 - slack) * (p.beta - 2.0) * p.b * p.mu ** (-p.beta / 2.0)
+    excess = lambda r: r ** (p.beta - 1.0) + 2.0 * p.h * r ** p.beta - c  # noqa: E731
+    if p.h < 0.0:
+        hi = (1.0 - slack) * (p.beta - 1.0) / (-2.0 * p.h * p.beta)
+    else:
+        hi = c ** (1.0 / (p.beta - 1.0))
+    if excess(hi) < 0.0:
+        return hi
+    lo = 0.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if excess(mid) < 0.0 else (lo, mid)
+    return lo
+
+
+def _barrier(p, r):
+    """The least v^2/2 with which an inbound state at r crosses the collision
+    certificate's barrier, without slack: max(h, 0) r^beta + r^(beta-1)
+    + (c - (beta-1) c^(1/(beta-1)) r^(beta-2))/(beta-2)."""
+    c = (p.beta - 2.0) * p.b * p.mu ** (-p.beta / 2.0)
+    return (max(p.h, 0.0) * r ** p.beta + r ** (p.beta - 1.0)
+            + (c - (p.beta - 1.0) * c ** (1.0 / (p.beta - 1.0)) * r ** (p.beta - 2.0))
+            / (p.beta - 2.0))
+
+
+def _crossing(p, r, theta, excess):
+    """The (4, 1) on-level inbound state at (r, theta) whose v^2/2 is the barrier
+    times 1 + excess, or None when the level leaves no room for that v."""
+    v2 = 2.0 * _barrier(p, r) * (1.0 + excess)
+    u2 = mcgehee._v_squared(r, theta, 0.0, p) - v2
+    if not (v2 > 0.0 and u2 >= 0.0):
+        return None
+    return np.array([[r], [-math.sqrt(v2)], [theta], [math.sqrt(u2)]])
+
+
+class TestCollisionCertificate:
+    @pytest.mark.parametrize("h_sign", [-1.0, 1.0])
+    def test_certified_states_collide_with_r_monotone(self, h_sign):
+        # seeded on-level states from 0.5 to 1.5 times the certificate's radius,
+        # on both v branches, over beta in (2, 6], mu in [1, 3] and h of one
+        # sign; the certified ones are followed to the collision radius
+        rng = np.random.default_rng(29 if h_sign < 0 else 30)
+        hit = Event(lambda t, y: y[0] - mcgehee.COLLISION_RADIUS, "collision", terminal=True)
+        decided = 0
+        while decided < 20:
+            p = Params(6.0 - 4.0 * rng.random(), rng.uniform(1.0, 3.0), rng.uniform(0.1, 1.0),
+                       h=h_sign * rng.uniform(0.0, 1.0))
+            theta = rng.uniform(0.0, 2.0 * math.pi)
+            r = _certificate_radius(p) * rng.uniform(0.5, 1.5)
+            u = 0.9 * rng.uniform(-1.0, 1.0) * math.sqrt(mcgehee._v_squared(r, theta, 0.0, p))
+            y0 = _on_level(p, r, theta, u, v_sign=rng.choice((-1, 1)))
+            if not mcgehee._certified_collision(y0, p)[0]:
+                continue
+            traj = integrate(mcgehee_rhs(p), y0[:, 0], (0.0, 200.0), events=[hit])
+            assert traj.event_times("collision"), (p, y0[:, 0])
+            assert np.all(np.diff(traj.states[:, 0]) <= 0.0), (p, y0[:, 0])
+            decided += 1
+
+    @pytest.mark.parametrize("h_sign", [-1.0, 1.0])
+    def test_states_crossing_the_barrier_collide_with_r_monotone(self, h_sign):
+        # seeded on-level states beyond the radius of the first branch whose
+        # v^2/2 exceeds the barrier by a relative 1e-4 to 3: the ones the
+        # certificate decides climb over it and reach the collision radius
+        rng = np.random.default_rng(31 if h_sign < 0 else 32)
+        hit = Event(lambda t, y: y[0] - mcgehee.COLLISION_RADIUS, "collision", terminal=True)
+        decided = drawn = 0
+        while decided < 20:
+            drawn += 1
+            assert drawn < 1000, "the barrier branch decides too few of the drawn states"
+            p = Params(6.0 - 4.0 * rng.random(), rng.uniform(1.0, 3.0), rng.uniform(0.1, 1.0),
+                       h=h_sign * rng.uniform(0.0, 1.0))
+            r = _certificate_radius(p) * rng.uniform(1.0, 4.0)
+            y0 = _crossing(p, r, rng.uniform(0.0, 2.0 * math.pi), 10.0 ** rng.uniform(-4.0, 0.5))
+            if y0 is None or not mcgehee._certified_collision(y0, p)[0]:
+                continue
+            traj = integrate(mcgehee_rhs(p), y0[:, 0], (0.0, 2000.0), events=[hit])
+            assert traj.event_times("collision"), (p, y0[:, 0])
+            assert np.all(np.diff(traj.states[:, 0]) <= 0.0), (p, y0[:, 0])
+            decided += 1
+
+    def test_bounded_orbit_is_never_certified(self):
+        # the mu = 1 orbit of test_step_limit_binds_the_shared_step never collides
+        p = Params(3.0, 1.0, 0.5, h=-0.1)
+        traj = integrate(mcgehee_rhs(p), _on_level(p, 3.58, 0.05, 3.7)[:, 0], (0.0, 40.0))
+        assert len(traj.times) > 500
+        assert not mcgehee._certified_collision(traj.states.T, p).any()
+
+    @pytest.mark.parametrize("p", [
+        Params(3.0, 1.2, 0.5, h=0.0),
+        Params(3.0, 1.2, 0.5, h=0.5),
+        Params(4.5, 2.5, 0.3, h=-0.2),
+        Params(3.0, 1.2, 0.5, h=-1.0),  # bounded by r < 1/3, where the sum peaks
+    ])
+    def test_state_inside_the_slack_is_not_certified(self, p):
+        assert not mcgehee._certified_collision(_on_level(p, 0.0), p)[0]  # on C
+        # at twice the first branch's radius only the barrier decides
+        r = 2.0 * _certificate_radius(p)
+        assert not mcgehee._certified_collision(_crossing(p, r, math.pi / 2, 0.5e-6), p)[0]
+        assert mcgehee._certified_collision(_crossing(p, r, math.pi / 2, 1e-3), p)[0]
+        # the first branch, where a slow inbound state cannot cross the barrier
+        slow = lambda r: np.array([[r], [-1e-9], [math.pi / 2], [0.0]])  # noqa: E731
+        assert not mcgehee._certified_collision(slow(_certificate_radius(p, 0.5e-6)), p)[0]
+        assert mcgehee._certified_collision(slow(_certificate_radius(p, 2e-6)), p)[0]
+
+    @pytest.mark.parametrize("p, box", [
+        # inbound at mu = 3, too slow to cross the barrier
+        (Params(3.0, 3.0, 0.5, h=-0.25), BasinBox((0.6, 0.8), (1.5, 1.7), (1.25, 1.3))),
+        # outbound
+        (Params(3.0, 1.2, 0.5, h=-0.25),
+         BasinBox((0.05, 0.35), (1.3, 1.9), (-0.15, 0.15), v_sign=1)),
+        # the bounded mu = 1 orbit, which never collides
+        (Params(3.0, 1.0, 0.5, h=-0.1), BasinBox((3.58, 3.5801), (0.05, 0.0501), (3.7, 3.7001))),
+    ])
+    def test_undecided_samples_agree_with_adaptive_integrator(self, p, box):
+        # the certificate decides every near-sink spot check of TestBasin at
+        # tau = 0; these samples it leaves to the shared step
+        rng = np.random.default_rng(9)
+        hit = Event(lambda t, y: y[0] - mcgehee.COLLISION_RADIUS, "collision", terminal=True)
+        for _ in range(3):
+            r, th, u = rng.uniform(*box.r), rng.uniform(*box.theta), rng.uniform(*box.u)
+            y0 = _on_level(p, r, th, u, box.v_sign)
+            assert not mcgehee._certified_collision(y0, p)[0]
+            traj = integrate(mcgehee_rhs(p), y0[:, 0], (0.0, 40.0),
+                             IntegratorConfig(rel_tol=1e-9, abs_tol=1e-11), events=[hit])
+            single = bool(traj.event_times("collision"))
+            batched = basin_fraction(p, 1, 40.0, box=BasinBox((r, r), (th, th), (u, u),
+                                                              box.v_sign))
+            assert single == (batched == 1.0)
+
+    def test_certified_box_is_not_stepped(self, monkeypatch):
+        # every sample of criterion 9's box is certified at tau = 0
+        def refuse(*args, **kwargs):
+            raise AssertionError("a certified box was stepped")
+
+        monkeypatch.setattr(mcgehee, "_DormandPrince", refuse)
+        p = Params(3.0, 1.2, 0.5, h=-0.25)
+        assert basin_fraction(p, 10_000, 40.0, box=BasinBox.near_sink(p), seed=2024) == 1.0
+
+    def test_short_horizon_counts_the_certified_samples(self):
+        # no sample reaches r < COLLISION_RADIUS by tau = 0.5, but each provably collides
+        assert basin_fraction(TestBasin.P, 2000, 0.5, seed=4) == 1.0
+
+    def test_partly_certified_box_steps_until_every_sample_is_decided(self, monkeypatch):
+        # at mu = 3 with |u| up to 1.2, a few inbound samples are too slow to
+        # cross the barrier at tau = 0; the shared step runs until each is
+        # certified, before every sample reaches r < COLLISION_RADIUS
+        final = []
+
+        class Recording(mcgehee._DormandPrince):
+            def step(self):
+                super().step()
+                final[:] = [self.y.reshape(4, -1)[0]]
+
+        monkeypatch.setattr(mcgehee, "_DormandPrince", Recording)
+        p = replace(TestBasin.P, mu=3.0)
+        box = BasinBox((0.05, 0.7), (1.3, 1.9), (-1.2, 1.2))
+        rng = np.random.default_rng(4)
+        r, theta, u = (rng.uniform(*box.r, 2000), rng.uniform(*box.theta, 2000),
+                       rng.uniform(*box.u, 2000))
+        on_level = np.count_nonzero(mcgehee._v_squared(r, theta, u, p) > 0.0) / 2000
+        assert basin_fraction(p, 2000, 40.0, box=box, seed=4) == on_level
+        assert final and (final[0] >= mcgehee.COLLISION_RADIUS).any()
