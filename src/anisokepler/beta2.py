@@ -153,8 +153,9 @@ def classify_heteroclinic(rho0: float, vbar0: float, p: Params) -> HeteroclinicC
     """
     p.require_beta_equal(2.0)
     _require_zero_energy(p)
-    if rho0 <= 0.0:
-        raise ValueError("classification requires rho0 > 0")
+    if not (0.0 < rho0 < math.inf and math.isfinite(vbar0)):
+        raise ValueError("classification requires a finite rho0 > 0 and a finite vbar0, "
+                         f"got rho0 = {rho0!r}, vbar0 = {vbar0!r}")
     if abs(vbar0) == SQRT2:
         return HeteroclinicClass(math.inf, HeteroclinicTarget.EQUATOR_PERIODIC, 0.0)
     k = rho0 / (vbar0 * vbar0 - 2.0)

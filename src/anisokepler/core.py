@@ -88,13 +88,14 @@ def _check_off_origin(x: float, y: float) -> None:
 
 
 def potential(s: CartesianState, p: Params) -> float:
-    _check_off_origin(s.x, s.y)
-    q = p.mu * s.x * s.x + s.y * s.y
-    try:
-        pull = p.b / q ** (p.beta / 2.0)
-    except OverflowError:  # a power above the floats is inf, as on numpy
-        pull = 0.0
-    return -1.0 / math.hypot(s.x, s.y) - pull
+    return float(_on_floats(_potential, [float(s.x), float(s.y)], p))
+
+
+def _potential(xp, x, y, p: Params):
+    """U(x, y), guarding the origin.  Through `_on_floats`, a pull whose power is
+    above the floats is 0, as on numpy."""
+    _check_off_origin(x, y)
+    return -1.0 / math.hypot(x, y) - p.b / (p.mu * x * x + y * y) ** (p.beta / 2.0)
 
 
 def _cartesian_arrays(xp, x, y, px, py, p: Params):
@@ -120,48 +121,38 @@ def _chart_rhs(definition, p: Params):
     """The integrator closure of a chart: its one definition on a state array,
     through `_on_floats`, as an ndarray.
 
-    The closure carries ``(definition, p)`` as ``float_definition``; the DOP853
-    stepper evaluates its stage states through it directly, on Python floats
-    (see `anisokepler.integrate`).  It takes the definition's module, so that
-    tracers and profilers attribute it to its chart."""
+    The closure's ``on_floats(t, ys)`` is the definition on the state as Python
+    floats and nothing else: no array, no fallback.  It takes the definition's
+    module, so that tracers and profilers attribute it to its chart."""
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return _on_floats(definition, y, p)
+        return _on_floats(definition, y.tolist(), p)
 
-    rhs.float_definition = (definition, p)
+    rhs.on_floats = lambda t, ys: definition(math, *ys, p)
     rhs.__module__ = definition.__module__
     return rhs
 
 
-def _on_floats(field, y: np.ndarray, p: Params) -> np.ndarray:
-    """field(math, *y, p) as an array (0-d for a scalar field), with y unpacked
-    once into Python floats.
+def _on_floats(field, ys, p: Params) -> np.ndarray:
+    """field(math, *ys, p) as a float array (0-d for a scalar field), for a state
+    ys of Python floats.
 
     `field` takes the namespace (`math` or `numpy`) its sines and cosines come
     from.  Float arithmetic and `math` give the doubles numpy's scalar
     arithmetic gives, at a fraction of its per-operation cost
     (tests/test_float_fields.py holds every closure to that).  Where a float
     operation raises instead (an overflowing power, a division by zero, the sine
-    of inf) or turns complex (a negative base at a non-integral power, from a
-    trial stage just past r = 0), the same definition is evaluated again on
-    numpy scalars, which give numpy's NaN or inf without a RuntimeWarning: the
-    stepper rejects a non-finite trial stage, and the CLI exits 3 rather than
-    write a NaN or inf cell.
-
-    The DOP853 stepper calls a chart's definition on its stage states itself
-    (see `anisokepler.integrate`) and comes here only for a stage where that
-    raises or turns complex, and for the field at the start point, at the
-    initial-step probe and at each attempted step's end point; other callers,
-    wrapped closures among them, come here for every evaluation.
+    of inf) or turns complex, so that the float array refuses it (a negative
+    base at a non-integral power, from a trial stage just past r = 0), the same
+    definition is evaluated again on numpy scalars, which give numpy's NaN or
+    inf without a RuntimeWarning: the stepper rejects a non-finite trial stage,
+    and the CLI exits 3 rather than write a NaN or inf cell.
     """
     try:
-        out = np.array(field(math, *y.tolist(), p))
-        if out.dtype.kind == "f":
-            return out
-    except (ArithmeticError, ValueError):
-        pass
-    with np.errstate(all="ignore"):
-        return np.array(field(np, *y, p))
+        return np.array(field(math, *ys, p), dtype=float)
+    except (ArithmeticError, ValueError, TypeError):
+        with np.errstate(all="ignore"):
+            return np.array(field(np, *map(np.float64, ys), p))
 
 
 def _jacobian(field, y, p: Params) -> np.ndarray:

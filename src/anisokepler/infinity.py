@@ -83,8 +83,8 @@ def from_infinity_coords(s: InfinityState, p: Params) -> McGeheeState:
 
 def infinity_energy_residual(s: InfinityState, p: Params) -> float:
     """ubar^2 + vbar^2 - 2 - (2b/Delta^(beta/2)) rho^(beta-1); zero on the h = 0 level."""
-    y = np.array((s.rho, s.vbar, s.theta, s.ubar), dtype=float)
-    return float(_on_floats(_infinity_residual, y, p))
+    ys = [float(s.rho), float(s.vbar), float(s.theta), float(s.ubar)]
+    return float(_on_floats(_infinity_residual, ys, p))
 
 
 def _infinity_residual(xp, rho, vb, theta, ub, p: Params):
@@ -157,6 +157,8 @@ class I0Curve:
 
 def i0_flow_closed_form(theta0: float, psi0: float) -> I0Curve:
     """Closed-form I0 orbit through ubar = sqrt2 sin(psi0), vbar = sqrt2 cos(psi0)."""
+    if not (math.isfinite(theta0) and math.isfinite(psi0)):
+        raise ValueError(f"theta0 and psi0 must be finite, got {theta0!r} and {psi0!r}")
     if math.sin(psi0) == 0.0:
         raise ValueError("equilibrium initial data (ubar = 0) has no orbit curve")
     # phase of (ubar, vbar) on the circle: vbar = sqrt2 sin((theta+k)/2)

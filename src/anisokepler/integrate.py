@@ -13,19 +13,16 @@ frame.  Event times are refined on the dense output by Brent's method, a
 line-for-line port of ``scipy.optimize.brentq`` that agrees with it bit for
 bit as well.  The test suite checks both against scipy.
 
-A chart closure of the package (`core._chart_rhs`) carries its field's one
-definition as ``float_definition``.  Given one, the stepper builds each stage
-state as Python floats, y_i + (K^T a)_i h entry by entry (the two IEEE
-operations of the array sum, after the same ``.dot``), and writes the
-definition's value on those floats straight into its row of K; the chart
-fields are autonomous, so the definition takes no time.  Where that
-evaluation raises, or turns complex so that the row assignment raises
-TypeError, the stage calls the closure on the state as an array, and the
-closure's numpy-scalar fallback (`core._on_floats`) gives numpy's NaN or inf.
-Any other field takes the array path, each stage state an ndarray passed to
-the callable: user callables, the basin ensemble's field and a chart closure
-inside a wrapper (such as a call counter) alike.  Both paths give the same
-bits.
+A field may carry a hook ``on_floats(t, ys)``: its value at time t on the
+state ys given as a list of Python floats.  Given one, the stepper builds each
+stage state as Python floats, y_i + (K^T a)_i h entry by entry (the two IEEE
+operations of the array sum, after the same ``.dot``), and writes the hook's
+value straight into its row of K.  Where the hook raises ArithmeticError,
+ValueError or TypeError (a complex value, which the row of K refuses, among
+them), the stage calls the field itself on the state as an array.  A field
+without the hook takes the array path, each stage state an ndarray passed to
+the callable.  A field that carries the hook must give the same bits on both
+paths.
 
 The stepper enforces the hard step-count limit itself, so every driver stops
 there.  Around it the driver adds the bookkeeping the rest of the package
@@ -229,7 +226,7 @@ class _DormandPrince:
         self.max_steps, self.n_steps = cfg.max_steps, 0
         self.t, self.y = t0, y0
         self.t_old = self.y_old = None
-        self.float_definition = getattr(fun, "float_definition", None)
+        self.on_floats = getattr(fun, "on_floats", None)
         self.f = np.asarray(fun(t0, y0), dtype=float)
         self.K = np.empty((16, y0.size))
         # views of K made once: per stage (its row, earlier stages, their
@@ -268,18 +265,18 @@ class _DormandPrince:
 
     def _fill_stages(self, stages, t: float, y: np.ndarray, h: float) -> None:
         """K[s] = fun(t + c h, y + (K[:s]^T a) h) for each stage (s, K[:s]^T, a, c),
-        on Python floats for a chart closure (see the module docstring)."""
-        K, fun = self.K, self.fun
-        if self.float_definition is None:
+        through the field's ``on_floats`` hook where it has one (see the module
+        docstring)."""
+        K, fun, on_floats = self.K, self.fun, self.on_floats
+        if on_floats is None:
             for s, K_prev, a, c in stages:
                 K[s] = fun(t + c * h, y + K_prev.dot(a) * h)
             return
-        definition, p = self.float_definition
         y_floats = y.tolist()
         for s, K_prev, a, c in stages:
             ys = [yi + di * h for yi, di in zip(y_floats, K_prev.dot(a).tolist())]
             try:
-                K[s] = definition(math, *ys, p)
+                K[s] = on_floats(t + c * h, ys)
             except (ArithmeticError, ValueError, TypeError):
                 K[s] = fun(t + c * h, np.array(ys))
 

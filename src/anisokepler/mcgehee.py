@@ -123,8 +123,7 @@ def mcgehee_rhs(p: Params):
 def energy_residual(m: McGeheeState, p: Params) -> float:
     """u^2 + v^2 - 2 r^(beta-1) - 2b/Delta^(beta/2) - 2 h r^beta; a first integral,
     zero on the energy level."""
-    y = np.array((m.r, m.v, m.theta, m.u), dtype=float)
-    return float(_on_floats(_residual, y, p))
+    return float(_on_floats(_residual, [float(m.r), float(m.v), float(m.theta), float(m.u)], p))
 
 
 def _residual(xp, r, v, theta, u, p: Params):

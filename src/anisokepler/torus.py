@@ -101,8 +101,16 @@ def _graph_arrays(xp, theta, psi, p: Params):
 
 
 def _graph_rhs(p: Params):
-    """The closure `trace_manifold` integrates: dpsi/dtheta, with theta the time."""
-    return lambda theta, y: _on_floats(_graph_arrays, np.array((theta, y[0])), p)
+    """The closure `trace_manifold` integrates: dpsi/dtheta, with theta the time.
+    As a chart closure (`core._chart_rhs`) does, it carries the definition on
+    Python floats as ``on_floats(theta, ys)``, and it evaluates the definition
+    through `_on_floats`."""
+
+    def rhs(theta: float, y: np.ndarray) -> np.ndarray:
+        return _on_floats(_graph_arrays, [theta, *y.tolist()], p)
+
+    rhs.on_floats = lambda theta, ys: _graph_arrays(math, theta, *ys, p)
+    return rhs
 
 
 def torus_rhs(p: Params):
@@ -218,6 +226,8 @@ def splitting_gap(beta: float, p: Params, cfg: IntegratorConfig | None = None
 
 def splitting_verdict(gap: float, cfg: IntegratorConfig | None = None) -> SplittingVerdict:
     """Broken iff the branch gap at the section exceeds 10x the integrator tolerance."""
+    if not math.isfinite(gap):
+        raise ValueError(f"the gap must be finite, got {gap!r}")
     cfg = cfg or IntegratorConfig()
     tol = 10.0 * max(cfg.rel_tol, cfg.abs_tol)
     return SplittingVerdict.BROKEN if gap > tol else SplittingVerdict.CONNECTED

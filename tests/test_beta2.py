@@ -376,6 +376,12 @@ class TestHeteroclinicClassification:
         with pytest.raises(ValueError):
             # sqrt(1/k) above sqrt(2b)
             classify_heteroclinic(rho0=0.1 * (1.5 ** 2 - 2), vbar0=1.5, p=self.P0)
+        # a NaN k passes every comparison, and rho0 = inf gives k = inf, v_limit 0
+        for rho0, vbar0, named in ((math.nan, 1.5, "rho0 = nan"), (math.inf, 1.5, "rho0 = inf"),
+                                   (0.2, math.nan, "vbar0 = nan"),
+                                   (0.2, -math.inf, "vbar0 = -inf")):
+            with pytest.raises(ValueError, match=named):
+                classify_heteroclinic(rho0=rho0, vbar0=vbar0, p=self.P0)
 
     @pytest.mark.parametrize("k_target,th0", [(1.0, math.pi / 2), (2.0, 0.9), (3.5, 0.9)])
     def test_backward_integration_reaches_limit_v(self, k_target, th0):

@@ -1,10 +1,10 @@
 """Single-state fields on Python floats against numpy-scalar evaluation.
 
-Every closure the package hands to `integrate`, and each energy residual,
-evaluates its chart's one definition on Python floats through `math`.  These
-tests hold each one to the numpy-scalar evaluation of the same definition, bit
-for bit and NaN for NaN, including the states where a float operation would
-raise or turn complex.
+Every closure the package hands to `integrate`, each energy residual and the
+Cartesian potential evaluate their chart's one definition on Python floats
+through `math`, by the one rule `core._on_floats`.  These tests hold each one
+to the numpy-scalar evaluation of the same definition, bit for bit and NaN for
+NaN, including the states where a float operation would raise or turn complex.
 """
 
 import math
@@ -16,7 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anisokepler.beta2 import _polar_arrays, polar_rhs
-from anisokepler.core import Params, _cartesian_arrays, _on_floats, cartesian_rhs
+from anisokepler.core import (
+    CartesianState,
+    Params,
+    _cartesian_arrays,
+    _on_floats,
+    _potential,
+    cartesian_rhs,
+    potential,
+)
 from anisokepler.infinity import (
     InfinityState,
     _infinity_arrays,
@@ -64,6 +72,8 @@ CLOSURES = {
     "energy_residual": (*_residual_entry(energy_residual, McGeheeState, _residual), 4, 2, None),
     "infinity_energy_residual": (*_residual_entry(infinity_energy_residual, InfinityState,
                                                   _infinity_residual), 4, 2, "h=0"),
+    "potential": (lambda p: lambda t, y: np.array(potential(CartesianState(*y, 0.0, 0.0), p)),
+                  _potential, 2, None, None),
 }
 
 
@@ -208,3 +218,27 @@ def test_reproducers_integrate_unwrapped_as_on_numpy_scalars(beta, mu, t_final,
 
     assert got.times.tobytes() == want.times.tobytes()
     assert got.states.tobytes() == want.states.tobytes()
+
+
+# a state of Python floats where the float evaluation of the McGehee field
+# raises each of the three exceptions the rule falls back on: r < 0 at a
+# non-integral beta turns r^(beta-1) complex (TypeError in the float array),
+# theta = inf makes math.cos raise ValueError, and mu = 1e300 overflows the
+# power of Delta (OverflowError)
+FALLBACKS = [
+    pytest.param(2.5, 1.2, [-0.3, 0.2, 0.4, 0.1], id="complex"),
+    pytest.param(2.5, 1.2, [0.3, 0.2, math.inf, 0.1], id="sine-of-inf"),
+    pytest.param(3.5, 1e300, [0.3, 0.2, 0.4, 0.1], id="overflow"),
+]
+
+
+@pytest.mark.parametrize("beta, mu, ys", FALLBACKS)
+def test_on_floats_falls_back_to_numpy_scalars(beta, mu, ys):
+    """`_on_floats` on a list of Python floats: where the float evaluation raises,
+    the numpy-scalar values, without a warning."""
+    p = Params(beta, mu, 0.5)
+    assert all(type(y) is float for y in ys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _on_floats(_field_arrays, ys, p)
+    _assert_bitwise(got, _numpy_scalars(_field_arrays, np.array(ys), p))

@@ -253,6 +253,10 @@ class TestI0Flow:
     def test_equilibrium_data_rejected(self):
         with pytest.raises(ValueError):
             i0_flow_closed_form(1.0, 0.0)
+        # sin(NaN) is not 0, so without the check a NaN psi0 gives a NaN curve
+        for theta0, psi0 in ((0.0, math.nan), (0.0, math.inf), (math.nan, 1.0), (math.inf, 1.0)):
+            with pytest.raises(ValueError, match="theta0 and psi0 must be finite"):
+                i0_flow_closed_form(theta0, psi0)
 
     def test_theta_span_of_full_connection(self):
         # psi runs pi -> 0 while theta sweeps one full turn

@@ -13,8 +13,8 @@ from scipy.integrate import DOP853
 from scipy.integrate._ivp import dop853_coefficients
 from scipy.optimize import brentq
 
-from anisokepler import core
-from anisokepler.beta2 import polar_rhs
+from anisokepler import cli, core, torus
+from anisokepler.beta2 import beta2_mcgehee_rhs, polar_rhs
 from anisokepler.core import Params, cartesian_rhs
 from anisokepler.infinity import infinity_rhs
 from anisokepler.integrate import (
@@ -33,7 +33,7 @@ from anisokepler.integrate import (
     integrate,
 )
 from anisokepler.mcgehee import mcgehee_rhs
-from anisokepler.torus import torus_rhs
+from anisokepler.torus import _graph_rhs, torus_rhs
 
 
 def harmonic(t, y):
@@ -328,8 +328,9 @@ class TestMatchesScipy:
             lambda f, a, b: brentq(f, a, b, xtol=1e-12, rtol=4 * EPS))
 
 
-# every chart closure the package hands to `integrate`, with a start its flow
-# keeps regular for 6 time units either way
+# every closure the package hands to `integrate` one state at a time, with a
+# start its flow keeps regular for 6 time units either way; the branch closure
+# of `trace_manifold` takes theta as the time and psi as its one coordinate
 CHART_CLOSURES = {
     "cartesian": (cartesian_rhs(Params(beta=3, mu=1.2, b=0.02)), [1.0, 0.0, 0.0, 1.1]),
     "mcgehee": (mcgehee_rhs(Params(beta=3, mu=1.2, b=0.5, h=-0.25)), [0.8, -0.1, 0.4, 0.05]),
@@ -338,6 +339,7 @@ CHART_CLOSURES = {
                  [0.0, math.sqrt(2) * math.cos(1.0), 0.5, math.sqrt(2) * math.sin(1.0)]),
     "polar": (polar_rhs(Params(beta=2, mu=1.5, b=0.5)), [1.5, 0.3, 0.1, 1.5]),
     "torus": (torus_rhs(Params(beta=3, mu=1.2, b=0.5)), [-2.0, 0.9]),
+    "branch": (_graph_rhs(Params(beta=2.25, mu=1.2, b=0.5)), [math.pi / 2]),
 }
 
 
@@ -345,7 +347,7 @@ CHART_CLOSURES = {
 @pytest.mark.parametrize("name", CHART_CLOSURES)
 def test_unwrapped_chart_closures_take_the_float_stages_and_match_scipy(name, t_final,
                                                                        monkeypatch):
-    """A chart closure passed as it is carries its float definition, and the
+    """A chart closure passed as it is carries the `on_floats` hook, and the
     stepper evaluates its trial and dense-output stages through it on Python
     floats: the same times, states and events as scipy and as the array path,
     which the closure takes inside a plain wrapper."""
@@ -354,7 +356,7 @@ def test_unwrapped_chart_closures_take_the_float_stages_and_match_scipy(name, t_
     t_span = (0.0, t_final)
 
     def event_fn(t, y):
-        return math.sin(3.0 * t) - 0.1 * y[1]
+        return math.sin(3.0 * t) - 0.1 * y[-1]
 
     times, states, events, _ = _scipy_reference(rhs, y0, t_span, cfg, event_fn, False)
     closure_calls = [0]
@@ -365,6 +367,7 @@ def test_unwrapped_chart_closures_take_the_float_stages_and_match_scipy(name, t_
         return on_floats(field, y, p)
 
     monkeypatch.setattr(core, "_on_floats", counted_on_floats)
+    monkeypatch.setattr(torus, "_on_floats", counted_on_floats)
     runs = {}
     for path, field in (("float", rhs), ("array", lambda t, y: rhs(t, y))):
         closure_calls[0] = 0
@@ -382,3 +385,50 @@ def test_unwrapped_chart_closures_take_the_float_stages_and_match_scipy(name, t_
     dense_outputs = len({int(np.searchsorted(np.sort(traj.times), t)) for t in events})
     assert dense_outputs > 0
     assert array_calls - 2 == 12 * (float_calls - 2) + 3 * dense_outputs
+
+
+# (factory, its parameters, a state): the six chart closures and the branch closure
+CLOSURE_FACTORIES = {
+    "cartesian": (cartesian_rhs, Params(beta=3, mu=1.2, b=0.5), [0.7, -0.4, 1.1, 0.3]),
+    "mcgehee": (mcgehee_rhs, Params(beta=3, mu=1.2, b=0.5), [0.7, -0.4, 1.1, 0.3]),
+    "beta2_mcgehee": (beta2_mcgehee_rhs, Params(beta=2, mu=1.2, b=0.5), [0.7, -0.4, 1.1, 0.3]),
+    "infinity": (infinity_rhs, Params(beta=3, mu=1.2, b=0.5), [0.7, -0.4, 1.1, 0.3]),
+    "polar": (polar_rhs, Params(beta=2, mu=1.2, b=0.5), [0.7, -0.4, 1.1, 0.3]),
+    "torus": (torus_rhs, Params(beta=3, mu=1.2, b=0.5), [0.7, -0.4]),
+    "branch": (_graph_rhs, Params(beta=3, mu=1.2, b=0.5), [1.1]),
+}
+
+
+@pytest.mark.parametrize("name", CLOSURE_FACTORIES)
+def test_every_closure_integrated_one_state_at_a_time_carries_the_hook(name):
+    """The six chart closures and the branch closure each carry ``on_floats``,
+    which gives on a list of floats the values the closure gives on the array."""
+    make, p, y = CLOSURE_FACTORIES[name]
+    rhs = make(p)
+    want = rhs(0.4, np.array(y))
+    assert np.array(rhs.on_floats(0.4, y)).tobytes() == want.tobytes()
+
+
+def test_every_field_the_package_integrates_carries_the_hook(monkeypatch, tmp_path):
+    """Every field the CLI and `trace_manifold` hand to `integrate` carries the
+    hook, so none of their runs takes the array path for its stages."""
+    fields = []
+
+    def recording(field, *args, **kwargs):
+        fields.append(field)
+        return integrate(field, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "integrate", recording)
+    monkeypatch.setattr(torus, "integrate", recording)
+    out = str(tmp_path / "out.csv")
+    for argv in (["simulate", "--coords", "cartesian", "--b", "0.02", "--t-final", "1"],
+                 ["simulate", "--t-final", "1"],
+                 ["infinity-flow", "--orbits", "1", "--s-final", "2"],
+                 ["beta2-verify", "--n-states", "1", "--n-orbits", "1", "--tau", "1"],
+                 ["collision-flow", "--grid", "1"],
+                 ["splitting", "--eps-list", "1e-3"]):
+        assert cli.main([*argv, "--out", out]) == cli.EXIT_OK
+    modules = {field.__module__ for field in fields}
+    assert modules == {"anisokepler.core", "anisokepler.mcgehee", "anisokepler.infinity",
+                       "anisokepler.beta2", "anisokepler.torus"}
+    assert all(callable(getattr(field, "on_floats", None)) for field in fields)

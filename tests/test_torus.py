@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import zeta1_trig
 
+from anisokepler import torus
 from anisokepler.core import Params, _jacobian
 from anisokepler.integrate import Event, IntegrationError, IntegratorConfig, integrate
 from anisokepler.mcgehee import McGeheeState, delta, energy_residual, mcgehee_rhs
@@ -23,6 +24,7 @@ from anisokepler.torus import (
     connection_beta,
     connection_index,
     _graph_arrays,
+    _graph_rhs,
     _torus_arrays,
     reversal_map,
     splitting_gap,
@@ -324,6 +326,28 @@ class TestTrace:
         else:
             assert abs(default - tight) < 1e-8
 
+    @pytest.mark.parametrize("cfg", [IntegratorConfig(), TIGHT], ids=["default", "tight"])
+    @pytest.mark.parametrize("j", [1, 2, 3, 64])
+    def test_float_stages_give_the_bits_of_the_array_path(self, j, cfg, monkeypatch):
+        # the branch closure carries the on_floats hook, so the stepper takes
+        # its stages on Python floats; inside a plain wrapper it takes the
+        # array path, with every stage through _on_floats
+        p = Params(connection_beta(j), 1.0001, 0.5)
+        calls = [0]
+        on_floats = torus._on_floats
+
+        def counted(field, ys, p):
+            calls[0] += 1
+            return on_floats(field, ys, p)
+
+        monkeypatch.setattr(torus, "_on_floats", counted)
+        float_run = trace_manifold(p, cfg)
+        float_calls, calls[0] = calls[0], 0
+        monkeypatch.setattr(torus, "_graph_rhs", lambda p: (lambda t, y: _graph_rhs(p)(t, y)))
+        array_run = trace_manifold(p, cfg)
+        assert float_run.tobytes() == array_run.tobytes()
+        assert calls[0] > 6 * float_calls
+
 
 class TestReversal:
     @pytest.mark.parametrize("j", range(1, 7))
@@ -456,6 +480,12 @@ class TestSplitting:
     def test_beta_param_consistency(self):
         with pytest.raises(ValueError):
             splitting_gap(3, Params(4.0, 1.01, 0.5))
+
+    @pytest.mark.parametrize("gap", [math.nan, math.inf, -math.inf])
+    def test_verdict_refuses_a_gap_that_is_not_finite(self, gap):
+        # NaN > tol is false: without the check a NaN gap reads as connected
+        with pytest.raises(ValueError, match="gap must be finite"):
+            splitting_verdict(gap)
 
     def test_gap_does_not_depend_on_b(self):
         # the graph slope B / sin(psi) is free of the amplitude g, so of b
