@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .core import CartesianState, DomainError, Params, _chart_rhs, _check_off_origin, _on_floats
-from .integrate import IntegratorConfig, StepSizeUnderflow, _DormandPrince
+from .integrate import IntegrationError, IntegratorConfig, StepSizeUnderflow, _DormandPrince
 
 __all__ = [
     "COLLISION_RADIUS",
@@ -282,25 +282,32 @@ class BasinBox:
 _CERTIFICATE_SLACK = 1e-6
 
 
-def _certified_collision(y: np.ndarray, p: Params) -> np.ndarray:
-    """The samples of the (4, m) states y that the Lagrange-Jacobi bound proves
-    to collide.  With c = (1 - slack)(beta-2) b mu^(-beta/2) and k = c^(1/(beta-1)),
-    a state with r > 0 and v < 0 is certified when it lies below the barrier,
+def _certified_collision(y, p: Params) -> np.ndarray:
+    """The samples of the states y that the Lagrange-Jacobi bound proves to collide;
+    y[0] and y[1] are the r and v rows, of a (4, m) array or an (r, v) pair.  With
+    c = (1 - slack)(beta-2) b mu^(-beta/2) and k = c^(1/(beta-1)), a state with
+    r > 0 and v < 0 is certified when it lies below the barrier,
     r^(beta-1) + 2 h r^beta < c and, for h < 0, r < (1 - slack)(beta-1)/(2|h| beta),
     or when it crosses it, (1 - slack) v^2/2 > max(h, 0) r^beta + r^(beta-1)
-    + (c - (beta-1) k r^(beta-2))/(beta-2).  A NaN or overflowed state is never
-    certified.  `basin_fraction` says why both hold."""
+    + (c - (beta-1) k r^(beta-2))/(beta-2).  The crossing test runs only on the
+    inbound states that the first test leaves undecided.  A NaN or overflowed
+    state is never certified.  `basin_fraction` says why both hold."""
     r, v = y[0], y[1]
     rb1 = r ** (p.beta - 1.0)
     bound = (1.0 - _CERTIFICATE_SLACK) * (p.beta - 2.0) * p.b * p.mu ** (-p.beta / 2.0)
     below = rb1 + 2.0 * p.h * (rb1 * r) < bound
     if p.h < 0.0:
         below &= r < (1.0 - _CERTIFICATE_SLACK) * (p.beta - 1.0) / (-2.0 * p.h * p.beta)
-    k = bound ** (1.0 / (p.beta - 1.0))
-    barrier = (max(p.h, 0.0) * (rb1 * r) + rb1
-               + (bound - (p.beta - 1.0) * k * r ** (p.beta - 2.0)) / (p.beta - 2.0))
-    crosses = (1.0 - _CERTIFICATE_SLACK) * 0.5 * (v * v) > barrier
-    return (r > 0.0) & (v < 0.0) & (below | crosses)
+    certified = (r > 0.0) & (v < 0.0)
+    rest = np.flatnonzero(certified & ~below)
+    certified &= below
+    if rest.size:
+        r, v, rb1 = r[rest], v[rest], rb1[rest]
+        k = bound ** (1.0 / (p.beta - 1.0))
+        barrier = (max(p.h, 0.0) * (rb1 * r) + rb1
+                   + (bound - (p.beta - 1.0) * k * r ** (p.beta - 2.0)) / (p.beta - 2.0))
+        certified[rest] = (1.0 - _CERTIFICATE_SLACK) * 0.5 * (v * v) > barrier
+    return certified
 
 
 def basin_fraction(p: Params, n: int, horizon: float, box: BasinBox | None = None,
@@ -308,8 +315,12 @@ def basin_fraction(p: Params, n: int, horizon: float, box: BasinBox | None = Non
     """Monte-Carlo estimate of the collision fraction from a box on the energy level.
 
     Samples (r, theta, u) uniformly and closes v through the energy relation on
-    the requested branch.  A sample has collided once it is certified to collide
-    or once r < COLLISION_RADIUS at an accepted step, before the horizon.
+    the requested branch.  The draws are uniform in (r, theta, u), not in the
+    Liouville measure of the level; on the box the two have positive densities
+    with respect to each other (v is closed away from 0), so a positive fraction
+    still means a set of collisions of positive measure.  A sample has collided
+    once it is certified to collide or once r < COLLISION_RADIUS at an accepted
+    step, before the horizon.
 
     The certificate is the Lagrange-Jacobi identity for w = x.p,
     dw/dt = 2h + 1/r - (beta-2) b q^(-beta/2), q = mu x^2 + y^2.  As q <= mu r^2,
@@ -326,15 +337,17 @@ def basin_fraction(p: Params, n: int, horizon: float, box: BasinBox | None = Non
     Cartesian time.  The certificate takes a relative slack of 1e-6 off c and off
     v^2/2, which covers rounding and the energy drift of a stepped sample.
 
-    The certificate is checked at tau = 0; if it decides every on-level sample,
-    nothing is stepped.  Otherwise all on-level samples advance together as one
-    system with the package's DOP853 stepper at the default tolerances (the
-    field is analytic at r = 0, so no stiffness appears near collision), and
-    both tests run after every accepted step, until every sample has collided
-    or the horizon is reached.  Each field call over the (4, m) samples takes
-    one sine-cosine pair, one power of r and one of Delta per sample.  The
-    stepper's step limit binds the shared step: past it, MaxStepsExceeded.
-    Deterministic for a fixed seed.
+    The certificate is checked at tau = 0 on the drawn (r, v) of the on-level
+    samples; if it decides every one, no ensemble is built.  Otherwise only the
+    m undecided samples advance together as one system with the package's DOP853
+    stepper at the default tolerances (the field is analytic at r = 0, so no
+    stiffness appears near collision), and both tests run after every accepted
+    step, until every sample has collided or the horizon is reached.  The step
+    is controlled by one RMS error norm over all 4m entries, so one sample's
+    local error can exceed the tolerance by up to sqrt(4m).  Each field call
+    over the (4, m) samples takes one sine-cosine pair, one power of r and one
+    of Delta per sample.  The stepper's step limit binds the shared step: past
+    it, MaxStepsExceeded.  Deterministic for a fixed seed.
     """
     p.require_beta_above(2.0)
     if n < 1:
@@ -352,31 +365,45 @@ def basin_fraction(p: Params, n: int, horizon: float, box: BasinBox | None = Non
     with np.errstate(over="ignore", invalid="ignore"):
         s2 = _v_squared(r, theta, u, p)
         valid = s2 > 0.0
-        if not np.any(valid):
+        on_level = int(np.count_nonzero(valid))
+        if on_level == 0:
             raise ValueError("sampling box does not intersect the energy level")
-        v = box.v_sign * np.sqrt(np.where(valid, s2, np.nan))
+        if on_level < n:  # samples off the level never start
+            r, theta, u, s2 = r[valid], theta[valid], u[valid], s2[valid]
+        v = box.v_sign * np.sqrt(s2)
+        certified = _certified_collision((r, v), p)
+        undecided = np.flatnonzero(~certified)
+        m = undecided.size
+        if m == 0:  # decided at tau = 0: nothing to step
+            return on_level / n
 
-        y0 = np.stack([r, v, theta, u])[:, valid]
-        m = y0.shape[1]
-        collided = _certified_collision(y0, p)
-        if collided.all():  # decided at tau = 0: nothing to step
-            return m / n
+        y0 = np.stack([r[undecided], v[undecided], theta[undecided], u[undecided]])
 
         def rhs(t: float, y: np.ndarray) -> np.ndarray:
             return np.concatenate(_field_arrays(np, *y.reshape(4, m), p))
 
-        stepper = _DormandPrince(rhs, 0.0, y0.ravel(), horizon, IntegratorConfig())
+        cfg = IntegratorConfig()
+        try:
+            stepper = _DormandPrince(rhs, 0.0, y0.ravel(), horizon, cfg)
+        except IntegrationError:
+            # name one sample, not all 4m entries: the one of largest weighted field
+            f = np.abs(np.stack(_field_arrays(np, *y0, p)))
+            worst = y0[:, np.argmax((f / (cfg.abs_tol + np.abs(y0) * cfg.rel_tol)).max(axis=0))]
+            raise IntegrationError(
+                f"the {m} undecided samples could not start at tau = 0.0: their weighted field "
+                f"overflows the floats, the most at (r, v, theta, u) = {worst.tolist()}") from None
+        collided = np.zeros(m, dtype=bool)
         try:
             while not (stepper.finished or collided.all()):
                 stepper.step()
                 y = stepper.y.reshape(4, m)
                 collided |= (y[0] < COLLISION_RADIUS) | _certified_collision(y, p)
         except StepSizeUnderflow as exc:
-            raise ArithmeticError(f"the on-level samples stalled the step at tau = {stepper.t} "
+            raise ArithmeticError(f"the undecided samples stalled the step at tau = {stepper.t} "
                                   "(escape orbits); the fraction is undecided") from exc
 
     # samples off the level never started; they count as non-collisions of the box
-    return float(np.count_nonzero(collided)) / float(n)
+    return float(on_level - m + np.count_nonzero(collided)) / float(n)
 
 
 def min_field_norm_on_level(p: Params) -> float:

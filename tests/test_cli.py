@@ -749,6 +749,20 @@ class TestBasinCommand:
         assert record["exit_code"] == EXIT_NUMERICAL
         assert record["message"].startswith("exceeded 500 steps at t=")
 
+    def test_overflowing_ensemble_start_names_one_sample(self, tmp_path, capsys):
+        # at h = 1e300 the weighted field of every sample overflows at tau = 0;
+        # the record names tau, the stepped count and one state, not all 4 x 10^4
+        out = tmp_path / "x.csv"
+        assert main(["basin", "--h", "1e300", "--out", str(out)]) == EXIT_NUMERICAL
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 1024
+        record = json.loads(err)
+        assert record["error"] == "numerical" and record["exit_code"] == EXIT_NUMERICAL
+        assert record["message"].startswith("the 10000 undecided samples could not start at "
+                                            "tau = 0.0")
+        assert record["message"].count("(r, v, theta, u) = [") == 1
+
     def test_sample_count_beyond_any_memory_is_numerical_failure(self, tmp_path, capsys):
         # 1e15 samples, 7.1 PiB: beyond a 48-bit address space, so the allocation
         # fails at once on any machine

@@ -639,6 +639,23 @@ def _crossing(p, r, theta, excess):
     return np.array([[r], [-math.sqrt(v2)], [theta], [math.sqrt(u2)]])
 
 
+def _eager_certificate(y, p):
+    """The collision certificate with both branches on every state, as one
+    expression: the oracle of the lazy `_certified_collision`."""
+    r, v = y[0], y[1]
+    slack = mcgehee._CERTIFICATE_SLACK
+    rb1 = r ** (p.beta - 1.0)
+    bound = (1.0 - slack) * (p.beta - 2.0) * p.b * p.mu ** (-p.beta / 2.0)
+    below = rb1 + 2.0 * p.h * (rb1 * r) < bound
+    if p.h < 0.0:
+        below &= r < (1.0 - slack) * (p.beta - 1.0) / (-2.0 * p.h * p.beta)
+    k = bound ** (1.0 / (p.beta - 1.0))
+    barrier = (max(p.h, 0.0) * (rb1 * r) + rb1
+               + (bound - (p.beta - 1.0) * k * r ** (p.beta - 2.0)) / (p.beta - 2.0))
+    crosses = (1.0 - slack) * 0.5 * (v * v) > barrier
+    return (r > 0.0) & (v < 0.0) & (below | crosses)
+
+
 class TestCollisionCertificate:
     @pytest.mark.parametrize("h_sign", [-1.0, 1.0])
     def test_certified_states_collide_with_r_monotone(self, h_sign):
@@ -683,6 +700,33 @@ class TestCollisionCertificate:
             assert traj.event_times("collision"), (p, y0[:, 0])
             assert np.all(np.diff(traj.states[:, 0]) <= 0.0), (p, y0[:, 0])
             decided += 1
+
+    @pytest.mark.parametrize("beta", [2.5, 3.0, 4.0])
+    @pytest.mark.parametrize("h", [-0.3, 0.0, 0.4])
+    def test_lazy_certificate_equals_the_eager_one(self, beta, h):
+        # r from a tenth to ten times the first branch's radius, v of both signs
+        # around the barrier's speed, and the edge values r = 0, v = 0, NaN,
+        # +-inf and huge r scattered over both rows
+        p = Params(beta, 1.5, 0.5, h=h)
+        rng = np.random.default_rng(int(10 * beta) + int(10 * h))
+        m = 4000
+        r = _certificate_radius(p) * 10.0 ** rng.uniform(-1.0, 1.0, m)
+        with np.errstate(all="ignore"):
+            speed = np.sqrt(2.0 * np.abs(_barrier(p, r)))
+        v = speed * 10.0 ** rng.uniform(-1.0, 1.0, m) * rng.choice((-1.0, 1.0), m)
+        edges = [0.0, -0.0, math.nan, math.inf, -math.inf, 1e300, 1e160, 1e-300]
+        for row in (r, v):
+            hit = rng.choice(m, 400, replace=False)
+            row[hit] = rng.choice(edges, 400)
+        y = np.stack([r, v, rng.uniform(0.0, 2.0 * math.pi, m), rng.uniform(-1.0, 1.0, m)])
+        with np.errstate(all="ignore"):
+            eager = _eager_certificate(y, p)
+            lazy = mcgehee._certified_collision(y, p)
+            pair = mcgehee._certified_collision((y[0], y[1]), p)
+        assert lazy.dtype == bool and lazy.shape == (m,)
+        np.testing.assert_array_equal(lazy, eager)
+        np.testing.assert_array_equal(pair, eager)
+        assert 0 < np.count_nonzero(eager) < m
 
     def test_bounded_orbit_is_never_certified(self):
         # the mu = 1 orbit of test_step_limit_binds_the_shared_step never collides
@@ -766,3 +810,43 @@ class TestCollisionCertificate:
         on_level = np.count_nonzero(mcgehee._v_squared(r, theta, u, p) > 0.0) / 2000
         assert basin_fraction(p, 2000, 40.0, box=box, seed=4) == on_level
         assert final and (final[0] >= mcgehee.COLLISION_RADIUS).any()
+
+    def test_only_undecided_samples_are_stepped(self, monkeypatch):
+        # of the box above at n = 2000, the samples certified at tau = 0 stay
+        # out of the ensemble: the first stepper starts on the others alone
+        sizes = []
+
+        class Recording(mcgehee._DormandPrince):
+            def __init__(self, fun, t0, y0, *args):
+                sizes.append(y0.size)
+                super().__init__(fun, t0, y0, *args)
+
+        monkeypatch.setattr(mcgehee, "_DormandPrince", Recording)
+        p = replace(TestBasin.P, mu=3.0)
+        box = BasinBox((0.05, 0.7), (1.3, 1.9), (-1.2, 1.2))
+        rng = np.random.default_rng(4)
+        r, theta, u = (rng.uniform(*box.r, 2000), rng.uniform(*box.theta, 2000),
+                       rng.uniform(*box.u, 2000))
+        s2 = mcgehee._v_squared(r, theta, u, p)
+        on_level = s2 > 0.0
+        y = np.stack([r, -np.sqrt(np.where(on_level, s2, 0.0)), theta, u])[:, on_level]
+        undecided = np.count_nonzero(~_eager_certificate(y, p))
+        assert basin_fraction(p, 2000, 40.0, box=box, seed=4) == 0.9065
+        assert sizes[0] == 4 * undecided == 4 * 26
+
+    @pytest.mark.parametrize("mu, box, n, collided", [
+        (1.2, BasinBox((0.3, 3.0), (0.0, 2.0 * math.pi), (-2.0, 2.0)), 300, 271),
+        # with 9 bounded orbits, which run to the horizon
+        (1.0, BasinBox((0.5, 3.5), (0.0, 2.0 * math.pi), (-3.7, 3.7)), 100, 67),
+    ])
+    def test_stepped_outcomes_match_per_sample_runs(self, mu, box, n, collided):
+        # every on-level draw of a box the shared step decides, run alone as a
+        # one-sample point box, gives the ensemble's count of collisions
+        p = Params(3.0, mu, 0.5, h=-0.1)
+        assert basin_fraction(p, n, 40.0, box=box, seed=3) == collided / n
+        rng = np.random.default_rng(3)
+        r, theta, u = rng.uniform(*box.r, n), rng.uniform(*box.theta, n), rng.uniform(*box.u, n)
+        on_level = mcgehee._v_squared(r, theta, u, p) > 0.0
+        alone = [basin_fraction(p, 1, 40.0, box=BasinBox((ri, ri), (ti, ti), (ui, ui)))
+                 for ri, ti, ui in zip(r[on_level], theta[on_level], u[on_level])]
+        assert sum(alone) == collided
