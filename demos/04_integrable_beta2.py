@@ -59,7 +59,7 @@ print(f"(isotropic reference at mu = 1: 1 + sqrt2 = {1 + math.sqrt(2):.6f})")
 # infinity, integrate backward, read off the limiting v on the collision side
 print("\ncollision-side targets by the invariant label k (b = 1/2, mu = 2):")
 p8 = Params(2.0, 2.0, 0.5, h=0.0)
-hit = Event(lambda t, y: y[0] - 1e-6, "collision", terminal=True)
+hit = Event(lambda t, y: y[0] - 1e-6, "collision")
 for k, th0 in ((1.0, math.pi / 2), (2.0, 0.9), (3.5, 0.9)):
     cls = classify_heteroclinic(k * (1.5 ** 2 - 2), 1.5, p8)
     vb0 = 1.5

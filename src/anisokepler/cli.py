@@ -75,10 +75,6 @@ EXIT_NUMERICAL = 3
 MAX_GRID_POINTS = 10 ** 6
 
 
-class ValidationError(ValueError):
-    pass
-
-
 def _fmt(x) -> str:
     if isinstance(x, float):
         return format(x, ".17g")
@@ -90,27 +86,26 @@ def _parse_floats(text: str, n: int | None, what: str) -> list[float]:
     for n = None."""
     parts = [t.strip() for t in text.replace(";", ",").split(",") if t.strip()]
     if not (bool(parts) if n is None else len(parts) == n):
-        raise ValidationError(f"{what} needs {n or 'one or more'} comma-separated values, "
-                              f"got {len(parts)}")
+        raise ValueError(f"{what} needs {n or 'one or more'} comma-separated values, "
+                         f"got {len(parts)}")
     try:
         return [float(t) for t in parts]
     except ValueError as exc:
-        raise ValidationError(f"{what} values must be numbers, got {text!r}") from exc
+        raise ValueError(f"{what} values must be numbers, got {text!r}") from exc
 
 
 def _parse_grid(text: str) -> np.ndarray:
     try:
         start, stop, step = (float(t) for t in text.split(":"))
     except ValueError as exc:
-        raise ValidationError(f"grid must be start:stop:step, got {text!r}") from exc
+        raise ValueError(f"grid must be start:stop:step, got {text!r}") from exc
     if not all(map(math.isfinite, (start, stop, step))):
-        raise ValidationError(f"grid start, stop and step must be finite, got {text!r}")
+        raise ValueError(f"grid start, stop and step must be finite, got {text!r}")
     if step <= 0 or stop < start:
-        raise ValidationError("grid requires step > 0 and stop >= start")
+        raise ValueError("grid requires step > 0 and stop >= start")
     span = (stop - start) / step + 1e-9  # points past the first, as a float: may be inf
     if span >= MAX_GRID_POINTS:
-        raise ValidationError(f"grid {text!r} has {span + 1:.7g} points, "
-                              f"more than {MAX_GRID_POINTS}")
+        raise ValueError(f"grid {text!r} has {span + 1:.7g} points, more than {MAX_GRID_POINTS}")
     return start + step * np.arange(int(span) + 1)
 
 
@@ -190,12 +185,12 @@ def _run_simulate(ns: argparse.Namespace):
             p = replace(p, h=ns.h)
         r0 = energy_residual(m0, p)  # at r = 0 it is free of h, and 0 on C only
         if m0.r == 0.0 and abs(r0) > 1e-12 * (m0.u * m0.u + m0.v * m0.v):
-            raise ValidationError("the initial state at r = 0 is off the collision manifold, so "
-                                  f"on no energy level: u^2 + v^2 - 2b/Delta^(beta/2) = {r0!r}")
+            raise ValueError("the initial state at r = 0 is off the collision manifold, so "
+                             f"on no energy level: u^2 + v^2 - 2b/Delta^(beta/2) = {r0!r}")
         h = p.h
     if ns.h is not None and not abs(ns.h - h) <= 1e-6:  # NaN-safe: --h nan fails
-        raise ValidationError(f"--h {ns.h} is inconsistent with the initial state "
-                              f"(its energy level is h = {h!r})")
+        raise ValueError(f"--h {ns.h} is inconsistent with the initial state "
+                         f"(its energy level is h = {h!r})")
     # the two charts integrate apart, because they fail apart
     if ns.coords == "cartesian":
         try:
@@ -246,8 +241,8 @@ def _run_equilibria(ns: argparse.Namespace):
 
 def _run_collision_flow(ns: argparse.Namespace):
     if ns.grid ** 2 > MAX_GRID_POINTS:
-        raise ValidationError(f"--grid {ns.grid} makes {ns.grid ** 2} cells, "
-                              f"more than {MAX_GRID_POINTS}")
+        raise ValueError(f"--grid {ns.grid} makes {ns.grid ** 2} cells, "
+                         f"more than {MAX_GRID_POINTS}")
     p = Params(ns.beta, ns.mu, ns.b)
     rhs = torus_rhs(p)
     cols = ["kind", "theta", "psi", "dtheta", "dpsi"]
@@ -270,7 +265,7 @@ def _run_collision_flow(ns: argparse.Namespace):
 def _run_infinity_flow(ns: argparse.Namespace):
     p = Params(ns.beta, ns.mu, ns.b)  # the inverted chart covers h = 0 only
     if not p.beta > 2:
-        raise ValidationError("this command covers beta > 2 (see beta2-verify)")
+        raise ValueError("this command covers beta > 2 (see beta2-verify)")
     rhs = infinity_rhs(p)
     icfg = _integrator(ns)
     rng = np.random.default_rng(ns.seed)
@@ -303,8 +298,7 @@ def _run_infinity_flow(ns: argparse.Namespace):
 def _run_splitting(ns: argparse.Namespace):
     eps_list = _parse_floats(ns.eps_list, None, "--eps-list")
     if not all(math.isfinite(eps) and eps >= 0.0 for eps in eps_list):
-        raise ValidationError(f"--eps-list values must be finite and non-negative, "
-                              f"got {ns.eps_list!r}")
+        raise ValueError(f"--eps-list values must be finite and non-negative, got {ns.eps_list!r}")
     icfg = _integrator(ns)
     z1 = zeta1(ns.beta, comparison_section(ns.beta))
     rows = []
@@ -410,14 +404,14 @@ def read_config_file(path: str) -> dict:
             if not line:
                 continue
             if "=" not in line:
-                raise ValidationError(f"config line without '=': {line!r}")
+                raise ValueError(f"config line without '=': {line!r}")
             key, val = line.split("=", 1)
             entries[key.strip().replace("-", "_")] = val.strip()
     return entries
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises ValidationError on a bad flag instead of printing usage and exiting,
+    """Raises ValueError on a bad flag instead of printing usage and exiting,
     so the failure gets the JSON error record; subparsers inherit the class.
     No abbreviations: `--h` on a command without it is an error, not `--help`.
     A value that starts with "-" and a digit, or "-." and a digit, is a value,
@@ -428,7 +422,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
-        raise ValidationError(message)
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -522,11 +516,11 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     if "--config" in argv:
         i = argv.index("--config")
         if i + 1 == len(argv):
-            raise ValidationError("--config needs a path")
+            raise ValueError("--config needs a path")
         try:
             config_entries = read_config_file(argv[i + 1])
         except OSError as exc:
-            raise ValidationError(str(exc)) from exc
+            raise ValueError(str(exc)) from exc
         argv = argv[:i] + argv[i + 2:]
 
     command = config_entries.pop("command", None)
@@ -535,9 +529,9 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     if command is None:
         if "-h" in argv or "--help" in argv:
             build_parser().parse_args(["--help"])  # prints the top-level help and exits
-        raise ValidationError("no command given (see --help)")
+        raise ValueError("no command given (see --help)")
     if command not in _RUNNERS:
-        raise ValidationError(f"unknown command {command!r}")
+        raise ValueError(f"unknown command {command!r}")
 
     flag_argv = [command]
     for key, val in config_entries.items():

@@ -27,7 +27,8 @@ paths.
 The stepper enforces the hard step-count limit itself, so every driver stops
 there.  Around it the driver adds the bookkeeping the rest of the package
 relies on: detection of sign changes of event functions with root refinement,
-and the drift of first integrals over the accepted samples.
+where the earliest crossing in a step ends the run, and the drift of first
+integrals over the accepted samples.
 """
 
 from __future__ import annotations
@@ -179,18 +180,24 @@ class IntegratorConfig:
 @dataclass(frozen=True)
 class Event:
     """Scalar event function g(t, y); a sign change of g along the solution fires
-    the event.  A terminal event truncates the trajectory at the refined event
-    time.
+    the event, and every event ends the run at its refined time.  ``terminal``
+    states that rule and takes only True.
     """
 
     fn: Callable[[float, np.ndarray], float]
     label: str
-    terminal: bool = False
+    terminal: bool = True
+
+    def __post_init__(self):
+        if not self.terminal:
+            raise ValueError(f"event '{self.label}': every event ends the run, "
+                             "so terminal must be True")
 
 
 @dataclass
 class Trajectory:
-    """Accepted-step samples, located events, and max drift per monitored invariant."""
+    """Accepted-step samples, the event that ended the run (none if the run reached
+    the end of its span), and max drift per monitored invariant."""
 
     times: np.ndarray
     states: np.ndarray
@@ -438,7 +445,10 @@ def integrate(
 ) -> Trajectory:
     """Integrate ``y' = field(t, y)`` over ``t_span`` with the embedded 8(5,3) pair.
 
-    Event times are refined on the dense output to 1e-12 in time.  After the run,
+    After each accepted step every event is evaluated, and each sign change is
+    refined on the dense output to 1e-12 in time.  The run ends at the earliest
+    of them in the direction of integration, its last sample the dense output
+    there, and ``Trajectory.events`` records that one event.  After the run,
     each monitor reports its largest absolute deviation over the samples from its
     value at (t0, y0).  Either time direction is allowed; samples are strictly
     monotone in the direction of integration.
@@ -457,17 +467,16 @@ def integrate(
 
     times = [t0]
     states = [y0.copy()]
-    fired: list[tuple[float, str]] = []
+    fired: list[tuple[float, str]] = []  # the earliest crossing, which ends the run
     g_old = [ev.fn(t0, y0) for ev in events]
     direction = stepper.direction
 
-    while not stepper.finished:
+    while not (fired or stepper.finished):
         stepper.step()
 
         t_new, y_new = stepper.t, stepper.y
         dense = None
         t_old = stepper.t_old
-        step_events: list[tuple[float, int]] = []
         for i, ev in enumerate(events):
             g_new = ev.fn(t_new, y_new)
             if g_old[i] < 0.0 <= g_new or g_old[i] > 0.0 >= g_new:
@@ -477,23 +486,12 @@ def integrate(
                     t_ev = _brentq(lambda t: ev.fn(t, dense(t)), lo, hi)
                 except ValueError as exc:
                     raise EventRootError(f"event '{ev.label}' root refinement failed") from exc
-                step_events.append((t_ev, i))
+                if not fired or direction * t_ev < direction * fired[0][0]:
+                    fired = [(t_ev, ev.label)]
             g_old[i] = g_new
 
-        step_events.sort(key=lambda te: direction * te[0])
-        terminal_at: float | None = None
-        for t_ev, i in step_events:
-            if terminal_at is not None and direction * t_ev > direction * terminal_at:
-                break
-            fired.append((t_ev, events[i].label))
-            if events[i].terminal and terminal_at is None:
-                terminal_at = t_ev
-
-        if terminal_at is not None:
-            times.append(terminal_at)
-            states.append(dense(terminal_at))
-            break
-
+        if fired:
+            t_new, y_new = fired[0][0], dense(fired[0][0])
         times.append(t_new)
         states.append(y_new)
 
@@ -501,5 +499,4 @@ def integrate(
     for k, f in (monitors or {}).items():
         ref = f(t0, y0)
         drift[k] = max(0.0, *(abs(f(t, y) - ref) for t, y in zip(times[1:], states[1:])))
-    fired.sort(key=lambda te: te[0])
     return Trajectory(np.array(times), np.array(states), fired, drift)

@@ -269,10 +269,11 @@ class BasinBox:
             raise ValueError(f"v_sign must be +1 or -1, got {self.v_sign}")
 
     @staticmethod
-    def near_sink(p: Params, width: float = 0.3) -> "BasinBox":
-        """Box around the sink A^-_(pi/2), inside its basin for moderate h < 0."""
-        return BasinBox(r=(0.05, 0.05 + width), theta=(math.pi / 2 - width, math.pi / 2 + width),
-                        u=(-width / 2, width / 2), v_sign=-1)
+    def near_sink(p: Params) -> "BasinBox":
+        """Box around the sink A^-_(pi/2), inside its basin for moderate h < 0; the
+        same box for every p."""
+        return BasinBox(r=(0.05, 0.35), theta=(math.pi / 2 - 0.3, math.pi / 2 + 0.3),
+                        u=(-0.15, 0.15), v_sign=-1)
 
 
 # relative slack of the collision certificate: its coupling constant c and the

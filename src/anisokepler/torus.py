@@ -193,7 +193,7 @@ def trace_manifold(p: Params, cfg: IntegratorConfig | None = None) -> np.ndarray
     s = half + math.sqrt(half * half + 0.5 * p.beta * p.epsilon / p.mu)
     step = SEED_OFFSET / math.hypot(1.0, s)
     thetas, psis = [-math.pi + step], [s * step]
-    turn_back = Event(lambda t, y: y[0] - (math.pi - TURN_BACK), "turn-back", terminal=True)
+    turn_back = Event(lambda t, y: y[0] - (math.pi - TURN_BACK), "turn-back")
     for end in (*lines, section):
         try:
             traj = integrate(_graph_rhs(p), psis[-1:], (thetas[-1], end), cfg, events=[turn_back])

@@ -234,6 +234,11 @@ class TestSharedFieldsAtBetaTwo:
             assert close_to_closed_form(f[3], [
                 eps * p.b * math.sin(2 * s.theta) / (s.r ** 2 * D ** 2)])
 
+    def test_polar_chart_requires_r_positive(self):
+        for r in (0.0, -1.0):
+            with pytest.raises(ValueError, match="polar chart requires r > 0"):
+                PolarState(r, 0.7, 0.1, 1.3)
+
     def test_beta2_entry_points_gate_the_exponent(self):
         m = McGeheeState(1.0, 0.1, 0.2, 0.3)
         with pytest.raises(ValueError):

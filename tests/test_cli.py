@@ -878,6 +878,27 @@ class TestConfigAndErrors:
             assert record["exit_code"] == EXIT_VALIDATION
             assert set(record) == {"error", "message", "exit_code"}
 
+    def test_non_finite_cell_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        # no NaN or inf is written under exit code 0: a runner that returns one
+        # gets one record naming the column and the row, and no CSV
+        run = cli._RUNNERS["equilibria"]
+
+        def nan_in_row_two(ns):
+            meta, cols, rows, drift = run(ns)
+            assert cols[1] == "theta"
+            rows = [list(row) for row in rows]
+            rows[1][1] = math.nan
+            return meta, cols, rows, drift
+
+        monkeypatch.setitem(cli._RUNNERS, "equilibria", nan_in_row_two)
+        out = tmp_path / "x.csv"
+        assert main(["equilibria", "--out", str(out)]) == EXIT_NUMERICAL
+        assert not out.exists()
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "numerical", "exit_code": EXIT_NUMERICAL,
+                                        "message": "equilibria: nan in column 'theta', row 2"}
+
     def test_untraceable_branch_is_numerical_failure(self, tmp_path, capsys):
         # at mu = 10 the beta = 3 unstable branch meets psi = pi, where it turns
         # back in theta, before the section; at these loose tolerances too

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anisokepler.core import Params, _jacobian
+from anisokepler.core import DomainError, Params, _jacobian
 from anisokepler.integrate import IntegratorConfig, integrate
 from anisokepler.infinity import (
     SQRT2,
@@ -79,6 +79,14 @@ class TestChart:
     def test_requires_zero_energy(self):
         with pytest.raises(ValueError):
             to_infinity_coords(McGeheeState(1, 0, 0, 1), Params(3, 1.4, 0.5, h=-0.1))
+
+    def test_boundaries_are_refused(self):
+        with pytest.raises(ValueError, match="rho >= 0"):
+            InfinityState(-1.0, 0.0, 0.0, 0.0)
+        with pytest.raises(DomainError, match="r = 0 does not map"):
+            to_infinity_coords(McGeheeState(0.0, 0.3, 1.1, -0.4), P)
+        with pytest.raises(DomainError, match="rho = 0 is the infinity boundary"):
+            from_infinity_coords(InfinityState(0.0, 0.3, 1.1, -0.4), P)
 
 
 def _reals(lo, hi):
@@ -215,6 +223,8 @@ class TestEquilibriumCircles:
         traj2 = integrate(infinity_rhs(P), near_minus.as_array(), (0.0, 15.0), TIGHT)
         d_end = abs(traj2.final_state[1] + SQRT2)
         assert d_end > 0.1
+        # it leaves C- and by s = 15 has not settled on either circle
+        assert limit_circle(traj2.times, traj2.states) is None
 
 
 class TestI0Flow:

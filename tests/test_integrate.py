@@ -1,5 +1,6 @@
 """Shared integrator."""
 
+import dataclasses
 import math
 import re
 import subprocess
@@ -7,7 +8,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import DOP853
 from scipy.integrate._ivp import dop853_coefficients
@@ -19,6 +20,7 @@ from anisokepler.core import Params, cartesian_rhs
 from anisokepler.infinity import infinity_rhs
 from anisokepler.integrate import (
     Event,
+    EventRootError,
     IntegratorConfig,
     MaxStepsExceeded,
     StepSizeUnderflow,
@@ -78,20 +80,42 @@ def test_event_located_and_terminal():
 
 
 def test_event_after_a_terminal_one_in_the_same_step_is_not_recorded():
-    # y' = 1: one step, from t = 0.1111 to 1.1111, crosses y = 0.3 and y = 0.6;
-    # the run ends at the terminal crossing, before the later one happens
-    def run(terminal):
-        events = [Event(lambda t, y: y[0] - 0.3, "first", terminal=terminal),
-                  Event(lambda t, y: y[0] - 0.6, "second")]
-        return integrate(lambda t, y: np.ones(1), [0.0], (0.0, 5.0), events=events)
+    # y' = 1, so y = t: one step, from |t| = 0.1111 to 1.1111, crosses
+    # |y| = 0.3 and 0.6; the run ends at the earlier crossing in the direction
+    # of integration, whichever order the events are listed in
+    def field(t, y):
+        return np.ones(1)
 
-    free = run(terminal=False)
-    assert not np.any((free.times > 0.3) & (free.times < 0.6))
-    assert [label for _, label in free.events] == ["first", "second"]
-    stopped = run(terminal=True)
-    assert [label for _, label in stopped.events] == ["first"]
-    assert stopped.times[-1] == pytest.approx(0.3)
-    assert stopped.final_state[0] == pytest.approx(0.3)
+    for sign in (1.0, -1.0):
+        free = integrate(field, [0.0], (0.0, 5.0 * sign))
+        assert not np.any((np.abs(free.times) > 0.3) & (np.abs(free.times) < 0.6))
+        first = Event(lambda t, y: y[0] - 0.3 * sign, "first")
+        second = Event(lambda t, y: y[0] - 0.6 * sign, "second")
+        for events in ([first, second], [second, first]):
+            stopped = integrate(field, [0.0], (0.0, 5.0 * sign), events=events)
+            assert [label for _, label in stopped.events] == ["first"]
+            assert stopped.times[-1] == stopped.events[0][0] == pytest.approx(0.3 * sign)
+            assert stopped.final_state[0] == pytest.approx(0.3 * sign)
+
+
+def test_every_event_is_terminal():
+    def g(t, y):
+        return y[0]
+
+    for ev in (Event(g, "a"), Event(g, "a", terminal=True)):
+        assert ev.terminal is True
+        assert dataclasses.replace(ev, fn=abs) == Event(abs, "a")
+    with pytest.raises(ValueError, match="every event ends the run"):
+        Event(g, "a", terminal=False)
+
+
+def test_event_function_nan_inside_the_step_fails_the_refinement():
+    # finite and of opposite signs at the ends of the step, NaN near the root
+    def g(t, y):
+        return y[0] - 0.45 if abs(y[0] - 0.45) > 0.01 else math.nan
+
+    with pytest.raises(EventRootError, match="event 'nan' root refinement failed"):
+        integrate(lambda t, y: np.ones(1), [0.0], (0.0, 5.0), events=[Event(g, "nan")])
 
 
 def test_collision_event_fires_exactly_once():
@@ -165,6 +189,11 @@ def test_config_validation():
         with pytest.raises(ValueError):
             IntegratorConfig(rel_tol=rel_tol)
     IntegratorConfig(rel_tol=100 * np.finfo(float).eps)
+    with pytest.raises(ValueError, match="max_steps must be positive"):
+        IntegratorConfig(max_steps=0)
+    for bad in ([[1.0, 0.0]], [], [1.0, math.nan]):
+        with pytest.raises(ValueError, match="non-empty 1-D array of finite values"):
+            integrate(harmonic, bad, (0.0, 1.0))
     with pytest.raises(ValueError):
         integrate(harmonic, [1.0, 0.0], (1.0, 1.0))
     for bad in ((0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0)):
@@ -219,10 +248,10 @@ def test_package_import_loads_no_scipy_subpackage():
 EPS = np.finfo(float).eps
 
 
-def _scipy_reference(field, y0, t_span, cfg, event_fn, terminal):
-    """scipy's DOP853 stepped to the end, with sign changes of ``event_fn`` refined
-    by scipy's brentq on the step's dense output; a terminal event ends the
-    samples with the dense output at the event time."""
+def _scipy_reference(field, y0, t_span, cfg, event_fn):
+    """scipy's DOP853 stepped until ``event_fn`` changes sign, the crossing refined
+    by scipy's brentq on the step's dense output and the samples ended with the
+    dense output at the event time; to the end of the span if it never does."""
     calls = [0]
 
     def counted(t, y):
@@ -244,11 +273,10 @@ def _scipy_reference(field, y0, t_span, cfg, event_fn, terminal):
             lo, hi = sorted((solver.t_old, solver.t))
             events.append(brentq(lambda t: event_fn(t, dense(t)), lo, hi,
                                  xtol=1e-12, rtol=4 * EPS))
-            if terminal:
-                times[-1], states[-1] = events[-1], dense(events[-1])
-                break
+            times[-1], states[-1] = events[-1], dense(events[-1])
+            break
         g_old = g_new
-    return np.array(times), np.array(states), sorted(events), calls[0]
+    return np.array(times), np.array(states), events, calls[0]
 
 
 def _forced_oscillator(t, y):
@@ -280,10 +308,9 @@ class TestMatchesScipy:
            backward=st.booleans(),
            rel_exp=st.floats(-12.0, -4.0),
            abs_exp=st.floats(-14.0, -6.0),
-           level=st.floats(-0.5, 0.5),
-           terminal=st.booleans())
+           level=st.floats(-0.5, 0.5))
     def test_steps_states_field_calls_and_events(self, name, t0, length, backward,
-                                                 rel_exp, abs_exp, level, terminal):
+                                                 rel_exp, abs_exp, level):
         field, y0 = FIELDS[name]
         cfg = IntegratorConfig(rel_tol=10.0 ** rel_exp, abs_tol=10.0 ** abs_exp)
         t_span = (t0, t0 - length if backward else t0 + length)
@@ -291,16 +318,14 @@ class TestMatchesScipy:
         def event_fn(t, y):
             return y[1] - level
 
-        times, states, events, calls = _scipy_reference(field, y0, t_span, cfg, event_fn,
-                                                        terminal)
+        times, states, events, calls = _scipy_reference(field, y0, t_span, cfg, event_fn)
         n = [0]
 
         def counted(t, y):
             n[0] += 1
             return field(t, y)
 
-        traj = integrate(counted, y0, t_span, cfg,
-                         events=[Event(event_fn, "level", terminal=terminal)])
+        traj = integrate(counted, y0, t_span, cfg, events=[Event(event_fn, "level")])
         assert np.array_equal(traj.times, times)
         assert np.array_equal(traj.states, states)
         assert n[0] == calls
@@ -310,6 +335,9 @@ class TestMatchesScipy:
     @settings(max_examples=300, deadline=None)
     @given(coef=st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4),
            ends=st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2, unique=True))
+    @example(coef=[0.0, 0.0, 1.0, 0.0], ends=[-1.0, 0.0])  # a zero at the right end
+    @example(coef=[0.0, 0.0, 1.0, 0.0], ends=[0.0, 1.0])  # a zero at the left end
+    @example(coef=[1.0, 0.0, 0.0, 0.0], ends=[-1.0, 2.0])  # x^3: no convergence in 100
     def test_brent_on_cubic_brackets(self, coef, ends):
         def cubic(x):
             return ((coef[0] * x + coef[1]) * x + coef[2]) * x + coef[3]
@@ -349,16 +377,19 @@ def test_unwrapped_chart_closures_take_the_float_stages_and_match_scipy(name, t_
                                                                        monkeypatch):
     """A chart closure passed as it is carries the `on_floats` hook, and the
     stepper evaluates its trial and dense-output stages through it on Python
-    floats: the same times, states and events as scipy and as the array path,
-    which the closure takes inside a plain wrapper."""
+    floats: the same times, states and event as scipy and as the array path,
+    which the closure takes inside a plain wrapper.  The event ends the run
+    near |t| = 5, so the run covers most of the span and ends on the dense
+    output."""
     rhs, y0 = CHART_CLOSURES[name]
     cfg = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-11)
     t_span = (0.0, t_final)
 
     def event_fn(t, y):
-        return math.sin(3.0 * t) - 0.1 * y[-1]
+        return abs(t) - 5.0 + 0.1 * y[-1]
 
-    times, states, events, _ = _scipy_reference(rhs, y0, t_span, cfg, event_fn, False)
+    times, states, events, _ = _scipy_reference(rhs, y0, t_span, cfg, event_fn)
+    assert len(events) == 1 and abs(times[-1]) > 4.0
     closure_calls = [0]
     on_floats = core._on_floats
 
@@ -378,13 +409,59 @@ def test_unwrapped_chart_closures_take_the_float_stages_and_match_scipy(name, t_
         assert traj.times.tobytes() == times.tobytes()
         assert traj.states.tobytes() == states.tobytes()
         assert [t for t, _ in traj.events] == events
-    (traj, float_calls), (_, array_calls) = runs["float"], runs["array"]
+    (_, float_calls), (_, array_calls) = runs["float"], runs["array"]
     # the float run calls the closure only at the start (twice) and at the end
     # point of each attempted step; the array run also at the 11 trial stages
-    # of each attempt and the 3 stages of each step's dense output
-    dense_outputs = len({int(np.searchsorted(np.sort(traj.times), t)) for t in events})
-    assert dense_outputs > 0
-    assert array_calls - 2 == 12 * (float_calls - 2) + 3 * dense_outputs
+    # of each attempt and the 3 stages of the last step's dense output
+    assert array_calls - 2 == 12 * (float_calls - 2) + 3
+
+
+# (field, its path): each field of FIELDS as it is, on the float path where it
+# carries the hook, and inside a plain wrapper, on the array path
+LOCKSTEP = [(name, path) for name in sorted(FIELDS) for path in ("float", "array")
+            if path == "array" or hasattr(FIELDS[name][0], "on_floats")]
+
+
+@pytest.mark.parametrize("backward", [False, True])
+@pytest.mark.parametrize("name, path", LOCKSTEP)
+def test_dense_output_matches_scipy_inside_every_step(name, path, backward):
+    """Stepped in lockstep with scipy's DOP853 over a whole span, the stepper
+    lands on scipy's bits at every step, and its dense output gives scipy's
+    bits at 1/4, 1/2 and 3/4 of every step."""
+    rhs, y0 = FIELDS[name]
+    field = rhs if path == "float" else (lambda t, y: rhs(t, y))
+    cfg = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-11)
+    t_bound = -8.0 if backward else 8.0
+    ours = _DormandPrince(field, 0.0, np.array(y0, dtype=float), t_bound, cfg)
+    theirs = DOP853(field, 0.0, np.array(y0, dtype=float), t_bound, rtol=cfg.rel_tol,
+                    atol=cfg.abs_tol)
+    points = 0
+    while theirs.status == "running":
+        theirs.step()
+        ours.step()
+        assert (ours.t, ours.y.tobytes()) == (theirs.t, theirs.y.tobytes())
+        dense, reference = ours.dense_output(), theirs.dense_output()
+        for x in (0.25, 0.5, 0.75):
+            t = ours.t_old + x * (ours.t - ours.t_old)
+            assert dense(t).tobytes() == reference(t).tobytes()
+            points += 1
+    assert theirs.status == "finished" and ours.finished
+    assert points >= 30
+
+
+def test_zero_field_takes_scipys_start_up_and_growth_branches():
+    # a zero field gives zero norms: the start-up step h1 = max(1e-6, h0 1e-3),
+    # a zero error norm and the largest growth factor at every step
+    traj = integrate(lambda t, y: np.zeros(1), [1.0], (0.0, 1.0))
+    solver = DOP853(lambda t, y: np.zeros(1), 0.0, np.array([1.0]), 1.0, rtol=1e-10,
+                    atol=1e-12)
+    times = [0.0]
+    while solver.status == "running":
+        solver.step()
+        times.append(solver.t)
+    assert traj.times.tobytes() == np.array(times).tobytes()
+    assert len(times) - 1 == 7
+    assert np.all(traj.states == 1.0)
 
 
 # (factory, its parameters, a state): the six chart closures and the branch closure

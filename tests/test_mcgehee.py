@@ -85,6 +85,12 @@ class TestTransform:
                 back = from_mcgehee(to_mcgehee(s, p), p)
                 assert np.allclose(back.as_array(), s.as_array(), atol=1e-12)
 
+    def test_chart_boundaries_are_refused(self):
+        with pytest.raises(ValueError, match="r >= 0"):
+            McGeheeState(-1.0, 0.0, 0.0, 0.0)
+        with pytest.raises(DomainError, match="r = 0 is the collision boundary"):
+            from_mcgehee(McGeheeState(0.0, -0.5, 1.0, 0.2), Params(3.0, 1.5, 0.5))
+
     def test_lands_on_energy_relation(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
@@ -528,8 +534,12 @@ class TestBasin:
         assert isinstance(c, float)
 
     def test_fraction_tends_to_one_near_sink(self):
-        fracs = [basin_fraction(self.P, 300, 40.0, box=BasinBox.near_sink(self.P, w), seed=5)
-                 for w in (0.4, 0.2, 0.1)]
+        def box(w):
+            return BasinBox(r=(0.05, 0.05 + w), theta=(math.pi / 2 - w, math.pi / 2 + w),
+                            u=(-w / 2, w / 2), v_sign=-1)
+
+        assert box(0.3) == BasinBox.near_sink(self.P)
+        fracs = [basin_fraction(self.P, 300, 40.0, box=box(w), seed=5) for w in (0.4, 0.2, 0.1)]
         assert fracs[-1] >= fracs[0] - 1e-9
         assert fracs[-1] > 0.95
 

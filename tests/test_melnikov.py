@@ -128,6 +128,10 @@ class TestPerturbation:
         with pytest.raises(ValueError):
             perturbation_W2(1.0, 0.0, 1.4)
 
+    def test_radius_must_be_positive(self):
+        with pytest.raises(ValueError, match="W2 requires r > 0"):
+            perturbation_W2(0.0, 0.0, self.BETA)
+
 
 class TestM2:
     def test_zero_at_theta0_zero(self):
@@ -288,6 +292,12 @@ class TestI2:
             for route in (i2_quadrature, i2_closed_form):
                 assert abs(route(p_par, beta) - exact) <= 1e-13 * max(1.0, abs(exact)), \
                     (route.__name__, beta)
+
+    def test_quadrature_of_a_jump_does_not_converge(self):
+        # a jump inside the interval: the last two levels still differ by about
+        # 2e-3 of the integral of |f|
+        with pytest.raises(ArithmeticError, match=r"on \[0.0, 1.0\] did not converge"):
+            melnikov._tanh_sinh(lambda x: np.where(x < 1 / 3, 0.0, 1.0), 0.0, 1.0)
 
     def test_quadrature_converges_next_to_three_halves(self):
         # the endpoint singularity cos^(2 beta - 4) is strongest here
