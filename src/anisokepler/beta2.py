@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Params, _chart_rhs, _jacobian
+from .core import Params, _chart_rhs, _jacobian, _on_floats
 from .infinity import SQRT2, _require_zero_energy
 from .mcgehee import McGeheeState, _delta_and_half_sin2, delta, energy_residual, mcgehee_rhs
 
@@ -58,9 +58,14 @@ class PolarState:
 
 def polar_hamiltonian(s: PolarState, p: Params) -> float:
     p.require_beta_equal(2.0)
-    D = delta(s.theta, p.mu)
-    return (0.5 * s.pr * s.pr + 0.5 * s.ptheta * s.ptheta / (s.r * s.r)
-            - 1.0 / s.r - p.b / (s.r * s.r * D))
+    return float(_on_floats(_hamiltonian, [float(s.r), float(s.theta), float(s.pr),
+                                           float(s.ptheta)], p))
+
+
+def _hamiltonian(xp, r, theta, pr, ptheta, p: Params):
+    """H2 on floats, numpy scalars or complex steps, sines and cosines from xp."""
+    D = delta(theta, p.mu, xp)
+    return 0.5 * pr * pr + 0.5 * ptheta * ptheta / (r * r) - 1.0 / r - p.b / (r * r * D)
 
 
 def polar_rhs(p: Params):
@@ -84,22 +89,25 @@ def _polar_arrays(xp, r, theta, pr, pth, p: Params):
 def integral_G(s: PolarState, p: Params) -> float:
     """Angular first integral ptheta^2/2 - b/Delta, conserved by the beta = 2 flow."""
     p.require_beta_equal(2.0)
-    return 0.5 * s.ptheta * s.ptheta - p.b / delta(s.theta, p.mu)
+    return float(_on_floats(_angular_integral, [float(s.theta), float(s.ptheta)], p))
+
+
+def _angular_integral(xp, theta, ptheta, p: Params):
+    """G on floats, numpy scalars or complex steps, sines and cosines from xp."""
+    return 0.5 * ptheta * ptheta - p.b / delta(theta, p.mu, xp)
 
 
 def poisson_bracket_H2_G(s: PolarState, p: Params) -> float:
-    """{H2, G}, identically zero, from the theta and ptheta partials of
-    `polar_hamiltonian` and `integral_G` themselves by the complex step; G has
-    no (r, pr) dependence, so only that pair contributes."""
+    """{H2, G}, identically zero, from one complex-step Jacobian of the
+    definitions that `polar_hamiltonian` and `integral_G` evaluate: rows H2 and
+    G, columns theta and ptheta.  G has no (r, pr) dependence, so only that pair
+    contributes."""
     p.require_beta_equal(2.0)
-
-    def partials(f):
-        return _jacobian(lambda xp, theta, ptheta, p: f(PolarState(s.r, theta, s.pr, ptheta), p),
-                         (s.theta, s.ptheta), p)
-
-    dH_dtheta, dH_dptheta = partials(polar_hamiltonian)
-    dG_dtheta, dG_dptheta = partials(integral_G)
-    return float(dH_dtheta * dG_dptheta - dH_dptheta * dG_dtheta)
+    r, pr = float(s.r), float(s.pr)  # Python floats keep the complex steps off numpy
+    J = _jacobian(lambda xp, theta, ptheta, p: (_hamiltonian(xp, r, theta, pr, ptheta, p),
+                                                _angular_integral(xp, theta, ptheta, p)),
+                  (s.theta, s.ptheta), p)
+    return float(J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0])
 
 
 def beta2_mcgehee_rhs(p: Params):
@@ -125,7 +133,7 @@ def zero_velocity_radius(theta: float, p: Params) -> float:
     p.require_beta_equal(2.0)
     if p.h >= 0.0:
         raise ValueError("the zero-velocity curve exists for h < 0 only")
-    D = delta(theta, p.mu)
+    D = delta(theta, p.mu, math)
     return (-1.0 - math.sqrt(1.0 - 4.0 * p.h * p.b / D)) / (2.0 * p.h)
 
 

@@ -486,7 +486,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--b", type=float, default=0.5)
     sp.add_argument("--n-states", type=_count, default=1000)
     sp.add_argument("--n-orbits", type=_count, default=20)
-    sp.add_argument("--tau", type=float, default=10.0)
+    sp.add_argument("--tau", type=float, default=10.0,
+                    help="end of each orbit's time span: physical time t for the polar "
+                         "orbits, rescaled time tau (dt = r^2 dtau) for the regularized one")
 
     sp = sub.add_parser("melnikov", help="I2 profile over a beta grid")
     common(sp)

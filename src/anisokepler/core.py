@@ -158,9 +158,11 @@ def _on_floats(field, ys, p: Params) -> np.ndarray:
 def _jacobian(field, y, p: Params) -> np.ndarray:
     """d field(xp, *y, p) / dy by the complex step (Squire & Trapp 1998): column j
     is Im field(y + i h e_j) / h with h = 2^-100, exact to roundoff for a field
-    analytic in y.  As in `_on_floats`: Python complex through `cmath`, numpy
-    complex scalars without a RuntimeWarning where that raises.  A scalar field
-    gives its gradient; a NaN or inf entry raises ArithmeticError."""
+    analytic in y.  `field` is a namespace definition, as for `_on_floats`: it
+    takes its sines and cosines from xp, so it runs on Python complex through
+    `cmath`, and on numpy complex scalars without a RuntimeWarning where that
+    raises.  A scalar field gives its gradient, a tuple of k fields its k-row
+    Jacobian; a NaN or inf entry raises ArithmeticError."""
     h = 2.0 ** -100
     columns = []
     for j in range(len(y)):

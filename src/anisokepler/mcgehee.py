@@ -127,10 +127,11 @@ def energy_residual(m: McGeheeState, p: Params) -> float:
 
 
 def _residual(xp, r, v, theta, u, p: Params):
-    """`energy_residual` on floats or equal-shape arrays, sines and cosines from xp."""
+    """`energy_residual` on floats or equal-shape arrays, sines and cosines from xp;
+    one power of r, r^beta = r^(beta-1) r, as in the field."""
     D = delta(theta, p.mu, xp)
-    return (u * u + v * v - 2.0 * r ** (p.beta - 1.0)
-            - 2.0 * p.b / D ** (p.beta / 2.0) - 2.0 * p.h * r ** p.beta)
+    rb1 = r ** (p.beta - 1.0)
+    return u * u + v * v - 2.0 * rb1 - 2.0 * p.b / D ** (p.beta / 2.0) - 2.0 * p.h * (rb1 * r)
 
 
 def _v_squared(r, theta, u, p: Params):
@@ -183,7 +184,7 @@ def linearize_at(m: McGeheeState, p: Params) -> np.ndarray:
     At an equilibrium (r = u = 0) this is the (r, theta, u) block of the field's
     Jacobian: there no r, theta or u component depends on v, the direction off the level.
     """
-    D = delta(m.theta, p.mu)
+    D = delta(m.theta, p.mu, np)
     e = 0.5 * (p.beta - 2.0) * m.v
     c = p.b * p.beta * (p.mu - 1.0) * math.cos(2.0 * m.theta) / D ** ((p.beta + 2.0) / 2.0)
     return np.array([[m.v, 0.0, 0.0],

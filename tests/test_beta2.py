@@ -113,15 +113,16 @@ class TestPoissonBracket:
             assert poisson_bracket_H2_G(s, p) == 0.0
 
     def test_wrong_integral_is_caught(self, monkeypatch):
-        # the bracket differentiates integral_G itself, so an integral that the
-        # flow does not conserve shows up where sin(2 theta) != 0
-        def wrong_G(s, p):
-            return 0.5 * s.ptheta * s.ptheta - p.b / delta(s.theta, p.mu) ** 2
+        # the bracket differentiates the definition integral_G evaluates, so an
+        # integral that the flow does not conserve shows up where sin(2 theta) != 0
+        def wrong_G(xp, theta, ptheta, p):
+            return 0.5 * ptheta * ptheta - p.b / delta(theta, p.mu, xp) ** 2
 
         p = Params(2, 1.5, 0.5)
         s = PolarState(1.3, 0.6, -0.4, 1.1)
         assert abs(poisson_bracket_H2_G(s, p)) <= 1e-14
-        monkeypatch.setattr(beta2, "integral_G", wrong_G)
+        monkeypatch.setattr(beta2, "_angular_integral", wrong_G)
+        assert integral_G(s, p) == wrong_G(math, s.theta, s.ptheta, p)
         assert abs(poisson_bracket_H2_G(s, p)) > 1e-3
 
     def test_partials_match_finite_differences(self):

@@ -1,10 +1,11 @@
 """Single-state fields on Python floats against numpy-scalar evaluation.
 
-Every closure the package hands to `integrate`, each energy residual and the
-Cartesian potential evaluate their chart's one definition on Python floats
-through `math`, by the one rule `core._on_floats`.  These tests hold each one
-to the numpy-scalar evaluation of the same definition, bit for bit and NaN for
-NaN, including the states where a float operation would raise or turn complex.
+Every closure the package hands to `integrate`, each energy residual, the
+beta = 2 integrals H2 and G and the Cartesian potential evaluate their chart's
+one definition on Python floats through `math`, by the one rule
+`core._on_floats`.  These tests hold each one to the numpy-scalar evaluation of
+the same definition, bit for bit and NaN for NaN, including the states where a
+float operation would raise or turn complex.
 """
 
 import math
@@ -15,7 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anisokepler.beta2 import _polar_arrays, polar_rhs
+from anisokepler.beta2 import (
+    PolarState,
+    _angular_integral,
+    _hamiltonian,
+    _polar_arrays,
+    integral_G,
+    polar_hamiltonian,
+    polar_rhs,
+)
 from anisokepler.core import (
     CartesianState,
     Params,
@@ -50,14 +59,24 @@ def _branch_rhs(p):
     return lambda t, y: _graph_rhs(p)(y[0], y[1:])
 
 
-def _residual_entry(residual, state, definition):
+def _residual_entry(residual, state, definition, size=abs):
     """(closure factory, definition) of a first integral the CLI evaluates on a
     state object, as a 0-d array.  The state refuses a negative leading radius,
-    so both sides take the size of the leading entry."""
+    so both sides take its `size`."""
     def on_size(xp, lead, *rest):
-        return definition(xp, abs(lead), *rest)
+        return definition(xp, size(lead), *rest)
 
-    return (lambda p: lambda t, y: np.array(residual(state(abs(y[0]), *y[1:]), p)), on_size)
+    return (lambda p: lambda t, y: np.array(residual(state(size(y[0]), *y[1:]), p)), on_size)
+
+
+def _polar_size(r):
+    """|r|, and the least positive double for a zero, which `PolarState` refuses;
+    there r * r underflows to zero, so the float path raises and falls back."""
+    return abs(r) or np.float64(math.ulp(0.0))
+
+
+def _angular_integral_on_state(xp, r, theta, pr, ptheta, p):
+    return _angular_integral(xp, theta, ptheta, p)
 
 
 # (closure factory, its definition, state size, index of theta, chart): the
@@ -72,6 +91,10 @@ CLOSURES = {
     "energy_residual": (*_residual_entry(energy_residual, McGeheeState, _residual), 4, 2, None),
     "infinity_energy_residual": (*_residual_entry(infinity_energy_residual, InfinityState,
                                                   _infinity_residual), 4, 2, "h=0"),
+    "polar_hamiltonian": (*_residual_entry(polar_hamiltonian, PolarState, _hamiltonian,
+                                           _polar_size), 4, 1, "beta=2"),
+    "integral_G": (*_residual_entry(integral_G, PolarState, _angular_integral_on_state,
+                                    _polar_size), 4, 1, "beta=2"),
     "potential": (lambda p: lambda t, y: np.array(potential(CartesianState(*y, 0.0, 0.0), p)),
                   _potential, 2, None, None),
 }

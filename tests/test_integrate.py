@@ -338,6 +338,9 @@ class TestMatchesScipy:
     @example(coef=[0.0, 0.0, 1.0, 0.0], ends=[-1.0, 0.0])  # a zero at the right end
     @example(coef=[0.0, 0.0, 1.0, 0.0], ends=[0.0, 1.0])  # a zero at the left end
     @example(coef=[1.0, 0.0, 0.0, 0.0], ends=[-1.0, 2.0])  # x^3: no convergence in 100
+    # the extrapolation denominator underflows to 0: Python raises where C yields
+    # inf, and both bisect
+    @example(coef=[1e-110, 0.0, 0.0, -1e-111], ends=[0.0, 1.0])
     def test_brent_on_cubic_brackets(self, coef, ends):
         def cubic(x):
             return ((coef[0] * x + coef[1]) * x + coef[2]) * x + coef[3]
