@@ -149,7 +149,7 @@ def write_manifest(ns: argparse.Namespace, drift: dict) -> str:
     manifest = {
         "command": ns.command,
         "config": {k: v for k, v in sorted(vars(ns).items())
-                   if k not in ("command", "config", "out", "seed") and v is not None},
+                   if k not in ("command", "out", "seed") and v is not None},
         "seed": ns.seed,
         "out": ns.out,
         "versions": {
@@ -327,12 +327,16 @@ def _run_beta2_verify(ns: argparse.Namespace):
         bracket_worst = max(bracket_worst, abs(poisson_bracket_H2_G(s, p)))
 
     h_drift = g_drift = 0.0
-    for _ in range(ns.n_orbits):
+    for i in range(ns.n_orbits):
         s = PolarState(rng.uniform(1.0, 2.5), rng.uniform(0, 2 * math.pi),
                        rng.uniform(-0.2, 0.2), rng.uniform(1.3, 1.8))
-        traj = integrate(polar_rhs(p), s.as_array(), (0.0, ns.tau), icfg,
-                         monitors={"H2": lambda t, y: polar_hamiltonian(PolarState(*y), p),
-                                   "G": lambda t, y: integral_G(PolarState(*y), p)})
+        try:
+            traj = integrate(polar_rhs(p), s.as_array(), (0.0, ns.tau), icfg,
+                             monitors={"H2": lambda t, y: polar_hamiltonian(PolarState(*y), p),
+                                       "G": lambda t, y: integral_G(PolarState(*y), p)})
+        except StepSizeUnderflow as exc:
+            raise StepSizeUnderflow(f"the H2/G drift check: polar orbit {i} from {s} stalls "
+                                    f"on t in [0, {ns.tau}] ({exc})") from exc
         h_drift = max(h_drift, traj.invariant_drift["H2"])
         g_drift = max(g_drift, traj.invariant_drift["G"])
 

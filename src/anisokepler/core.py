@@ -122,8 +122,10 @@ def _chart_rhs(definition, p: Params):
     through `_on_floats`, as an ndarray.
 
     The closure's ``on_floats(t, ys)`` is the definition on the state as Python
-    floats and nothing else: no array, no fallback.  It takes the definition's
-    module, so that tracers and profilers attribute it to its chart."""
+    floats and nothing else: no array, no fallback; the stepper takes every
+    stage through it (the stage rule of the `anisokepler.integrate` docstring).
+    It takes the definition's module, so that tracers and profilers attribute
+    it to its chart."""
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         return _on_floats(definition, y.tolist(), p)

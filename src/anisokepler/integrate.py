@@ -13,16 +13,17 @@ frame.  Event times are refined on the dense output by Brent's method, a
 line-for-line port of ``scipy.optimize.brentq`` that agrees with it bit for
 bit as well.  The test suite checks both against scipy.
 
-A field may carry a hook ``on_floats(t, ys)``: its value at time t on the
-state ys given as a list of Python floats.  Given one, the stepper builds each
-stage state as Python floats, y_i + (K^T a)_i h entry by entry (the two IEEE
-operations of the array sum, after the same ``.dot``), and writes the hook's
-value straight into its row of K.  Where the hook raises ArithmeticError,
-ValueError or TypeError (a complex value, which the row of K refuses, among
-them), the stage calls the field itself on the state as an array.  A field
-without the hook takes the array path, each stage state an ndarray passed to
-the callable.  A field that carries the hook must give the same bits on both
-paths.
+Every field value but the start-up's two (at t0 and at the probe sizing the
+first step) is a stage: row s of K is the field at t + c_s h on the state
+y + (K^T a_s) h, and an attempt's stage 12, its end point, is the next step's
+stage 0.  A field may carry a hook ``on_floats(t, ys)``, its value at time t
+on the state ys as a list of Python floats.  Given one, the stepper builds
+each stage state as Python floats, y_i + (K^T a)_i h entry by entry (the two
+IEEE operations of the array sum, after the same ``.dot``), and writes the
+hook's value into its row of K; only where the hook raises ArithmeticError,
+ValueError or TypeError (a complex value, which K refuses, among them) does a
+stage call the field itself, on the state as an array.  A field without the
+hook takes that path at every stage; one with it must give the same bits.
 
 The stepper enforces the hard step-count limit itself, so every driver stops
 there.  Around it the driver adds the bookkeeping the rest of the package
@@ -58,11 +59,11 @@ _EVENT_MAX_ITER = 100
 # DOP853 in scipy's layout (Hairer, Norsett & Wanner, Sec. II.10; their Fortran
 # code DOP853).  Row s of _A weighs the stages K[:s] for stage s, evaluated at
 # t + _C[s] h: rows 1-11 are the step's trial stages, row 12 is B (the
-# eighth-order solution, whose field value becomes K[12]) and rows 13-15 are
-# the three extra stages of the dense output.  _E5 and _E3 weigh the 13 rows
-# K[:13] for the fifth- and third-order error estimates; _D weighs all 16
-# rows for the four highest coefficients of the 7-term interpolant.  The
-# literals are the doubles of scipy.integrate._ivp.dop853_coefficients.
+# eighth-order solution, whose field value K[12] is the next step's K[0]: first
+# same as last) and rows 13-15 are the three extra stages of the dense output.
+# _E5 and _E3 weigh the 13 rows K[:13] for the fifth- and third-order error
+# estimates; _D weighs all 16 rows for the four highest coefficients of the
+# 7-term interpolant.  The literals are scipy.integrate._ivp.dop853_coefficients.
 _C = np.array([
     0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
     0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
@@ -110,7 +111,6 @@ _A = _lower_triangular((
      4.06898981839711, 0.3567271874552811, 0, 0, 0, -0.0013990241651590145,
      2.9475147891527724, -9.15095847217987),
 ))
-_B = _A[12, :12]
 _E3 = np.array([
     -0.18980075407240762, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003,
     -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
@@ -222,8 +222,8 @@ def _rms_norm(x: np.ndarray) -> float:
 
 
 class _DormandPrince:
-    """State of one trajectory: the current point, its field value, the next step
-    size and the accepted steps taken, at most ``cfg.max_steps``."""
+    """State of one trajectory: the current point, its field value K[12], the
+    next step size and the accepted steps taken, at most ``cfg.max_steps``."""
 
     def __init__(self, fun, t0: float, y0: np.ndarray, t_bound: float, cfg: IntegratorConfig):
         self.fun = fun
@@ -234,22 +234,21 @@ class _DormandPrince:
         self.t, self.y = t0, y0
         self.t_old = self.y_old = None
         self.on_floats = getattr(fun, "on_floats", None)
-        self.f = np.asarray(fun(t0, y0), dtype=float)
         self.K = np.empty((16, y0.size))
+        self.K[12] = fun(t0, y0)
         # views of K made once: per stage (its row, earlier stages, their
-        # weights, time fraction), the trial stages 1-11 and the dense output's
-        # 13-15; then the twelve stages B weighs and the 13 rows the error
-        # estimates weigh.  K keeps scipy's (16, n) layout, so the .dot products
-        # sum in the same order as scipy's np.dot.
+        # weights, time fraction), an attempt's 1-12 and the dense output's
+        # 13-15; then the 13 rows the error estimates weigh.  K keeps scipy's
+        # (16, n) layout, so the .dot products sum in scipy's np.dot order.
         self._stages, self._extra_stages = (
             [(s, self.K[:s].T, _A[s, :s], float(_C[s])) for s in stages]
-            for stages in (range(1, 12), range(13, 16)))
-        self._KT_B, self._KT_E = self.K[:12].T, self.K[:13].T
+            for stages in (range(1, 13), range(13, 16)))
+        self._KT_E = self.K[:13].T
         self.h_abs = self._initial_step()
 
     def _initial_step(self) -> float:
         """Starting step size (Hairer, Norsett & Wanner, Sec. II.4)."""
-        t0, y0, f0, direction = self.t, self.y, self.f, self.direction
+        t0, y0, f0, direction = self.t, self.y, self.K[12], self.direction
         interval_length = abs(self.t_bound - t0)
         scale = self.atol + np.abs(y0) * self.rtol
         d0 = _rms_norm(y0 / scale)
@@ -270,15 +269,16 @@ class _DormandPrince:
             h1 = (0.01 / max(d1, d2)) ** (1 / 8)
         return min(100 * h0, h1, interval_length)
 
-    def _fill_stages(self, stages, t: float, y: np.ndarray, h: float) -> None:
+    def _fill_stages(self, stages, t: float, y: np.ndarray, h: float) -> np.ndarray:
         """K[s] = fun(t + c h, y + (K[:s]^T a) h) for each stage (s, K[:s]^T, a, c),
         through the field's ``on_floats`` hook where it has one (see the module
-        docstring)."""
+        docstring); returns the last stage's state."""
         K, fun, on_floats = self.K, self.fun, self.on_floats
         if on_floats is None:
             for s, K_prev, a, c in stages:
-                K[s] = fun(t + c * h, y + K_prev.dot(a) * h)
-            return
+                y_s = y + K_prev.dot(a) * h
+                K[s] = fun(t + c * h, y_s)
+            return y_s
         y_floats = y.tolist()
         for s, K_prev, a, c in stages:
             ys = [yi + di * h for yi, di in zip(y_floats, K_prev.dot(a).tolist())]
@@ -286,6 +286,7 @@ class _DormandPrince:
                 K[s] = on_floats(t + c * h, ys)
             except (ArithmeticError, ValueError, TypeError):
                 K[s] = fun(t + c * h, np.array(ys))
+        return np.array(ys)
 
     @property
     def finished(self) -> bool:
@@ -306,9 +307,10 @@ class _DormandPrince:
         self.n_steps += 1
         if self.n_steps > self.max_steps:
             raise MaxStepsExceeded(f"exceeded {self.max_steps} steps at t={self.t}")
-        fun, t, y, K, direction = self.fun, self.t, self.y, self.K, self.direction
+        t, y, K, direction = self.t, self.y, self.K, self.direction
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs = max(self.h_abs, min_step)
+        K[0] = K[12]
 
         rejected = False
         while True:
@@ -323,11 +325,7 @@ class _DormandPrince:
             h = t_new - t
             h_abs = abs(h)
 
-            K[0] = self.f
-            self._fill_stages(self._stages, t, y, h)
-            y_new = y + h * self._KT_B.dot(_B)
-            f_new = np.asarray(fun(t + h, y_new), dtype=float)
-            K[12] = f_new
+            y_new = self._fill_stages(self._stages, t, y, h)
 
             scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
             error_norm = self._error_norm(h, scale)
@@ -344,19 +342,18 @@ class _DormandPrince:
             rejected = True
 
         self.t_old, self.y_old = t, y
-        self.t, self.y, self.f, self.h_abs = t_new, y_new, f_new, h_abs
+        self.t, self.y, self.h_abs = t_new, y_new, h_abs
 
     def dense_output(self) -> Callable[[float], np.ndarray]:
         """The 7-term interpolant of the last step, from three more field calls."""
         K, t_old, y_old = self.K, self.t_old, self.y_old
         h = self.t - t_old
         self._fill_stages(self._extra_stages, t_old, y_old, h)
-        f_old = K[0]
         delta_y = self.y - y_old
         F = np.empty((7, y_old.size))
         F[0] = delta_y
-        F[1] = h * f_old - delta_y
-        F[2] = 2 * delta_y - h * (self.f + f_old)
+        F[1] = h * K[0] - delta_y  # K[0] and K[12]: the field at the two ends
+        F[2] = 2 * delta_y - h * (K[12] + K[0])
         F[3:] = h * _D.dot(K)
         F = F[::-1]
 

@@ -39,20 +39,15 @@ from .integrate import _brentq
 
 __all__ = [
     "ChaosVerdict",
-    "parabolic_rt",
-    "parabolic_velocities",
     "perturbation_W2",
-    "perturbation_W2_partials",
     "melnikov_M2",
     "i1_parity_check",
-    "i1_integrand_eta",
     "m1_direct_quadrature",
     "i2_quadrature",
     "i2_closed_form",
     "i2_amplitude",
     "i2_beta_roots",
     "chaos_verdict",
-    "THETA_NORMALIZATION_OFFSET",
 ]
 
 # angle offset realizing Theta(0) = pi on the branch theta in (-pi, pi);

@@ -193,10 +193,11 @@ def trace_manifold(p: Params, cfg: IntegratorConfig | None = None) -> np.ndarray
     s = half + math.sqrt(half * half + 0.5 * p.beta * p.epsilon / p.mu)
     step = SEED_OFFSET / math.hypot(1.0, s)
     thetas, psis = [-math.pi + step], [s * step]
+    rhs = _graph_rhs(p)
     turn_back = Event(lambda t, y: y[0] - (math.pi - TURN_BACK), "turn-back")
     for end in (*lines, section):
         try:
-            traj = integrate(_graph_rhs(p), psis[-1:], (thetas[-1], end), cfg, events=[turn_back])
+            traj = integrate(rhs, psis[-1:], (thetas[-1], end), cfg, events=[turn_back])
         except StepSizeUnderflow as exc:
             raise TraceError(f"branch from (-pi, 0) stalls between theta = {thetas[-1]:.6g} and "
                              f"{end:.6g}, before the section theta = {section}: {exc}") from exc

@@ -700,6 +700,22 @@ class TestBeta2VerifyCommand:
                      "--out", str(out)]) == EXIT_NUMERICAL
         assert not out.exists()
 
+    def test_stalled_orbit_is_named(self, tmp_path, capsys):
+        # at b = 2 the first polar orbit of seed 0 stalls; the record names the
+        # check, the orbit, its start and its span, and keeps the stepper's text
+        out = tmp_path / "x.csv"
+        capsys.readouterr()
+        assert main(["beta2-verify", "--b", "2", "--n-orbits", "2", "--out", str(out)]) \
+            == EXIT_NUMERICAL
+        assert not out.exists()
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "numerical" and record["exit_code"] == EXIT_NUMERICAL
+        assert record["message"] == (
+            "the H2/G drift check: polar orbit 0 from PolarState(r=1.4875171364017228, "
+            "theta=5.347204965784701, pr=0.13689657797998223, ptheta=1.7173948508639372) "
+            "stalls on t in [0, 10.0] (Required step size is less than spacing between "
+            "numbers.)")
+
 
 class TestBasinCommand:
     def test_fraction_row(self, tmp_path):

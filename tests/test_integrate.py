@@ -25,7 +25,6 @@ from anisokepler.integrate import (
     MaxStepsExceeded,
     StepSizeUnderflow,
     _A,
-    _B,
     _C,
     _D,
     _DormandPrince,
@@ -294,7 +293,9 @@ FIELDS = {
 
 def test_tables_are_scipys_dop853_coefficients():
     c = dop853_coefficients
-    for ours, theirs in ((_A, c.A), (_B, c.B), (_C, c.C), (_E3, c.E3), (_E5, c.E5), (_D, c.D)):
+    # the weights of the eighth-order solution are the row of its stage, 12
+    for ours, theirs in ((_A, c.A), (_A[12, :12], c.B), (_C, c.C), (_E3, c.E3), (_E5, c.E5),
+                         (_D, c.D)):
         assert np.array_equal(ours, theirs)
 
 
@@ -379,11 +380,11 @@ CHART_CLOSURES = {
 def test_unwrapped_chart_closures_take_the_float_stages_and_match_scipy(name, t_final,
                                                                        monkeypatch):
     """A chart closure passed as it is carries the `on_floats` hook, and the
-    stepper evaluates its trial and dense-output stages through it on Python
-    floats: the same times, states and event as scipy and as the array path,
-    which the closure takes inside a plain wrapper.  The event ends the run
-    near |t| = 5, so the run covers most of the span and ends on the dense
-    output."""
+    stepper evaluates every stage of every attempt and of the dense output
+    through it on Python floats: the same times, states and event as scipy and
+    as the array path, which the closure takes inside a plain wrapper.  The
+    event ends the run near |t| = 5, so the run covers most of the span and
+    ends on the dense output."""
     rhs, y0 = CHART_CLOSURES[name]
     cfg = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-11)
     t_span = (0.0, t_final)
@@ -400,8 +401,16 @@ def test_unwrapped_chart_closures_take_the_float_stages_and_match_scipy(name, t_
         closure_calls[0] += 1
         return on_floats(field, y, p)
 
+    hook_calls = [0]
+    hook = rhs.on_floats
+
+    def counted_hook(t, ys):
+        hook_calls[0] += 1
+        return hook(t, ys)
+
     monkeypatch.setattr(core, "_on_floats", counted_on_floats)
     monkeypatch.setattr(torus, "_on_floats", counted_on_floats)
+    monkeypatch.setattr(rhs, "on_floats", counted_hook)
     runs = {}
     for path, field in (("float", rhs), ("array", lambda t, y: rhs(t, y))):
         closure_calls[0] = 0
@@ -413,10 +422,10 @@ def test_unwrapped_chart_closures_take_the_float_stages_and_match_scipy(name, t_
         assert traj.states.tobytes() == states.tobytes()
         assert [t for t, _ in traj.events] == events
     (_, float_calls), (_, array_calls) = runs["float"], runs["array"]
-    # the float run calls the closure only at the start (twice) and at the end
-    # point of each attempted step; the array run also at the 11 trial stages
-    # of each attempt and the 3 stages of the last step's dense output
-    assert array_calls - 2 == 12 * (float_calls - 2) + 3
+    # the float run calls the closure only at the start (twice), and the hook
+    # at every other stage; the array run calls the closure at all of them
+    assert float_calls == 2
+    assert array_calls - 2 == hook_calls[0]
 
 
 # (field, its path): each field of FIELDS as it is, on the float path where it
@@ -430,7 +439,9 @@ LOCKSTEP = [(name, path) for name in sorted(FIELDS) for path in ("float", "array
 def test_dense_output_matches_scipy_inside_every_step(name, path, backward):
     """Stepped in lockstep with scipy's DOP853 over a whole span, the stepper
     lands on scipy's bits at every step, and its dense output gives scipy's
-    bits at 1/4, 1/2 and 3/4 of every step."""
+    bits at 1/4, 1/2 and 3/4 of every step.  Each span takes rejected
+    attempts, so the field value at the start of a step must outlast the
+    attempts that overwrite the end point's."""
     rhs, y0 = FIELDS[name]
     field = rhs if path == "float" else (lambda t, y: rhs(t, y))
     cfg = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-11)
@@ -438,10 +449,11 @@ def test_dense_output_matches_scipy_inside_every_step(name, path, backward):
     ours = _DormandPrince(field, 0.0, np.array(y0, dtype=float), t_bound, cfg)
     theirs = DOP853(field, 0.0, np.array(y0, dtype=float), t_bound, rtol=cfg.rel_tol,
                     atol=cfg.abs_tol)
-    points = 0
+    points = steps = 0
     while theirs.status == "running":
         theirs.step()
         ours.step()
+        steps += 1
         assert (ours.t, ours.y.tobytes()) == (theirs.t, theirs.y.tobytes())
         dense, reference = ours.dense_output(), theirs.dense_output()
         for x in (0.25, 0.5, 0.75):
@@ -450,6 +462,9 @@ def test_dense_output_matches_scipy_inside_every_step(name, path, backward):
             points += 1
     assert theirs.status == "finished" and ours.finished
     assert points >= 30
+    # scipy's nfev counts 2 start-up calls, 12 per attempt and 3 per dense output
+    attempts, rest = divmod(theirs.nfev - 2 - 3 * steps, 12)
+    assert rest == 0 and attempts > steps
 
 
 def test_zero_field_takes_scipys_start_up_and_growth_branches():
