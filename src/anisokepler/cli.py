@@ -327,16 +327,18 @@ def _run_beta2_verify(ns: argparse.Namespace):
         bracket_worst = max(bracket_worst, abs(poisson_bracket_H2_G(s, p)))
 
     h_drift = g_drift = 0.0
+    # ptheta^2/2 > b >= b/Delta keeps G > 0, so no orbit falls into r = 0
+    ptheta_scale = max(1.0, math.sqrt(2.0 * p.b))
     for i in range(ns.n_orbits):
         s = PolarState(rng.uniform(1.0, 2.5), rng.uniform(0, 2 * math.pi),
-                       rng.uniform(-0.2, 0.2), rng.uniform(1.3, 1.8))
+                       rng.uniform(-0.2, 0.2), ptheta_scale * rng.uniform(1.3, 1.8))
         try:
             traj = integrate(polar_rhs(p), s.as_array(), (0.0, ns.tau), icfg,
                              monitors={"H2": lambda t, y: polar_hamiltonian(PolarState(*y), p),
                                        "G": lambda t, y: integral_G(PolarState(*y), p)})
-        except StepSizeUnderflow as exc:
-            raise StepSizeUnderflow(f"the H2/G drift check: polar orbit {i} from {s} stalls "
-                                    f"on t in [0, {ns.tau}] ({exc})") from exc
+        except IntegrationError as exc:
+            raise type(exc)(f"the H2/G drift check: polar orbit {i} from {s} fails "
+                            f"on t in [0, {ns.tau}] ({exc})") from exc
         h_drift = max(h_drift, traj.invariant_drift["H2"])
         g_drift = max(g_drift, traj.invariant_drift["G"])
 

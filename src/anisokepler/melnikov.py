@@ -2,8 +2,11 @@
 
 The anisotropic part of the potential acts as the perturbation
 W2(r, theta) = beta cos^2(theta) / (2 r^beta) (profile only; callers scale by
-eps*b).  Along the parabolic family r = (p/2)(1 + eta^2), eta = tan(phi/2) with
-phi the angle from the perihelion, the splitting of the asymptotic manifolds of
+eps*b).  The parabolic family is walked in one variable, w = phi/2 with phi the
+angle from the perihelion: r = p / (2 cos^2 w) on w in (-pi/2, pi/2), which
+carries the whole orbit with no truncation error (a truncated range cannot reach
+high accuracy for beta near 3/2, where the integrands decay only like
+cos^(2 beta - 4) w at the ends).  The splitting of the asymptotic manifolds of
 the point at infinity is governed by M2(theta0) = I2 sin(2 theta0): simple
 zeros of M2 indicate transversal intersections, hence chaotic dynamics,
 whenever I2 != 0.  I2 vanishes exactly at beta = 2 and beta = 3 (the factor
@@ -12,11 +15,6 @@ Every function takes the orbit parameter p and the exponent beta as floats.
 I2(p, beta) = p^(3/2 - beta) I2(1, beta), as is M2: every route evaluates at
 p = 1 and scales once, raising where the scale p^(3/2 - beta) overflows or, on
 a nonzero value, falls below the normal floats.
-
-Improper integrals are evaluated after the exact substitution eta = tan(w),
-which compactifies the line to (-pi/2, pi/2) with no truncation error (a
-truncated eta-range cannot reach high accuracy for beta near 3/2, where the
-integrand decays only like |eta|^(2 - 2 beta)).
 
 Every quadrature here uses one rule: tanh-sinh (Takahasi & Mori 1974, Publ.
 RIMS 9:721), refined by halving the step until two levels agree.  M2 is
@@ -73,26 +71,19 @@ def _require_orbit_param(p_param: float) -> None:
         raise ValueError(f"orbit parameter p must be positive and finite, got {p_param}")
 
 
-def parabolic_rt(eta: float, p_param: float) -> tuple[float, float, float]:
-    """(r, t, theta) on the zero-energy Kepler orbit with parameter p = k^2 (k the
-    angular momentum) at eta = tan(phi/2), phi the angle from the perihelion;
-    elementwise on an array of eta.
+def _parabola(w: np.ndarray, p_param: float) -> tuple[np.ndarray, ...]:
+    """(r, theta, dr/dw, dt/dw) on the zero-energy Kepler orbit with parameter
+    p = k^2 (k the angular momentum) at w = phi/2, phi the angle from the
+    perihelion; elementwise on an array of w in (-pi/2, pi/2).
 
-    r is even and t odd in eta; theta = phi + THETA_NORMALIZATION_OFFSET lies on
-    (0, 2 pi), with the perihelion r = p/2 at theta = pi.
+    r is even and theta - pi odd in w: theta = 2 w + THETA_NORMALIZATION_OFFSET,
+    with the perihelion r = p/2 at theta = pi.  Time runs as
+    t = (p^(3/2)/2)(tan w + tan^3 w / 3).
     """
     _require_orbit_param(p_param)
-    r = 0.5 * p_param * (1.0 + eta * eta)
-    t = 0.5 * p_param ** 1.5 * eta * (1.0 + eta * eta / 3.0)
-    return r, t, 2.0 * np.arctan(eta) + THETA_NORMALIZATION_OFFSET
-
-
-def parabolic_velocities(eta: float, p_param: float) -> tuple[float, float]:
-    """(dr/dt, dtheta/dt) along the orbit; matches dr/dt = +-sqrt(2r - k^2)/r
-    and dtheta/dt = k/r^2 with the sign carried by eta."""
-    _require_orbit_param(p_param)
-    one = 1.0 + eta * eta
-    return 2.0 * eta / (math.sqrt(p_param) * one), 4.0 / (p_param ** 1.5 * one * one)
+    c = np.cos(w)
+    return (0.5 * p_param / (c * c), 2.0 * w + THETA_NORMALIZATION_OFFSET,
+            p_param * np.sin(w) / c ** 3, 0.5 * p_param ** 1.5 / c ** 4)
 
 
 def perturbation_W2(r: float, theta: float, beta: float) -> float:
@@ -185,7 +176,7 @@ def _unit_orbit_integral(beta: float) -> float:
 
 def _at_p(p_param: float, beta: float, unit: float) -> float:
     """p^(3/2 - beta) times `unit`, an integral of W2 at p = 1: r and t scale as p
-    and p^(3/2) at fixed eta.  Checks p; raises ArithmeticError on overflow, and
+    and p^(3/2) at fixed w.  Checks p; raises ArithmeticError on overflow, and
     where a nonzero unit meets a scale below the normal floats, whose product
     would keep fewer digits than the tolerances assume, or none."""
     _require_orbit_param(p_param)
@@ -211,35 +202,29 @@ def melnikov_M2(theta0: float, p_param: float, beta: float) -> float:
     return i2_quadrature(p_param, beta) * math.sin(2.0 * theta0)
 
 
-def i1_integrand_eta(eta: float, p_param: float, beta: float) -> float:
-    """Integrand of I1 in the eta parameter (including dt/deta); odd in eta;
-    elementwise on an array of eta."""
-    r, _, theta = parabolic_rt(eta, p_param)
-    dt_deta = 0.5 * p_param ** 1.5 * (1.0 + eta * eta)
-    return 0.5 * beta * np.sin(2.0 * theta) / r ** beta * dt_deta
-
-
 def i1_parity_check(p_param: float, beta: float) -> float:
-    """Quadrature of I1 = (beta/2) int sin(2 Theta)/R^beta dt; zero by parity.
+    """Quadrature of I1 = (beta/2) int sin(2 Theta)/R^beta dt = -int dW2/dtheta dt;
+    zero by parity.
 
-    Integrates `i1_integrand_eta` in w = arctan(eta), split at w = 0.3 so that
-    no node has its mirror image about w = 0: on mirrored nodes any odd
-    integrand cancels to roundoff, and the check could not fail.
+    Integrates in w over (-pi/2, pi/2), split at w = 0.3 so that no node has its
+    mirror image about w = 0: on mirrored nodes any odd integrand cancels to
+    roundoff, and the check could not fail.
     """
     _require_melnikov_beta(beta)
 
     def integrand(w: np.ndarray) -> np.ndarray:
-        eta = np.tan(w)
+        r, theta, _, dt_dw = _parabola(w, p_param)
         # r^beta overflows only at nodes next to w = +-pi/2, where the
         # integrand is 0 to working precision
         with np.errstate(over="ignore"):
-            return i1_integrand_eta(eta, p_param, beta) * (1.0 + eta * eta)
+            return -perturbation_W2_partials(r, theta, beta)[1] * dt_dw
 
     return _tanh_sinh(integrand, -math.pi / 2, 0.3) + _tanh_sinh(integrand, 0.3, math.pi / 2)
 
 
 def m1_direct_quadrature(p_param: float, beta: float, theta0: float) -> float:
-    """M1 as the quadrature of Rdot dW2/dr + Thetadot dW2/dtheta along the orbit.
+    """M1 as the quadrature of Rdot dW2/dr + Thetadot dW2/dtheta along the orbit,
+    in w: dW2/dr dr/dw + 2 dW2/dtheta, since dtheta/dw = 2.
 
     M1 integrates the total time derivative of W2, so it vanishes with W2 at
     both ends.  At theta0 = 0 the integrand is odd and cancels on the mirrored
@@ -248,15 +233,12 @@ def m1_direct_quadrature(p_param: float, beta: float, theta0: float) -> float:
     _require_melnikov_beta(beta)
 
     def integrand(w: np.ndarray) -> np.ndarray:
-        eta = np.tan(w)
-        r, _, theta = parabolic_rt(eta, p_param)
-        rdot, thdot = parabolic_velocities(eta, p_param)
+        r, theta, dr_dw, _ = _parabola(w, p_param)
         # r^beta overflows only at nodes next to w = +-pi/2, where the partials
         # of W2 are 0 to working precision
         with np.errstate(over="ignore"):
             wr, wth = perturbation_W2_partials(r, theta + theta0, beta)
-        dt_dw = 0.5 * p_param ** 1.5 * (1.0 + eta * eta) ** 2
-        return (rdot * wr + thdot * wth) * dt_dw
+        return wr * dr_dw + 2.0 * wth
 
     return _tanh_sinh(integrand, -math.pi / 2, math.pi / 2)
 

@@ -16,7 +16,8 @@ import pytest
 from anisokepler import cli, mcgehee
 from anisokepler.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from anisokepler.core import CartesianState, Params, hamiltonian
-from anisokepler.integrate import IntegratorConfig
+from anisokepler.integrate import IntegratorConfig, MaxStepsExceeded
+from anisokepler.melnikov import i2_closed_form
 from anisokepler.torus import comparison_section, zeta1
 
 
@@ -73,6 +74,18 @@ class TestMelnikovCommand:
         assert manifest["command"] == "melnikov"
         assert "numpy" in manifest["versions"] and "anisokepler" in manifest["versions"]
         assert "invariant_drift" in manifest
+
+    @pytest.mark.parametrize("p_par,grid", [("1", "1.6:5:0.01"), ("0.3", "1.6:5:0.01"),
+                                             ("7.5", "1.6:5:0.01"), ("1e-3", "1.6:3:0.05")])
+    def test_closed_form_column_is_the_library_value(self, tmp_path, p_par, grid):
+        # the column is i2_closed_form at --p, bit for bit (17 digits round-trip)
+        out = tmp_path / "mel.csv"
+        assert main(["melnikov", "--beta-grid", grid, "--p", p_par, "--out", str(out)]) \
+            == EXIT_OK
+        _, cols, rows = read_rows(out)
+        for row in rows:
+            beta = float(row[cols.index("beta")])
+            assert float(row[cols.index("i2_closed_form")]) == i2_closed_form(float(p_par), beta)
 
     def test_grid_validation(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -700,21 +713,57 @@ class TestBeta2VerifyCommand:
                      "--out", str(out)]) == EXIT_NUMERICAL
         assert not out.exists()
 
-    def test_stalled_orbit_is_named(self, tmp_path, capsys):
-        # at b = 2 the first polar orbit of seed 0 stalls; the record names the
-        # check, the orbit, its start and its span, and keeps the stepper's text
+    def test_strong_coupling_orbits_stay_off_the_collision(self, tmp_path):
+        # ptheta scales with sqrt(2 b), so G > 0 on every start: at b = 1, seed 3
+        # an unscaled orbit 10 (G < 0) fell into r = 0 and stalled
+        out = tmp_path / "b2.csv"
+        assert main(["beta2-verify", "--b", "1", "--seed", "3", "--out", str(out)]) == EXIT_OK
+        _, cols, rows = read_rows(out)
+        assert [r[cols.index("status")] for r in rows] == ["pass"] * 5
+
+    START_1E300 = ("PolarState(r=1.4875171364017228, theta=5.347204965784701, "
+                   "pr=0.13689657797998223, ptheta=2.428763090041499e+150)")
+    Y_1E300 = ("[1.4875171364017228, 5.347204965784701, 0.13689657797998223, "
+               "2.428763090041499e+150]")
+
+    def failure_message(self, argv, tmp_path, capsys):
+        """The message of the one exit-3 record `beta2-verify argv` prints."""
         out = tmp_path / "x.csv"
         capsys.readouterr()
-        assert main(["beta2-verify", "--b", "2", "--n-orbits", "2", "--out", str(out)]) \
-            == EXIT_NUMERICAL
+        assert main(["beta2-verify", *argv, "--out", str(out)]) == EXIT_NUMERICAL
         assert not out.exists()
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "numerical" and record["exit_code"] == EXIT_NUMERICAL
-        assert record["message"] == (
-            "the H2/G drift check: polar orbit 0 from PolarState(r=1.4875171364017228, "
-            "theta=5.347204965784701, pr=0.13689657797998223, ptheta=1.7173948508639372) "
-            "stalls on t in [0, 10.0] (Required step size is less than spacing between "
-            "numbers.)")
+        return record["message"]
+
+    def test_stalled_orbit_is_named(self, tmp_path, capsys):
+        # at mu = b = 1e300 the first step of polar orbit 0 is NaN; the record
+        # names the check, the orbit, its start and its span, and keeps the
+        # stepper's text
+        assert self.failure_message(["--mu", "1e300", "--b", "1e300", "--n-orbits", "2"],
+                                    tmp_path, capsys) == (
+            f"the H2/G drift check: polar orbit 0 from {self.START_1E300} fails on t in "
+            f"[0, 10.0] (step size is NaN at t = 0.0, y = {self.Y_1E300}: the field or the "
+            "state is not finite there)")
+
+    @pytest.mark.parametrize("argv,start,cause", [
+        (["--b", "1e300"], START_1E300,
+         f"the weighted norm of the field at t = 0.0, y = {Y_1E300} overflows the floats"),
+        (["--max-steps", "5"],
+         "PolarState(r=1.4875171364017228, theta=5.347204965784701, pr=0.13689657797998223, "
+         "ptheta=1.7173948508639372)", "exceeded 5 steps at t=1.295703079673987"),
+    ], ids=["overflow", "max-steps"])
+    def test_every_failed_orbit_is_named(self, tmp_path, capsys, argv, start, cause):
+        # not only a stall: every stepper failure gets the same record
+        assert self.failure_message(argv, tmp_path, capsys) == (
+            f"the H2/G drift check: polar orbit 0 from {start} fails on t in [0, 10.0] "
+            f"({cause})")
+
+    def test_failed_orbit_keeps_the_error_class(self, tmp_path):
+        ns = cli._parse(["beta2-verify", "--max-steps", "5", "--n-states", "10",
+                         "--out", str(tmp_path / "x.csv")])
+        with pytest.raises(MaxStepsExceeded, match="^the H2/G drift check: polar orbit 0 "):
+            cli._run_beta2_verify(ns)
 
 
 class TestBasinCommand:

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import anisokepler.melnikov as melnikov
+from anisokepler.melnikov import _parabola
 from anisokepler.melnikov import (
     ChaosVerdict,
     chaos_verdict,
-    i1_integrand_eta,
     i1_parity_check,
     i2_amplitude,
     i2_beta_roots,
@@ -20,8 +20,6 @@ from anisokepler.melnikov import (
     i2_quadrature,
     m1_direct_quadrature,
     melnikov_M2,
-    parabolic_rt,
-    parabolic_velocities,
     perturbation_W2,
     perturbation_W2_partials,
 )
@@ -46,46 +44,45 @@ def i2_exact(p_par, beta):
         return float(prefactor * integral)
 
 
+def kepler_time(w, p_par):
+    """Oracle: t(w) = (p^(3/2)/2)(tan w + tan^3 w / 3), the time from the
+    perihelion on the zero-energy orbit at w = phi/2."""
+    eta = math.tan(w)
+    return 0.5 * p_par ** 1.5 * (eta + eta ** 3 / 3.0)
+
+
 class TestParabolicOrbit:
     def test_perihelion(self):
         # r = k^2/2 = p/2 at the perihelion angle theta = pi
-        r, t, theta = parabolic_rt(0.0, 1.3)
-        assert r == 0.65
-        assert t == 0.0 and theta == math.pi
+        r, theta, dr_dw, dt_dw = _parabola(0.0, 1.3)
+        assert r == 0.65 and theta == math.pi
+        assert dr_dw == 0.0 and dt_dw == 0.5 * 1.3 ** 1.5
 
     def test_parity(self):
-        # r even, t odd, theta - pi odd in eta
-        for eta in (0.3, 1.0, 4.7):
-            rp, tp, thp = parabolic_rt(eta, 0.8)
-            rm, tm, thm = parabolic_rt(-eta, 0.8)
-            assert rp == rm and tp == -tm
+        # r and dt/dw even, dr/dw and theta - pi odd in w
+        for w in (0.3, 0.8, 1.4):
+            rp, thp, drp, dtp = _parabola(w, 0.8)
+            rm, thm, drm, dtm = _parabola(-w, 0.8)
+            assert rp == rm and drp == -drm and dtp == dtm
             assert thp - math.pi == pytest.approx(math.pi - thm, abs=1e-15)
 
     def test_defining_odes_by_finite_differences(self):
-        # oracle: differentiate the parametric triple in eta and compare with
-        # dr/dt = +-sqrt(2r - k^2)/r and dtheta/dt = k/r^2
+        # dr/dt = +-sqrt(2r - k^2)/r and dtheta/dt = k/r^2 from the w-derivatives,
+        # and dt/dw against a central difference of the oracle t(w)
         p_par = 1.7
         k = math.sqrt(p_par)
         d = 1e-6
-        for eta in (-2.0, -0.5, 0.4, 1.5, 3.0):
-            r, _, _ = parabolic_rt(eta, p_par)
-            rp, tp, thp = parabolic_rt(eta + d, p_par)
-            rm, tm, thm = parabolic_rt(eta - d, p_par)
-            dt = tp - tm
-            rdot_fd = (rp - rm) / dt
-            thdot_fd = (thp - thm) / dt
-            expect_r = math.copysign(math.sqrt(2 * r - k * k), eta) / r
-            assert rdot_fd == pytest.approx(expect_r, rel=1e-6, abs=1e-8)
-            assert thdot_fd == pytest.approx(k / r ** 2, rel=1e-6)
-            vr, vth = parabolic_velocities(eta, p_par)
-            assert vr == pytest.approx(expect_r, rel=1e-12, abs=1e-15)
-            assert vth == pytest.approx(k / r ** 2, rel=1e-12)
+        for w in (-1.1, -0.46, 0.38, 0.98, 1.25):
+            r, _, dr_dw, dt_dw = _parabola(w, p_par)
+            expect_r = math.copysign(math.sqrt(2 * r - k * k), w) / r
+            assert dr_dw / dt_dw == pytest.approx(expect_r, rel=1e-12, abs=1e-15)
+            assert 2.0 / dt_dw == pytest.approx(k / r ** 2, rel=1e-12)
+            dt_fd = (kepler_time(w + d, p_par) - kepler_time(w - d, p_par)) / (2 * d)
+            assert dt_dw == pytest.approx(dt_fd, rel=1e-7)
 
     def test_positive_parameter_required(self):
         # every function that takes p checks it (the I2 routes in TestI2)
-        routes = (lambda p_par: parabolic_rt(0.3, p_par),
-                  lambda p_par: parabolic_velocities(0.3, p_par),
-                  lambda p_par: i1_integrand_eta(0.3, p_par, 2.5),
+        routes = (lambda p_par: _parabola(0.3, p_par),
                   lambda p_par: i1_parity_check(p_par, 2.5),
                   lambda p_par: m1_direct_quadrature(p_par, 2.5, 0.4),
                   lambda p_par: melnikov_M2(0.4, p_par, 2.5))
@@ -180,12 +177,6 @@ class TestI1AndM1:
         monkeypatch.setattr(melnikov, "THETA_NORMALIZATION_OFFSET", math.pi / 3)
         assert abs(i1_parity_check(1.0, 2.5)) > 1e-3
 
-    def test_i1_integrand_odd_pointwise(self):
-        for eta in (0.2, 0.9, 3.3, 10.0):
-            a = i1_integrand_eta(eta, 1.4, 2.5)
-            b = i1_integrand_eta(-eta, 1.4, 2.5)
-            assert a == pytest.approx(-b, rel=1e-12, abs=1e-15)
-
     @pytest.mark.parametrize("beta", BETAS)
     @pytest.mark.parametrize("p_par", PS)
     def test_m1_residual_small(self, beta, p_par):
@@ -205,8 +196,8 @@ class TestI1AndM1:
 
     def test_endpoint_decay_rate(self):
         beta = 2.5
-        for eta in (10.0, 30.0, 100.0):
-            r, _, th = parabolic_rt(eta, 1.0)
+        for w in (1.47, 1.54, 1.56):
+            r, th, _, _ = _parabola(w, 1.0)
             assert perturbation_W2(r, th, beta) <= beta / (2 * r ** beta) + 1e-18
 
     def test_two_melnikov_forms_agree(self):
@@ -219,25 +210,24 @@ class TestI1AndM1:
         def h0(r, th, pr, pth):
             return 0.5 * (pr * pr + pth * pth / (r * r)) - 1.0 / r
 
-        def bracket_integrand(eta):
+        def bracket_integrand(w):
             # {W2, H0} = dH0/dpr * dW2/dr + dH0/dptheta * dW2/dtheta, with the
             # momentum partials of H0 taken by finite differences
-            r, _, th = parabolic_rt(eta, p_par)
-            pr, _ = parabolic_velocities(eta, p_par)
+            r, th, dr_dw, dt_dw = _parabola(w, p_par)
+            pr = dr_dw / dt_dw
             pth = math.sqrt(p_par)
             d = 1e-6
             dH_dpr = (h0(r, th, pr + d, pth) - h0(r, th, pr - d, pth)) / (2 * d)
             dH_dpth = (h0(r, th, pr, pth + d) - h0(r, th, pr, pth - d)) / (2 * d)
             wr, wth = perturbation_W2_partials(r, th + theta0, beta)
-            return dH_dpr * wr + dH_dpth * wth
+            return (dH_dpr * wr + dH_dpth * wth) * dt_dw
 
-        # pointwise agreement of the two integrands
-        for eta in (-2.0, -0.5, 0.3, 1.7):
-            r, _, th = parabolic_rt(eta, p_par)
-            rdot, thdot = parabolic_velocities(eta, p_par)
+        # pointwise agreement of the two integrands in w
+        for w in (-1.1, -0.46, 0.29, 1.04):
+            r, th, dr_dw, _ = _parabola(w, p_par)
             wr, wth = perturbation_W2_partials(r, th + theta0, beta)
-            assert bracket_integrand(eta) == pytest.approx(rdot * wr + thdot * wth,
-                                                           rel=1e-5, abs=1e-10)
+            assert bracket_integrand(w) == pytest.approx(wr * dr_dw + 2.0 * wth,
+                                                         rel=1e-5, abs=1e-10)
 
 
 class TestI2:
