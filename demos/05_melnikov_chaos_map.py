@@ -27,7 +27,7 @@ for beta in (1.75, 2.0, 2.5, 3.0, 4.0, 5.0):
           f"M2 zeros: {zeros};  {verdict.value}")
 
 roots = i2_beta_roots()
-print(f"\nroots of I2 on (3/2, 10], Brent-refined: "
+print(f"\nroots of I2 on (3/2, 10], refined by bisection: "
       f"{', '.join(f'{r:.12f}' for r in roots)}")
 print(f"I2(p=1, beta=4) = {i2_closed_form(1.0, 4.0):.15f}  (pi = {math.pi:.15f})")
 

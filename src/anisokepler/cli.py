@@ -321,10 +321,14 @@ def _run_beta2_verify(ns: argparse.Namespace):
     rng = np.random.default_rng(ns.seed)
 
     bracket_worst = 0.0
-    for _ in range(ns.n_states):
+    for k in range(ns.n_states):
         s = PolarState(rng.uniform(0.3, 4.0), rng.uniform(0, 2 * math.pi),
                        rng.normal(0, 1), rng.normal(0, 1.5))
-        bracket_worst = max(bracket_worst, abs(poisson_bracket_H2_G(s, p)))
+        try:
+            bracket_worst = max(bracket_worst, abs(poisson_bracket_H2_G(s, p)))
+        except ArithmeticError as exc:
+            raise type(exc)(f"the Poisson-bracket check: state {k}, {s}, fails "
+                            f"({exc})") from exc
 
     h_drift = g_drift = 0.0
     # ptheta^2/2 > b >= b/Delta keeps G > 0, so no orbit falls into r = 0

@@ -175,7 +175,8 @@ def _jacobian(field, y, p: Params) -> np.ndarray:
         except (ArithmeticError, ValueError):
             with np.errstate(all="ignore"):
                 columns.append(field(np, *map(np.complex128, z), p))
-    jac = np.array(columns, dtype=complex).imag.T / h
+    with np.errstate(over="ignore"):  # an overflow is an inf entry, refused below
+        jac = np.array(columns, dtype=complex).imag.T / h
     if not np.isfinite(jac).all():
         raise ArithmeticError(f"complex-step derivative at {list(map(float, y))} not finite")
     return jac

@@ -33,7 +33,7 @@ from enum import Enum
 
 import numpy as np
 
-from .integrate import _brentq
+from .integrate import _bisect
 
 __all__ = [
     "ChaosVerdict",
@@ -279,14 +279,14 @@ def i2_closed_form(p_param: float, beta: float) -> float:
 
 
 def i2_beta_roots() -> list[float]:
-    """Zeros of beta -> I2(p, beta) on (3/2, 10], Brent-refined.
+    """Zeros of beta -> I2(p, beta) on (3/2, 10], refined by bisection.
 
     A 0.01 grid from beta = 1.502, which never lands on 2 or 3, brackets the
     sign changes.  Independent of p, which only scales I2 (`_at_p`).
     """
     grid = [float(b) for b in np.arange(1.502, 10.005, 0.01)]
     vals = [i2_closed_form(1.0, b) for b in grid]
-    return [_brentq(lambda beta: i2_closed_form(1.0, beta), a, b)
+    return [_bisect(lambda beta: i2_closed_form(1.0, beta), a, b)
             for a, b, fa, fb in zip(grid, grid[1:], vals, vals[1:]) if fa * fb < 0.0]
 
 

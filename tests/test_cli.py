@@ -759,6 +759,15 @@ class TestBeta2VerifyCommand:
             f"the H2/G drift check: polar orbit 0 from {start} fails on t in [0, 10.0] "
             f"({cause})")
 
+    def test_overflowing_bracket_is_named(self, tmp_path, capsys):
+        # at b = 1e308 the complex-step Jacobian of state 5 overflows: no numpy
+        # warning, and the record names the Poisson-bracket check and the state
+        assert self.failure_message(["--b", "1e308"], tmp_path, capsys) == (
+            "the Poisson-bracket check: state 5, PolarState(r=0.404782783238213, "
+            "theta=0.7808948568301981, pr=-0.6651946734866135, ptheta=0.5272651051395296), "
+            "fails (complex-step derivative at [0.7808948568301981, 0.5272651051395296] "
+            "not finite)")
+
     def test_failed_orbit_keeps_the_error_class(self, tmp_path):
         ns = cli._parse(["beta2-verify", "--max-steps", "5", "--n-states", "10",
                          "--out", str(tmp_path / "x.csv")])

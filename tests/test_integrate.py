@@ -30,7 +30,7 @@ from anisokepler.integrate import (
     _DormandPrince,
     _E3,
     _E5,
-    _brentq,
+    _bisect,
     integrate,
 )
 from anisokepler.mcgehee import mcgehee_rhs
@@ -247,10 +247,16 @@ def test_package_import_loads_no_scipy_subpackage():
 EPS = np.finfo(float).eps
 
 
+def _tolerance(x):
+    return 1e-12 + 4 * EPS * abs(x)
+
+
 def _scipy_reference(field, y0, t_span, cfg, event_fn):
     """scipy's DOP853 stepped until ``event_fn`` changes sign, the crossing refined
     by scipy's brentq on the step's dense output and the samples ended with the
-    dense output at the event time; to the end of the span if it never does."""
+    dense output at the event time; to the end of the span if it never does.
+    Returns the samples, the event times, the field calls and that step's dense
+    output (None without an event)."""
     calls = [0]
 
     def counted(t, y):
@@ -259,7 +265,7 @@ def _scipy_reference(field, y0, t_span, cfg, event_fn):
 
     solver = DOP853(counted, t_span[0], np.asarray(y0, float), t_span[1], rtol=cfg.rel_tol,
                     atol=cfg.abs_tol)
-    times, states, events = [t_span[0]], [np.asarray(y0, float)], []
+    times, states, events, dense = [t_span[0]], [np.asarray(y0, float)], [], None
     g_old = event_fn(t_span[0], states[0])
     while solver.status == "running":
         solver.step()
@@ -275,7 +281,31 @@ def _scipy_reference(field, y0, t_span, cfg, event_fn):
             times[-1], states[-1] = events[-1], dense(events[-1])
             break
         g_old = g_new
-    return np.array(times), np.array(states), events, calls[0]
+    return np.array(times), np.array(states), events, calls[0], dense
+
+
+def _assert_matches_scipy(traj, reference, event_fn):
+    """Every accepted step and state is scipy's, bit for bit.  Where an event
+    ends the run, the last sample is at the package's own event time t instead,
+    with scipy's dense output there as its state: t lies within the tolerance
+    1e-12 + 4 eps |t| of a sign change of the event on that dense output, and
+    within twice the tolerance of scipy's brentq root."""
+    times, states, events, _, dense = reference
+    assert len(traj.events) == len(events)
+    if not events:
+        assert traj.times.tobytes() == times.tobytes()
+        assert traj.states.tobytes() == states.tobytes()
+        return
+    (t_ev, _), = traj.events
+    assert type(t_ev) is float
+    assert traj.times[:-1].tobytes() == times[:-1].tobytes()
+    assert traj.states[:-1].tobytes() == states[:-1].tobytes()
+    assert traj.times[-1] == t_ev
+    assert traj.states[-1].tobytes() == dense(t_ev).tobytes()
+    tol = _tolerance(t_ev)
+    assert abs(t_ev - events[0]) <= 2 * tol
+    g = [event_fn(t, dense(t)) for t in (t_ev - tol, t_ev + tol)]
+    assert min(g) <= 0.0 <= max(g)
 
 
 def _forced_oscillator(t, y):
@@ -300,7 +330,8 @@ def test_tables_are_scipys_dop853_coefficients():
 
 
 class TestMatchesScipy:
-    """The own DOP853 stepper and Brent refinement reproduce scipy bitwise."""
+    """The own DOP853 stepper reproduces scipy bitwise, and its event times meet
+    the refinement's tolerance."""
 
     @settings(max_examples=30, deadline=None)
     @given(name=st.sampled_from(sorted(FIELDS)),
@@ -319,7 +350,7 @@ class TestMatchesScipy:
         def event_fn(t, y):
             return y[1] - level
 
-        times, states, events, calls = _scipy_reference(field, y0, t_span, cfg, event_fn)
+        reference = _scipy_reference(field, y0, t_span, cfg, event_fn)
         n = [0]
 
         def counted(t, y):
@@ -327,37 +358,60 @@ class TestMatchesScipy:
             return field(t, y)
 
         traj = integrate(counted, y0, t_span, cfg, events=[Event(event_fn, "level")])
-        assert np.array_equal(traj.times, times)
-        assert np.array_equal(traj.states, states)
-        assert n[0] == calls
-        assert [t for t, _ in traj.events] == events
-        assert all(type(t) is float for t, _ in traj.events)
+        _assert_matches_scipy(traj, reference, event_fn)
+        assert n[0] == reference[3]
 
-    @settings(max_examples=300, deadline=None)
-    @given(coef=st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4),
-           ends=st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2, unique=True))
-    @example(coef=[0.0, 0.0, 1.0, 0.0], ends=[-1.0, 0.0])  # a zero at the right end
-    @example(coef=[0.0, 0.0, 1.0, 0.0], ends=[0.0, 1.0])  # a zero at the left end
-    @example(coef=[1.0, 0.0, 0.0, 0.0], ends=[-1.0, 2.0])  # x^3: no convergence in 100
-    # the extrapolation denominator underflows to 0: Python raises where C yields
-    # inf, and both bisect
-    @example(coef=[1e-110, 0.0, 0.0, -1e-111], ends=[0.0, 1.0])
-    def test_brent_on_cubic_brackets(self, coef, ends):
-        def cubic(x):
-            return ((coef[0] * x + coef[1]) * x + coef[2]) * x + coef[3]
 
-        def outcome(solve):
-            try:
-                root = solve(cubic, *sorted(ends))
-            except ValueError:
-                return "no sign change"
-            except RuntimeError:
-                return "no convergence"
-            assert type(root) is float
-            return root
+@settings(max_examples=300, deadline=None)
+@given(coef=st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4),
+       ends=st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2, unique=True))
+@example(coef=[0.0, 0.0, 1.0, 0.0], ends=[-1.0, 0.0])  # a zero at the right end
+@example(coef=[0.0, 0.0, 1.0, 0.0], ends=[0.0, 1.0])  # a zero at the left end
+@example(coef=[1.0, 0.0, 0.0, 0.0], ends=[-1.0, 2.0])  # x^3: a root of zero slope
+@example(coef=[1e-110, 0.0, 0.0, -1e-111], ends=[0.0, 1.0])  # values near underflow
+# near |x| = 1e12, where 4 eps |x| dominates the tolerance
+@example(coef=[0.0, 0.0, 1.0, -1e12 - 0.3], ends=[1e12 - 5.0, 1e12 + 3.0])
+# two adjacent doubles, a bracket the width rule ends at once
+@example(coef=[0.0, 0.0, 2.0, -2.0 - 2.0 ** -52], ends=[1.0, 1.0 + 2.0 ** -52])
+def test_bisection_on_cubic_brackets(coef, ends):
+    """The returned x lies within the tolerance of a sign change of the cubic on
+    the bracket; ends of the same sign raise."""
+    def cubic(x):
+        return ((coef[0] * x + coef[1]) * x + coef[2]) * x + coef[3]
 
-        assert outcome(_brentq) == outcome(
-            lambda f, a, b: brentq(f, a, b, xtol=1e-12, rtol=4 * EPS))
+    lo, hi = sorted(ends)
+    f_lo, f_hi = cubic(lo), cubic(hi)
+    if f_lo != 0 and f_hi != 0 and (f_lo < 0) == (f_hi < 0):
+        with pytest.raises(ValueError, match="must have different signs"):
+            _bisect(cubic, lo, hi)
+        return
+    x = _bisect(cubic, lo, hi)
+    assert type(x) is float and lo <= x <= hi
+    g = [cubic(max(lo, x - _tolerance(x))), cubic(x), cubic(min(hi, x + _tolerance(x)))]
+    assert min(g) <= 0.0 <= max(g)
+
+
+def test_bisection_ends_a_bracket_of_adjacent_doubles_without_halving():
+    for lo in (1.0, -3.0, 1e12, 1e300, 2.0 ** -1070):
+        hi = math.nextafter(lo, math.inf)
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return -1.0 if x == lo else 1.0
+
+        assert _bisect(f, lo, hi) in (lo, hi)
+        assert calls == [lo, hi]
+
+
+def test_zero_slope_crossing_ends_the_run_at_its_root():
+    # (y - 0.45)^3 crosses zero with zero slope; y = t, so the event is at 0.45
+    traj = integrate(lambda t, y: np.ones(1), [0.0], (0.0, 5.0),
+                     events=[Event(lambda t, y: (y[0] - 0.45) ** 3, "flat")])
+    (t_ev, label), = traj.events
+    assert label == "flat"
+    assert abs(t_ev - 0.45) <= 1e-12
+    assert abs(traj.final_state[0] - 0.45) <= 1e-12
 
 
 # every closure the package hands to `integrate` one state at a time, with a
@@ -392,8 +446,8 @@ def test_unwrapped_chart_closures_take_the_float_stages_and_match_scipy(name, t_
     def event_fn(t, y):
         return abs(t) - 5.0 + 0.1 * y[-1]
 
-    times, states, events, _ = _scipy_reference(rhs, y0, t_span, cfg, event_fn)
-    assert len(events) == 1 and abs(times[-1]) > 4.0
+    reference = _scipy_reference(rhs, y0, t_span, cfg, event_fn)
+    assert len(reference[2]) == 1 and abs(reference[0][-1]) > 4.0
     closure_calls = [0]
     on_floats = core._on_floats
 
@@ -418,9 +472,7 @@ def test_unwrapped_chart_closures_take_the_float_stages_and_match_scipy(name, t_
                                 events=[Event(event_fn, "level")]), closure_calls[0])
 
     for traj, _ in runs.values():
-        assert traj.times.tobytes() == times.tobytes()
-        assert traj.states.tobytes() == states.tobytes()
-        assert [t for t, _ in traj.events] == events
+        _assert_matches_scipy(traj, reference, event_fn)
     (_, float_calls), (_, array_calls) = runs["float"], runs["array"]
     # the float run calls the closure only at the start (twice), and the hook
     # at every other stage; the array run calls the closure at all of them
