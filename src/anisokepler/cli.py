@@ -19,6 +19,7 @@ A flat key = value config file can preload any option of a subcommand
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import re
@@ -558,8 +559,16 @@ def _error_record(kind: str, message: str, code: int) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    Called without argv, as the program, it reads sys.argv and first freezes
+    the import-time heap (`gc.freeze`), so the exit skips CPython's final
+    collections over it; `main(argv)` leaves the collector as it was."""
+    if argv is None:
+        gc.freeze()
+        argv = sys.argv[1:]
     try:
-        ns = _parse(list(sys.argv[1:] if argv is None else argv))
+        ns = _parse(list(argv))
         meta, cols, rows, drift = _RUNNERS[ns.command](ns)
         _require_finite(ns.command, cols, rows)
         write_csv(ns.out, meta, cols, rows)

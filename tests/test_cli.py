@@ -1,5 +1,6 @@
 """CLI surface: subcommands, CSV format, manifests, exit codes, reproducibility."""
 
+import gc
 import json
 import math
 import resource
@@ -1020,6 +1021,55 @@ class TestConfigAndErrors:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert out.exists()
+
+
+# main() without argv is the program path, which the console script and
+# `python -m anisokepler.cli` take
+FREEZE_COUNT_RUN = ("import gc, sys; from anisokepler.cli import main; main(); "
+                    "print(gc.get_freeze_count())")
+
+
+def test_the_program_freezes_the_import_time_heap(tmp_path):
+    out = tmp_path / "eq.csv"
+    proc = subprocess.run([sys.executable, "-c", FREEZE_COUNT_RUN,
+                           "equilibria", "--out", str(out)], capture_output=True, text=True)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert int(proc.stdout) > 0
+    assert out.exists()
+
+
+def test_main_with_argv_leaves_the_collector_as_it_was(tmp_path):
+    frozen = gc.get_freeze_count()
+    assert main(["equilibria", "--out", str(tmp_path / "eq.csv")]) == EXIT_OK
+    assert gc.get_freeze_count() == frozen
+
+
+def test_no_output_is_closed_by_a_finalizer(tmp_path):
+    # the collector never finalizes a frozen object, so a file that only its
+    # finalizer closed could lose its tail: -X dev reports a file left to its
+    # finalizer as a ResourceWarning, and one held by a frozen object shows
+    # only as a short CSV or a missing manifest
+    program = [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+               "-m", "anisokepler.cli"]
+    out = tmp_path / "s.csv"
+    proc = subprocess.run(program + ["simulate", "--out", str(out)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "ResourceWarning" not in proc.stderr
+    assert out.read_text(encoding="utf-8").endswith("\n")
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text(encoding="utf-8"))
+    assert manifest["out"] == str(out)
+    _, _, rows = read_rows(out)
+    assert float(rows[-1][0]) == manifest["config"]["t_final"]
+
+    out = tmp_path / "j.csv"
+    proc = subprocess.run(program + ["beta2-verify", "--b", "1e308", "--out", str(out)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_NUMERICAL, proc.stderr
+    assert "ResourceWarning" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert json.loads(line)["exit_code"] == EXIT_NUMERICAL
+    assert not out.exists()
 
 
 def test_overflowing_anisotropy_power_prints_no_warning(tmp_path):
