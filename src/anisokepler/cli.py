@@ -4,7 +4,8 @@ Output format: UTF-8 CSV with '#'-prefixed metadata lines (config echo and a
 `columns:` line), '.' decimal separator and 17 significant digits, suitable for
 any external plotting tool.  Every run also writes `<out>.manifest.json` with
 the config echo, package versions and an invariant-drift summary, so a given
-(config, seed) pair reproduces its output byte for byte.
+config reproduces its output byte for byte; the commands that draw samples
+(`infinity-flow`, `beta2-verify`, `basin`) take `--seed`, which the config holds.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical failure.  Failures,
 a bad flag included, print a machine-readable JSON error record to stderr.
@@ -30,7 +31,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .core import CartesianState, Params, hamiltonian, cartesian_rhs
+from .core import CartesianState, Params, _on_floats, hamiltonian, cartesian_rhs
 from .integrate import IntegrationError, IntegratorConfig, StepSizeUnderflow, integrate
 from .mcgehee import (
     BasinBox,
@@ -60,6 +61,7 @@ from .infinity import (
 )
 from .beta2 import (
     PolarState,
+    _angular_integral,
     beta2_energy_residual,
     beta2_mcgehee_rhs,
     integral_G,
@@ -150,8 +152,7 @@ def write_manifest(ns: argparse.Namespace, drift: dict) -> str:
     manifest = {
         "command": ns.command,
         "config": {k: v for k, v in sorted(vars(ns).items())
-                   if k not in ("command", "out", "seed") and v is not None},
-        "seed": ns.seed,
+                   if k not in ("command", "out") and v is not None},
         "out": ns.out,
         "versions": {
             "anisokepler": __version__,
@@ -219,7 +220,7 @@ def _run_simulate(ns: argparse.Namespace):
         rows = [(t, *y, energy_residual(McGeheeState(*y), p) - r0)
                 for t, y in zip(traj.times.tolist(), traj.states.tolist())]
     meta = {"command": ns.command, "coords": ns.coords, "beta": p.beta, "mu": p.mu,
-            "b": p.b, "h": h, "seed": ns.seed}
+            "b": p.b, "h": h}
     return meta, cols, rows, {invariant: max(abs(row[-1]) for row in rows)}
 
 
@@ -236,7 +237,7 @@ def _run_equilibria(ns: argparse.Namespace):
                      e.stability.value if e.stability else "degenerate",
                      int(e.spiraling)))
     meta = {"command": ns.command, "beta": p.beta, "mu": p.mu, "b": p.b,
-            "spiral_threshold_mu": spiral_threshold(p.beta), "seed": ns.seed}
+            "spiral_threshold_mu": spiral_threshold(p.beta)}
     return meta, cols, rows, {}
 
 
@@ -259,7 +260,7 @@ def _run_collision_flow(ns: argparse.Namespace):
         branch = []
     rows += [("branch-unstable", th, ps, 0.0, 0.0) for th, ps in branch]
     meta = {"command": ns.command, "beta": p.beta, "mu": p.mu, "b": p.b,
-            "epsilon": p.epsilon, "seed": ns.seed}
+            "epsilon": p.epsilon}
     return meta, cols, rows, {}
 
 
@@ -310,7 +311,7 @@ def _run_splitting(ns: argparse.Namespace):
         rows.append((ns.beta, eps, psi_u, psi_s, gap,
                      gap / eps if eps else 0.0, 2 * z1 * eps, verdict.value))
     meta = {"command": ns.command, "beta": _fmt(ns.beta), "b": ns.b,  # as in its column
-            "two_zeta1": 2 * z1, "seed": ns.seed}
+            "two_zeta1": 2 * z1}
     cols = ["beta", "epsilon", "psi_unstable", "psi_stable", "gap",
             "gap_over_eps", "predicted_gap", "verdict"]
     return meta, cols, rows, {}
@@ -347,13 +348,17 @@ def _run_beta2_verify(ns: argparse.Namespace):
         h_drift = max(h_drift, traj.invariant_drift["H2"])
         g_drift = max(g_drift, traj.invariant_drift["G"])
 
-    m0 = McGeheeState(1.2, 0.1, 0.9, 0.7)
+    m0 = McGeheeState(1.2, 0.1, 0.9, 0.7)  # g < 0: the orbit links to the collision
     lvl = level_through(m0, p)
-    traj = integrate(beta2_mcgehee_rhs(lvl), m0.as_array(), (0.0, ns.tau), icfg,
-                     monitors={"E": lambda t, y: beta2_energy_residual(McGeheeState(*y), lvl),
-                               # G in the polar chart: pr = v/r, ptheta = u at beta = 2
-                               "g": lambda t, y: integral_G(
-                                   PolarState(y[0], y[2], y[1] / y[0], y[3]), lvl)})
+    try:
+        traj = integrate(beta2_mcgehee_rhs(lvl), m0.as_array(), (0.0, ns.tau), icfg,
+                         monitors={"E": lambda t, y: beta2_energy_residual(McGeheeState(*y), lvl),
+                                   # G reads (theta, ptheta) only, and ptheta = u at beta = 2
+                                   "g": lambda t, y: float(
+                                       _on_floats(_angular_integral, y[2:].tolist(), lvl))})
+    except IntegrationError as exc:
+        raise type(exc)(f"the regularized check: orbit from {m0} fails on tau in "
+                        f"[0, {ns.tau}] ({exc})") from exc
     checks = [
         ("poisson_bracket_max_abs", bracket_worst, 1e-10),
         ("H2_drift_max", h_drift, 1e-8),
@@ -375,7 +380,7 @@ def _run_melnikov(ns: argparse.Namespace):
         quadrature = i2_quadrature(ns.p, beta)
         unit = i2_closed_form(1.0, beta)  # at p = 1, where A cannot underflow
         rows.append((beta, quadrature, _at_p(ns.p, beta, unit), unit / i2_amplitude(1.0, beta)))
-    meta = {"command": ns.command, "p": ns.p, "beta_grid": ns.beta_grid, "seed": ns.seed}
+    meta = {"command": ns.command, "p": ns.p, "beta_grid": ns.beta_grid}
     return meta, ["beta", "i2_quadrature", "i2_closed_form", "i2_over_A"], rows, {}
 
 
@@ -444,10 +449,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="flat key = value file preloading options")
     sub = parser.add_subparsers(dest="command")
 
-    def common(sp, beta_default=None, integrates=False):
+    def common(sp, beta_default=None, mu_default=None, integrates=False, seeded=False):
         sp.add_argument("--out", required=True,
                         help="output CSV path (manifest written alongside)")
-        sp.add_argument("--seed", type=partial(_at_least, 0), default=0)
+        if seeded:  # only the commands that draw samples
+            sp.add_argument("--seed", type=partial(_at_least, 0), default=0)
         if integrates:
             icfg = IntegratorConfig()
             sp.add_argument("--rtol", type=float, default=icfg.rel_tol)
@@ -455,12 +461,14 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--max-steps", type=int, default=icfg.max_steps)
         if beta_default is not None:
             sp.add_argument("--beta", type=float, default=beta_default)
+        if mu_default is not None:
+            sp.add_argument("--mu", type=float, default=mu_default)
+        if beta_default is not None or mu_default is not None:  # all but melnikov
+            sp.add_argument("--b", type=float, default=0.5)
 
     sp = sub.add_parser("simulate", help="integrate one orbit and emit samples")
-    common(sp, beta_default=3.0, integrates=True)
+    common(sp, beta_default=3.0, mu_default=1.2, integrates=True)
     sp.add_argument("--coords", choices=("cartesian", "mcgehee"), default="mcgehee")
-    sp.add_argument("--mu", type=float, default=1.2)
-    sp.add_argument("--b", type=float, default=0.5)
     sp.add_argument("--h", type=float, default=None,
                     help="energy level, checked against that of --initial; it selects "
                          "the level only for a mcgehee start at r = 0")
@@ -469,32 +477,23 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t-final", type=float, default=10.0)
 
     sp = sub.add_parser("equilibria", help="collision-manifold equilibria and spectra")
-    common(sp, beta_default=3.0)
-    sp.add_argument("--mu", type=float, default=1.2)
-    sp.add_argument("--b", type=float, default=0.5)
+    common(sp, beta_default=3.0, mu_default=1.2)
 
     sp = sub.add_parser("collision-flow", help="torus field samples and traced branches")
-    common(sp, beta_default=3.0, integrates=True)
-    sp.add_argument("--mu", type=float, default=1.0)
-    sp.add_argument("--b", type=float, default=0.5)
+    common(sp, beta_default=3.0, mu_default=1.0, integrates=True)
     sp.add_argument("--grid", type=_count, default=24)
 
     sp = sub.add_parser("infinity-flow", help="heteroclinic orbits on the infinity torus")
-    common(sp, beta_default=3.0, integrates=True)
-    sp.add_argument("--mu", type=float, default=1.4)
-    sp.add_argument("--b", type=float, default=0.5)
+    common(sp, beta_default=3.0, mu_default=1.4, integrates=True, seeded=True)
     sp.add_argument("--orbits", type=_count, default=5)
     sp.add_argument("--s-final", type=float, default=25.0)
 
     sp = sub.add_parser("splitting", help="saddle-connection splitting vs anisotropy")
     common(sp, beta_default=3.0, integrates=True)
-    sp.add_argument("--b", type=float, default=0.5)
     sp.add_argument("--eps-list", default="0,1e-3,2e-3,4e-3")
 
     sp = sub.add_parser("beta2-verify", help="integrability checks at beta = 2")
-    common(sp, integrates=True)
-    sp.add_argument("--mu", type=float, default=1.5)
-    sp.add_argument("--b", type=float, default=0.5)
+    common(sp, mu_default=1.5, integrates=True, seeded=True)
     sp.add_argument("--n-states", type=_count, default=1000)
     sp.add_argument("--n-orbits", type=_count, default=20)
     sp.add_argument("--tau", type=float, default=10.0,
@@ -511,9 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "that scale leaves the normal float range")
 
     sp = sub.add_parser("basin", help="collision fraction from a sampling box")
-    common(sp, beta_default=3.0)
-    sp.add_argument("--mu", type=float, default=1.2)
-    sp.add_argument("--b", type=float, default=0.5)
+    common(sp, beta_default=3.0, mu_default=1.2, seeded=True)
     sp.add_argument("--h", type=float, default=-0.25)
     sp.add_argument("--n", type=_count, default=10000)
     sp.add_argument("--horizon", type=float, default=40.0,

@@ -82,9 +82,12 @@ class CartesianState:
         return np.array([self.x, self.y, self.px, self.py])
 
 
-def _check_off_origin(x: float, y: float) -> None:
-    if math.hypot(x, y) < ORIGIN_RADIUS:
+def _check_off_origin(x: float, y: float) -> float:
+    """The radius hypot(x, y), refused at the collision singularity."""
+    r = math.hypot(x, y)
+    if r < ORIGIN_RADIUS:
         raise DomainError("state at the collision singularity (x, y) = (0, 0)")
+    return r
 
 
 def potential(s: CartesianState, p: Params) -> float:
@@ -94,17 +97,17 @@ def potential(s: CartesianState, p: Params) -> float:
 def _potential(xp, x, y, p: Params):
     """U(x, y), guarding the origin.  Through `_on_floats`, a pull whose power is
     above the floats is 0, as on numpy."""
-    _check_off_origin(x, y)
-    return -1.0 / math.hypot(x, y) - p.b / (p.mu * x * x + y * y) ** (p.beta / 2.0)
+    r = _check_off_origin(x, y)
+    return -1.0 / r - p.b / (p.mu * x * x + y * y) ** (p.beta / 2.0)
 
 
 def _cartesian_arrays(xp, x, y, px, py, p: Params):
     """The one definition of (dx, dy, dpx, dpy) = (px, py, -dU/dx, -dU/dy), on
     Python floats or numpy scalars alike: math.hypot takes both (numpy's differs
     in the last bit), and a radius cubed above the floats is inf, as on numpy."""
-    _check_off_origin(x, y)
+    r = _check_off_origin(x, y)
     try:
-        r3 = math.hypot(x, y) ** 3
+        r3 = r ** 3
     except OverflowError:
         r3 = math.inf
     q = p.mu * x * x + y * y

@@ -77,8 +77,7 @@ class McGeheeState:
 def to_mcgehee(s: CartesianState, p: Params) -> McGeheeState:
     """Regularizing transform; inverts under from_mcgehee and lands on the
     energy relation for h = hamiltonian(s)."""
-    _check_off_origin(s.x, s.y)
-    r = math.hypot(s.x, s.y)
+    r = _check_off_origin(s.x, s.y)
     theta = math.atan2(s.y, s.x) % TWO_PI
     scale = r ** ((p.beta - 2.0) / 2.0)
     v = scale * (s.x * s.px + s.y * s.py)

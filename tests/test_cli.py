@@ -775,6 +775,28 @@ class TestBeta2VerifyCommand:
         with pytest.raises(MaxStepsExceeded, match="^the H2/G drift check: polar orbit 0 "):
             cli._run_beta2_verify(ns)
 
+    def test_regularized_orbit_into_the_collision_reports(self, tmp_path):
+        # the regularized start has g < 0, so its orbit links to the collision:
+        # at b = 5 it reaches r = 0 by tau = 300, and g, which reads only theta
+        # and u, is defined there: all five checks report, warning-free
+        out = tmp_path / "b2.csv"
+        assert main(["beta2-verify", "--b", "5", "--tau", "300", "--n-states", "1",
+                     "--n-orbits", "1", "--out", str(out)]) == EXIT_OK
+        _, cols, rows = read_rows(out)
+        assert [r[cols.index("status")] for r in rows] == ["pass"] * 5
+
+    def test_failed_regularized_orbit_is_named(self, tmp_path, capsys):
+        # the step limit falls inside the regularized orbit: the record names the
+        # check, its start and its span, and the stepper's error class stays
+        argv = ["--b", "50", "--tau", "500", "--max-steps", "5000", "--n-states", "1",
+                "--n-orbits", "1"]
+        assert self.failure_message(argv, tmp_path, capsys) == (
+            "the regularized check: orbit from McGeheeState(r=1.2, v=0.1, theta=0.9, u=0.7) "
+            "fails on tau in [0, 500.0] (exceeded 5000 steps at t=171.1434691698875)")
+        ns = cli._parse(["beta2-verify", *argv, "--out", str(tmp_path / "x.csv")])
+        with pytest.raises(MaxStepsExceeded, match="^the regularized check: "):
+            cli._run_beta2_verify(ns)
+
 
 class TestBasinCommand:
     def test_fraction_row(self, tmp_path):
@@ -912,16 +934,55 @@ class TestConfigAndErrors:
             ["--config", str(tmp_path / "missing.cfg"), "--out", out], capsys)
         assert not (tmp_path / "x.csv").exists()
 
+    SEEDED = ("infinity-flow", "beta2-verify", "basin")
+
     def test_seed_checked_by_the_parser(self, tmp_path, capsys):
-        # numpy's generators take no negative seed: every command refuses one
-        # alike, instead of failing in numpy or writing it to the CSV header
+        # numpy's generators take no negative seed: every seeded command refuses
+        # one alike, instead of failing in numpy or writing it to the CSV header
         out = tmp_path / "x.csv"
-        for command in cli._RUNNERS:
+        for command in self.SEEDED:
             for seed in ("-1", "1.5"):
                 assert validation_message([command, "--seed", seed, "--out", str(out)],
                                           capsys) \
                     == f"argument --seed: must be an integer of at least 0, got {seed!r}"
         assert not out.exists()
+
+    def test_only_the_commands_that_draw_samples_take_a_seed(self, tmp_path, capsys):
+        # the other five draw no random numbers: a seed is refused from a flag
+        # and from a config file, with one record and no CSV
+        out = tmp_path / "x.csv"
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("seed = 1\n", encoding="utf-8")
+        unseeded = [command for command in cli._RUNNERS if command not in self.SEEDED]
+        assert unseeded == ["simulate", "equilibria", "collision-flow", "splitting", "melnikov"]
+        for command in unseeded:
+            assert validation_message([command, "--seed", "0", "--out", str(out)], capsys) \
+                == "unrecognized arguments: --seed 0"
+            assert validation_message([command, "--config", str(cfg), "--out", str(out)],
+                                      capsys) == "unrecognized arguments: --seed 1"
+            assert not out.exists()
+
+    def test_the_seed_is_written_where_it_is_read(self, tmp_path):
+        # a seeded command writes its seed to the CSV header and the manifest's
+        # config echo; the others write none
+        small = {"simulate": ["--t-final", "1"], "equilibria": [],
+                 "collision-flow": ["--grid", "3"], "infinity-flow": ["--orbits", "1"],
+                 "splitting": ["--eps-list", "0"],
+                 "beta2-verify": ["--n-states", "10", "--n-orbits", "1", "--tau", "1"],
+                 "melnikov": ["--beta-grid", "1.8:2:0.1"], "basin": ["--n", "50"]}
+        assert list(small) == list(cli._RUNNERS)
+        for command, argv in small.items():
+            seeded = command in self.SEEDED
+            out = tmp_path / f"{command}.csv"
+            assert main([command, *argv, *(["--seed", "3"] if seeded else []),
+                         "--out", str(out)]) == EXIT_OK
+            meta, _, _ = read_rows(out)
+            manifest = json.loads(Path(f"{out}.manifest.json").read_text(encoding="utf-8"))
+            assert "seed" not in manifest
+            if seeded:
+                assert (meta["seed"], manifest["config"]["seed"]) == ("3", 3), command
+            else:
+                assert "seed" not in meta and "seed" not in manifest["config"], command
 
     def test_integrator_defaults_are_the_library_defaults(self):
         defaults = IntegratorConfig()
